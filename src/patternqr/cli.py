@@ -1,9 +1,12 @@
 """Command-line driver.
 
-Each subcommand is a thin wrapper over one library operation. Parameter
-precedence is flags > config file > environment > defaults; the config file
-is JSON mirroring PipelineConfig. Exit codes: 0 success, 2 config error,
-3 data error, 4 gateway error.
+Each subcommand is a thin wrapper over one library operation; `retrieve`,
+`baseline`, `reformulate` and `run` share the pipeline's per-query loop.
+`run` has one flag per PipelineConfig field, gateway fields included, and
+reads an optional JSON config file that mirrors PipelineConfig. Settings
+overlay defaults < environment < config file < flags; an unknown or mistyped
+config key is a config error. Exit codes: 0 success, 2 config error, 3 data
+error, 4 gateway error.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import argparse
 import hashlib
 import json
 import sys
+import typing
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import evaluation, feedback, generator, induction, pipeline, selector
@@ -84,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=feedback.DEFAULT_BETA)
     p.add_argument("--tag", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_baseline)
+    p.set_defaults(handler=_cmd_retrieve)
 
     p = sub.add_parser("induce", help="induce a pattern library from training pairs")
     p.add_argument("--pairs", required=True)
@@ -96,14 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--existing", default=None, help="prior library to consolidate into")
     p.add_argument("--transcript", default=None, help="JSONL transcript of every LLM call")
     p.add_argument("--source-dataset", default="", help="provenance label for the library")
-    _add_gateway_flags(p)
+    _add_field_flags(p, GatewayConfig)
     p.set_defaults(handler=_cmd_induce)
 
     p = sub.add_parser("label", help="label each pair with its library pattern")
     p.add_argument("--pairs", required=True)
     p.add_argument("--library", required=True)
     p.add_argument("--out", required=True)
-    _add_gateway_flags(p)
+    _add_field_flags(p, GatewayConfig)
     p.set_defaults(handler=_cmd_label)
 
     p = sub.add_parser("train-selector", help="train the pattern selector on labeled pairs")
@@ -112,13 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--library", default=None, help="defaults to the packaged seed library")
     p.add_argument("--k-context", type=int, default=pipeline.DEFAULT_K_CONTEXT)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--decay", type=float, default=1e-3)
-    p.add_argument("--l2", type=float, default=1e-5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--dimension", type=int, default=selector.DEFAULT_DIMENSION)
-    p.add_argument("--seed", type=int, default=0)
+    train = selector.TrainConfig()
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--learning-rate", type=float, default=train.learning_rate)
+    p.add_argument("--decay", type=float, default=train.decay)
+    p.add_argument("--l2", type=float, default=train.l2)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--dimension", type=int, default=train.feature_config.dimension)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-csv", default=None)
     p.set_defaults(handler=_cmd_train_selector)
@@ -135,35 +141,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hook-file", default=None)
     p.add_argument("--out", required=True, help="reformulation log (JSONL)")
-    _add_gateway_flags(p)
+    _add_field_flags(p, GatewayConfig)
     p.set_defaults(handler=_cmd_reformulate)
 
     p = sub.add_parser("run", help="full pipeline: retrieve, reformulate, evaluate")
     p.add_argument("--config", default=None, help="JSON config file (flags win over it)")
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--queries", default=None)
-    p.add_argument("--qrels", default=None)
-    p.add_argument("--mode", choices=list(pipeline.MODES), default=None)
-    p.add_argument("--library", default=None)
-    p.add_argument("--selector-model", default=None)
-    p.add_argument("--selector", choices=["model", "prompt"], default=None)
-    p.add_argument("--select-mode", choices=["argmax", "sample"], default=None)
-    p.add_argument("--k-context", type=int, default=None)
-    p.add_argument("--k-eval", type=int, default=None)
-    p.add_argument("--repetition", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--hook-file", default=None)
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--snippet-tokens", type=int, default=None)
-    p.add_argument("--fb-docs", type=int, default=None)
-    p.add_argument("--fb-terms", type=int, default=None)
-    p.add_argument("--orig-weight", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--binarize-at", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    _add_gateway_flags(p)
+    _add_field_flags(p, pipeline.PipelineConfig)
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("evaluate", help="score a run file against qrels")
@@ -187,27 +170,46 @@ def _add_index_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=float, default=DEFAULT_B)
 
 
-def _add_gateway_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--base-url", default=None)
-    p.add_argument("--api-key", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--mock-script", default=None)
-    p.add_argument("--max-retries", type=int, default=None)
-    p.add_argument("--max-in-flight", type=int, default=None)
+def _add_field_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One `--field-name` flag per field of dataclass `cls`, nested dataclasses
+    flattened. A flag not given stays None and overrides nothing."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if is_dataclass(hint):
+            _add_field_flags(p, hint)
+            continue
+        kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        p.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
+
+
+def _given_flags(args, cls) -> dict:
+    """The flags of `_add_field_flags(p, cls)` that were given, shaped like `cls`."""
+    given = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        value = _given_flags(args, hint) if is_dataclass(hint) else getattr(args, name)
+        if value is not None and value != {}:
+            given[name] = value
+    return given
+
+
+def _overlay(*layers: dict) -> dict:
+    """Merge settings left to right, later layers winning; objects merge key by key."""
+    merged: dict = {}
+    for layer in layers:
+        for key, value in layer.items():
+            if isinstance(value, dict) and isinstance(merged.get(key), dict):
+                value = _overlay(merged[key], value)
+            merged[key] = value
+    return merged
+
+
+def _field_values(args, cls) -> dict:
+    """The subcommand's flag values named after fields of dataclass `cls`."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
 
 def _gateway_config(args) -> GatewayConfig:
-    env = GatewayConfig.from_env()
-    return GatewayConfig(
-        base_url=args.base_url if args.base_url is not None else env.base_url,
-        api_key=args.api_key if args.api_key is not None else env.api_key,
-        model=args.model if args.model is not None else env.model,
-        mock_script=args.mock_script if args.mock_script is not None else env.mock_script,
-        max_retries=args.max_retries if args.max_retries is not None else env.max_retries,
-        max_in_flight=(
-            args.max_in_flight if args.max_in_flight is not None else env.max_in_flight
-        ),
-    )
+    env = asdict(GatewayConfig.from_env())
+    return GatewayConfig(**_overlay(env, _given_flags(args, GatewayConfig)))
 
 
 def _load_index_source(args):
@@ -230,34 +232,15 @@ def _cmd_index(args) -> None:
 
 
 def _cmd_retrieve(args) -> None:
-    index = _load_index_source(args)
-    rankings = {}
-    for query_id, text in read_queries_tsv(args.queries):
-        result = retrieve_topk(index, text, args.k, query_id=query_id)
-        if result.entries:
-            rankings[query_id] = [(e.doc_id, e.score) for e in result.entries]
-    tag = args.tag if args.tag else f"bm25-{_args_hash(args)}"
-    run = evaluation.run_from_rankings(rankings, tag=tag)
-    evaluation.write_run(run, args.out)
-    print(f"wrote {sum(len(v) for v in run.values())} run lines -> {args.out}")
-
-
-def _cmd_baseline(args) -> None:
-    index = _load_index_source(args)
-    rankings = {}
-    for query_id, text in read_queries_tsv(args.queries):
-        if args.method == "rm3":
-            weighted = feedback.rm3_expand(
-                index, text, args.fb_docs, args.fb_terms, args.orig_weight
-            )
-        else:
-            weighted = feedback.rocchio_expand(
-                index, text, args.fb_docs, args.fb_terms, args.alpha, args.beta
-            )
-        result = retrieve_topk(index, weighted.terms, args.k, query_id=query_id)
-        if result.entries:
-            rankings[query_id] = [(e.doc_id, e.score) for e in result.entries]
-    tag = args.tag if args.tag else f"{args.method}-{_args_hash(args)}"
+    """`retrieve` ranks with bm25, `baseline` with its --method."""
+    mode = getattr(args, "method", "bm25")
+    config = pipeline.PipelineConfig(
+        **_field_values(args, pipeline.PipelineConfig), mode=mode, k_eval=args.k
+    )
+    rankings, _ = pipeline.rank_queries(
+        config, _load_index_source(args), read_queries_tsv(args.queries)
+    )
+    tag = args.tag if args.tag else f"{config.mode}-{_args_hash(args)}"
     run = evaluation.run_from_rankings(rankings, tag=tag)
     evaluation.write_run(run, args.out)
     print(f"wrote {sum(len(v) for v in run.values())} run lines -> {args.out}")
@@ -277,8 +260,6 @@ def _cmd_induce(args) -> None:
         max_patterns=args.max_patterns,
         transcript_path=args.transcript,
     )
-    from dataclasses import replace
-
     if args.source_dataset:
         library = replace(
             library, provenance=replace(library.provenance, source_dataset=args.source_dataset)
@@ -312,12 +293,7 @@ def _cmd_train_selector(args) -> None:
         context = retrieve_topk(index, pair.query, args.k_context, query_id=pair.pair_id)
         examples.append((pair.query, context, labels[pair.pair_id]))
     hyper = selector.TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        decay=args.decay,
-        l2=args.l2,
-        batch_size=args.batch_size,
-        seed=args.seed,
+        **_field_values(args, selector.TrainConfig),
         feature_config=selector.FeatureConfig(dimension=args.dimension),
     )
     model, history = selector.train_selector(examples, library, hyper)
@@ -329,113 +305,29 @@ def _cmd_train_selector(args) -> None:
 
 
 def _cmd_reformulate(args) -> None:
-    index = _load_index_source(args)
-    library = (
-        induction.load_library(args.library) if args.library else induction.default_library()
+    config = pipeline.PipelineConfig(
+        **_field_values(args, pipeline.PipelineConfig),
+        mode="reformer+hook" if args.hook_file else "reformer",
+        gateway=_gateway_config(args),
     )
-    gateway = _gateway_config(args).build(jitter_seed=args.seed)
-    if args.selector == "prompt":
-        chooser = selector.PromptSelector(gateway, library)
-    else:
-        if not args.selector_model:
-            raise ConfigError("selector='model' requires --selector-model")
-        chooser = selector.ModelSelector(selector.load_model(args.selector_model), library)
-    hook = pipeline.load_hook_passages(args.hook_file) if args.hook_file else {}
-    records = []
-    for query_id, text in read_queries_tsv(args.queries):
-        context = retrieve_topk(index, text, args.k_context, query_id=query_id)
-        seed = None
-        if args.select_mode == "sample":
-            seed = pipeline._query_seed(args.seed, query_id)
-        pattern_id = chooser.choose(text, context, mode=args.select_mode, seed=seed)
-        pattern = library.patterns[pattern_id]
-        extra = [hook[query_id]] if query_id in hook else None
-        reformulation = generator.generate_reformulation(
-            gateway, text, context, pattern, query_id=query_id, extra_context=extra
-        )
-        hybrid = generator.compose_hybrid(text, reformulation.text, repetition=args.repetition)
-        records.append(
-            generator.ReformulationRecord(
-                query_id=query_id,
-                pattern_id=pattern.pattern_id,
-                pattern_name=pattern.name,
-                reformulation=reformulation.text,
-                hybrid_query=hybrid.text,
-                fallback=reformulation.fallback,
-            )
-        )
+    records = pipeline.reformulate_queries(
+        config, _load_index_source(args), read_queries_tsv(args.queries)
+    )
     generator.write_reformulation_log(records, args.out, config_hash=_args_hash(args))
     print(f"reformulated {len(records)} queries -> {args.out}")
 
 
 def _cmd_run(args) -> None:
-    file_cfg: dict = {}
+    layers = [{"gateway": asdict(GatewayConfig.from_env())}]
     if args.config:
         try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            layers.append(json.loads(Path(args.config).read_text(encoding="utf-8")))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
+        if not isinstance(layers[-1], dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-
-    def pick(flag_value, key: str, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
-
-    gateway_file = file_cfg.get("gateway", {})
-    env = GatewayConfig.from_env()
-
-    def pick_gw(flag_value, key: str, env_value, default):
-        if flag_value is not None:
-            return flag_value
-        if key in gateway_file:
-            return gateway_file[key]
-        if env_value is not None:
-            return env_value
-        return default
-
-    gateway_cfg = GatewayConfig(
-        base_url=pick_gw(args.base_url, "base_url", env.base_url, None),
-        api_key=pick_gw(args.api_key, "api_key", env.api_key, None),
-        model=pick_gw(args.model, "model", env.model, "local-model"),
-        mock_script=pick_gw(args.mock_script, "mock_script", env.mock_script, None),
-        max_retries=pick_gw(args.max_retries, "max_retries", None, 3),
-        max_in_flight=pick_gw(args.max_in_flight, "max_in_flight", None, 4),
-    )
-    corpus = pick(args.corpus, "corpus", None)
-    queries = pick(args.queries, "queries", None)
-    if not corpus or not queries:
-        raise ConfigError("run requires --corpus and --queries (flags or config file)")
-    config = pipeline.PipelineConfig(
-        corpus=corpus,
-        queries=queries,
-        qrels=pick(args.qrels, "qrels", None),
-        mode=pick(args.mode, "mode", "bm25"),
-        library=pick(args.library, "library", None),
-        selector_model=pick(args.selector_model, "selector_model", None),
-        selector=pick(args.selector, "selector", "model"),
-        select_mode=pick(args.select_mode, "select_mode", "argmax"),
-        gateway=gateway_cfg,
-        k_context=pick(args.k_context, "k_context", pipeline.DEFAULT_K_CONTEXT),
-        k_eval=pick(args.k_eval, "k_eval", pipeline.DEFAULT_K_EVAL),
-        repetition=pick(args.repetition, "repetition", 1),
-        seed=pick(args.seed, "seed", 0),
-        hook_file=pick(args.hook_file, "hook_file", None),
-        k1=pick(args.k1, "k1", DEFAULT_K1),
-        b=pick(args.b, "b", DEFAULT_B),
-        snippet_tokens=pick(args.snippet_tokens, "snippet_tokens", 64),
-        fb_docs=pick(args.fb_docs, "fb_docs", feedback.DEFAULT_FB_DOCS),
-        fb_terms=pick(args.fb_terms, "fb_terms", feedback.DEFAULT_FB_TERMS),
-        orig_weight=pick(args.orig_weight, "orig_weight", feedback.DEFAULT_ORIG_WEIGHT),
-        alpha=pick(args.alpha, "alpha", feedback.DEFAULT_ALPHA),
-        beta=pick(args.beta, "beta", feedback.DEFAULT_BETA),
-        binarize_at=pick(args.binarize_at, "binarize_at", 2),
-        out_dir=pick(args.out_dir, "out_dir", "."),
-    )
-    result = pipeline.run_pipeline(config)
+    layers.append(_given_flags(args, pipeline.PipelineConfig))
+    result = pipeline.run_pipeline(pipeline.config_from_dict(_overlay(*layers)))
     print(f"run file: {result.run_path}")
     if result.log_path:
         print(f"reformulation log: {result.log_path}")

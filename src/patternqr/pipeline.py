@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from . import evaluation, feedback
 from .errors import ConfigError, DataError, GatewayError, PatternQRError
 from .evaluation import (
     MetricsReport,
@@ -45,6 +47,9 @@ from .induction import PatternLibrary, default_library, load_library
 from .selector import ModelSelector, PromptSelector, load_model
 
 MODES = ("bm25", "rm3", "rocchio", "reformer", "reformer+hook")
+REFORMER_MODES = ("reformer", "reformer+hook")
+SELECTORS = ("model", "prompt")
+SELECT_MODES = ("argmax", "sample")
 DEFAULT_K_CONTEXT = 3
 DEFAULT_K_EVAL = 1000
 
@@ -57,8 +62,8 @@ class PipelineConfig:
     qrels: str | None = None
     library: str | None = None
     selector_model: str | None = None
-    selector: str = "model"  # "model" or "prompt"
-    select_mode: str = "argmax"  # "argmax" or "sample"
+    selector: str = "model"  # one of SELECTORS
+    select_mode: str = "argmax"  # one of SELECT_MODES
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     k_context: int = DEFAULT_K_CONTEXT
     k_eval: int = DEFAULT_K_EVAL
@@ -68,12 +73,12 @@ class PipelineConfig:
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     snippet_tokens: int = DEFAULT_SNIPPET_TOKENS
-    fb_docs: int = 10
-    fb_terms: int = 10
-    orig_weight: float = 0.5
-    alpha: float = 1.0
-    beta: float = 0.75
-    binarize_at: int = 2
+    fb_docs: int = feedback.DEFAULT_FB_DOCS
+    fb_terms: int = feedback.DEFAULT_FB_TERMS
+    orig_weight: float = feedback.DEFAULT_ORIG_WEIGHT
+    alpha: float = feedback.DEFAULT_ALPHA
+    beta: float = feedback.DEFAULT_BETA
+    binarize_at: int = evaluation.DEFAULT_BINARIZE_AT
     out_dir: str = "."
 
     def validate(self) -> None:
@@ -94,9 +99,13 @@ class PipelineConfig:
                 raise ConfigError(f"{label} file {path} does not exist")
         if self.mode == "reformer+hook" and not self.hook_file:
             raise ConfigError("mode reformer+hook requires a hook file")
-        if self.mode in ("reformer", "reformer+hook"):
-            if self.selector not in ("model", "prompt"):
-                raise ConfigError(f"selector must be 'model' or 'prompt', got {self.selector!r}")
+        if self.mode in REFORMER_MODES:
+            if self.selector not in SELECTORS:
+                raise ConfigError(f"selector must be one of {SELECTORS}, got {self.selector!r}")
+            if self.select_mode not in SELECT_MODES:
+                raise ConfigError(
+                    f"select_mode must be one of {SELECT_MODES}, got {self.select_mode!r}"
+                )
             if self.selector == "model" and not self.selector_model:
                 raise ConfigError("selector='model' requires a selector model file")
         if self.repetition < 1:
@@ -142,32 +151,26 @@ def _query_seed(run_seed: int, query_id: str) -> int:
 
 def load_hook_passages(path: str | Path) -> dict[str, str]:
     """Hook input: `query_id<TAB>pseudo-passage text` per line."""
-    passages = {}
-    for query_id, text in read_queries_tsv(path):
-        passages[query_id] = text
-    return passages
+    return dict(read_queries_tsv(path))
 
 
 def _build_selector(config: PipelineConfig, library: PatternLibrary, gateway: Gateway):
     if config.selector == "prompt":
         return PromptSelector(gateway, library)
-    model = load_model(config.selector_model)
-    return ModelSelector(model, library)
+    if not config.selector_model:
+        raise ConfigError("selector='model' requires a selector model file")
+    return ModelSelector(load_model(config.selector_model), library)
 
 
-def _reformer_rankings(
-    config: PipelineConfig,
-    index: InvertedIndex,
-    queries: list[tuple[str, str]],
-) -> tuple[dict[str, list[tuple[str, float]]], list[ReformulationRecord]]:
-    library = (
-        load_library(config.library) if config.library else default_library()
-    )
+def reformulate_queries(
+    config: PipelineConfig, index: InvertedIndex, queries: list[tuple[str, str]]
+) -> list[ReformulationRecord]:
+    """Per query: retrieve context, select a pattern, generate the rewrite, compose the hybrid."""
+    library = load_library(config.library) if config.library else default_library()
     gateway = config.gateway.build(jitter_seed=config.seed)
     selector = _build_selector(config, library, gateway)
     hook = load_hook_passages(config.hook_file) if config.mode == "reformer+hook" else {}
 
-    rankings: dict[str, list[tuple[str, float]]] = {}
     records: list[ReformulationRecord] = []
     for query_id, text in queries:
         try:
@@ -186,8 +189,6 @@ def _reformer_rankings(
                 gateway, text, context, pattern, query_id=query_id, extra_context=extra
             )
             hybrid = compose_hybrid(text, reformulation.text, repetition=config.repetition)
-            final = retrieve_topk(index, hybrid.text, config.k_eval, query_id=query_id)
-            rankings[query_id] = [(e.doc_id, e.score) for e in final.entries]
             records.append(
                 ReformulationRecord(
                     query_id=query_id,
@@ -200,30 +201,41 @@ def _reformer_rankings(
             )
         except PatternQRError as exc:
             _rewrap(f"query {query_id}", exc)
-    return rankings, records
+    return records
 
 
-def _baseline_rankings(
+def rank_queries(
     config: PipelineConfig, index: InvertedIndex, queries: list[tuple[str, str]]
-) -> dict[str, list[tuple[str, float]]]:
+) -> tuple[dict[str, list[tuple[str, float]]], list[ReformulationRecord]]:
+    """Rank every query at k_eval the way `config.mode` prescribes.
+
+    Reformer modes retrieve with each query's hybrid rewrite and also return
+    the reformulation records; rm3 and rocchio expand the query first.
+    Queries that retrieve nothing are left out of the rankings.
+    """
+    records: list[ReformulationRecord] = []
+    if config.mode in REFORMER_MODES:
+        records = reformulate_queries(config, index, queries)
+        queries = [(record.query_id, record.hybrid_query) for record in records]
     rankings: dict[str, list[tuple[str, float]]] = {}
     for query_id, text in queries:
         try:
-            if config.mode == "bm25":
-                terms: str | dict[str, float] = text
-            elif config.mode == "rm3":
-                terms = rm3_expand(
+            if config.mode == "rm3":
+                terms: str | dict[str, float] = rm3_expand(
                     index, text, config.fb_docs, config.fb_terms, config.orig_weight
                 ).terms
-            else:
+            elif config.mode == "rocchio":
                 terms = rocchio_expand(
                     index, text, config.fb_docs, config.fb_terms, config.alpha, config.beta
                 ).terms
+            else:
+                terms = text
             result = retrieve_topk(index, terms, config.k_eval, query_id=query_id)
-            rankings[query_id] = [(e.doc_id, e.score) for e in result.entries]
+            if result.entries:
+                rankings[query_id] = [(e.doc_id, e.score) for e in result.entries]
         except PatternQRError as exc:
             _rewrap(f"query {query_id}", exc)
-    return rankings
+    return rankings, records
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -241,16 +253,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     index = _stage("build-index", build_index, docs, config.k1, config.b)
     queries = _stage("load-queries", read_queries_tsv, config.queries)
 
-    records: list[ReformulationRecord] = []
-    if config.mode in ("reformer", "reformer+hook"):
-        rankings, records = _stage("reformulate", _reformer_rankings, config, index, queries)
-    else:
-        rankings = _stage("retrieve", _baseline_rankings, config, index, queries)
+    reformer = config.mode in REFORMER_MODES
+    stage = "reformulate" if reformer else "retrieve"
+    rankings, records = _stage(stage, rank_queries, config, index, queries)
 
-    run = run_from_rankings({q: r for q, r in rankings.items() if r}, tag=tag)
+    run = run_from_rankings(rankings, tag=tag)
     _atomic_write(run_path, lambda p: write_run(run, p))
     emitted_log = None
-    if config.mode in ("reformer", "reformer+hook"):
+    if reformer:
         _atomic_write(log_path, lambda p: write_reformulation_log(records, p, config_hash=digest))
         emitted_log = log_path
 
@@ -261,7 +271,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         report = _stage(
             "evaluate", evaluate_run, run, qrels, binarize_at=config.binarize_at
         )
-        write_report_csv(report, report_path, config_hash=digest)
+        _atomic_write(report_path, lambda p: write_report_csv(report, p, config_hash=digest))
         emitted_report = report_path
 
     return PipelineResult(
@@ -284,16 +294,31 @@ def _atomic_write(path: Path, write_fn) -> None:
         raise
 
 
+def _from_dict(cls, payload, what: str):
+    """Build dataclass `cls` from a JSON object, naming any unknown or mistyped key."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {payload!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in payload.items():
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if float in allowed:
+            allowed += (int,)
+        # No field is a bool, and a JSON true/false would pass as an int.
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            expected = getattr(hints[key], "__name__", hints[key])
+            raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
+    try:
+        return cls(**payload)
+    except TypeError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def config_from_dict(payload: dict) -> PipelineConfig:
     """Build a PipelineConfig from a JSON-shaped dict (the config-file format)."""
-    known = {f for f in PipelineConfig.__dataclass_fields__}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(payload)
-    if "gateway" in kwargs and isinstance(kwargs["gateway"], dict):
-        kwargs["gateway"] = GatewayConfig(**kwargs["gateway"])
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad pipeline config: {exc}") from exc
+    if isinstance(payload, dict) and isinstance(payload.get("gateway"), dict):
+        gateway = _from_dict(GatewayConfig, payload["gateway"], "gateway config")
+        payload = {**payload, "gateway": gateway}
+    return _from_dict(PipelineConfig, payload, "pipeline config")

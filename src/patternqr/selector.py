@@ -314,9 +314,11 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
         "feature_config": model.feature_config.to_dict(),
         "library_version": model.library_version,
     }
-    np.savez_compressed(
-        path, weights=model.weights, bias=model.bias, meta=np.array(json.dumps(meta))
-    )
+    # Through a handle: given a path, numpy appends ".npz" to any other suffix.
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle, weights=model.weights, bias=model.bias, meta=np.array(json.dumps(meta))
+        )
 
 
 def load_model(path: str | Path) -> SelectorModel:

@@ -5,9 +5,10 @@ import pytest
 from conftest import SEED_PATTERN_NAMES, consolidation_payload
 from patternqr.cli import main
 from patternqr.evaluation import parse_run
-from patternqr.gateway import MockScript
+from patternqr.gateway import GatewayConfig, MockScript
 from patternqr.generator import read_reformulation_log
 from patternqr.induction import load_labels, load_library
+from patternqr.pipeline import PipelineConfig, run_pipeline
 from patternqr.selector import FeatureConfig, SelectorModel, save_model
 
 CORPUS = "d1\tcat sat\nd2\tdog sat sat\nd3\tjaguar cat feline\n"
@@ -344,6 +345,31 @@ class TestExitCodes:
         assert code == 4
         assert "gateway error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"mystery": 1}, "mystery"),
+            ({"gateway": {"mystery": 1}}, "mystery"),
+            ({"k_eval": "5"}, "k_eval"),
+            ({"mode": "reformer", "selector": "prompt", "select_mode": "bogus"}, "bogus"),
+        ],
+        ids=["unknown", "unknown-gateway", "mistyped", "bad-select-mode"],
+    )
+    def test_bad_config_file_is_2(self, files, capsys, payload, key):
+        config_path = files["dir"] / "config.json"
+        payload = {
+            "corpus": str(files["corpus"]),
+            "queries": str(files["queries"]),
+            "out_dir": str(files["dir"] / "out"),
+            "gateway": {"mock_script": str(_mock(files["dir"], "Clarify Intent"))},
+            **payload,
+        }
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["run", "--config", str(config_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and key in err
+
     def test_missing_pairs_file_is_3(self, files, capsys):
         code = main(
             [
@@ -357,3 +383,84 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+
+def _ranked_lines(path):
+    """Run-file lines without the tag, which embeds a per-command hash."""
+    return [line.split()[:-1] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestSinglePath:
+    """The subcommands rank and reformulate exactly as run_pipeline does."""
+
+    @pytest.mark.parametrize(
+        "argv, mode",
+        [
+            (["retrieve"], "bm25"),
+            (["baseline", "--method", "rm3"], "rm3"),
+            (["baseline", "--method", "rocchio"], "rocchio"),
+        ],
+    )
+    def test_rankings_match_run_pipeline(self, files, argv, mode):
+        out = files["dir"] / "cli.run"
+        code = main(
+            [
+                *argv,
+                "--corpus",
+                str(files["corpus"]),
+                "--queries",
+                str(files["queries"]),
+                "--k",
+                "10",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        config = PipelineConfig(
+            corpus=str(files["corpus"]),
+            queries=str(files["queries"]),
+            mode=mode,
+            k_eval=10,
+            out_dir=str(files["dir"] / "pipeline"),
+        )
+        assert _ranked_lines(out) == _ranked_lines(run_pipeline(config).run_path)
+
+    @pytest.mark.parametrize("select_mode", ["argmax", "sample"])
+    def test_reformulations_match_run_pipeline(self, files, select_mode):
+        model_path = files["dir"] / "model.npz"
+        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
+        mock = _mock(files["dir"], "a rewritten query")
+        log_path = files["dir"] / "log.jsonl"
+        code = main(
+            [
+                "reformulate",
+                "--corpus",
+                str(files["corpus"]),
+                "--queries",
+                str(files["queries"]),
+                "--selector-model",
+                str(model_path),
+                "--select-mode",
+                select_mode,
+                "--seed",
+                "3",
+                "--out",
+                str(log_path),
+                "--mock-script",
+                str(mock),
+            ]
+        )
+        assert code == 0
+        config = PipelineConfig(
+            corpus=str(files["corpus"]),
+            queries=str(files["queries"]),
+            mode="reformer",
+            selector_model=str(model_path),
+            select_mode=select_mode,
+            seed=3,
+            gateway=GatewayConfig(mock_script=str(mock)),
+            out_dir=str(files["dir"] / "pipeline"),
+        )
+        result = run_pipeline(config)
+        assert read_reformulation_log(log_path) == read_reformulation_log(result.log_path)

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from patternqr import pipeline
 from patternqr.errors import ConfigError, GatewayError
 from patternqr.evaluation import parse_run
 from patternqr.gateway import GatewayConfig, MockScript, fingerprint
@@ -98,6 +100,16 @@ class TestBaselineModes:
     def test_rocchio_mode_runs(self, workspace):
         result = run_pipeline(_config(workspace, "rocchio"))
         assert result.run_path.exists()
+
+    def test_failed_metrics_write_leaves_no_csv(self, workspace, monkeypatch):
+        def write_then_fail(report, path, config_hash=""):
+            Path(path).write_text("partial", encoding="utf-8")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "write_report_csv", write_then_fail)
+        with pytest.raises(OSError):
+            run_pipeline(_config(workspace, "bm25"))
+        assert not list((workspace / "out").glob("*.csv*"))
 
     def test_run_tag_embeds_mode_and_config_hash(self, workspace):
         config = _config(workspace, "bm25")
@@ -237,6 +249,24 @@ class TestConfigHandling:
         assert config.gateway.model == "m2"
         assert config.k_eval == 5
 
-    def test_config_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError, match="mystery"):
-            config_from_dict({"corpus": "c", "queries": "q", "mystery": 1})
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"mystery": 1}, "mystery"),
+            ({"gateway": {"mystery": 1}}, "mystery"),
+            ({"k_eval": "5"}, "k_eval"),
+            ({"k1": True}, "k1"),
+            ({"gateway": {"max_retries": "3"}}, "max_retries"),
+            ({"gateway": "local"}, "gateway"),
+        ],
+        ids=["unknown", "unknown-gateway", "mistyped", "bool-for-float", "mistyped-gateway",
+             "gateway-not-object"],
+    )
+    def test_config_from_dict_rejects_unknown_keys(self, extra, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"corpus": "c", "queries": "q", **extra})
+
+    def test_unknown_select_mode_rejected(self, workspace):
+        config = _config(workspace, "reformer", selector="prompt", select_mode="bogus")
+        with pytest.raises(ConfigError, match="bogus"):
+            config.validate()

@@ -290,6 +290,13 @@ class TestModelPersistence:
             b = predict_distribution(loaded, query, ctx).probs
             assert np.array_equal(a, b)
 
+    def test_save_writes_exactly_the_given_path(self, tmp_path):
+        model = SelectorModel.zeros(3, SMALL, "v1")
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        assert np.array_equal(load_model(path).weights, model.weights)
+
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "model.npz"
         np.savez(path, x=np.zeros(3))
