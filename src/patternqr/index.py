@@ -1,19 +1,25 @@
 """Deterministic tokenizer, inverted index, BM25 scoring and top-k retrieval.
 
-The index is immutable after construction; every query-facing result is
-independent of the order documents were inserted in (ties between equal
-scores break on ascending doc_id, never on internal ordinals).
+The index is immutable after construction and keeps its postings in CSR
+arrays; every query-facing result is independent of the order documents were
+inserted in (ties between equal scores break on ascending doc_id, never on
+internal ordinals).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 
@@ -55,11 +61,46 @@ class ScoredDoc:
             raise DataError(f"non-finite score for doc {self.doc_id!r}")
 
 
-@dataclass(frozen=True)
 class ContextEntry:
-    doc_id: str
-    score: float
-    snippet: str
+    """One ranked document of a RetrievalContext, with its snippet."""
+
+    __slots__ = ("doc_id", "score", "_snippet")
+
+    def __init__(self, doc_id: str, score: float, snippet: str):
+        self.doc_id = doc_id
+        self.score = score
+        self._snippet = snippet
+
+    @property
+    def snippet(self) -> str:
+        return self._snippet
+
+    def __eq__(self, other):
+        if not isinstance(other, ContextEntry):
+            return NotImplemented
+        return (self.doc_id, self.score, self.snippet) == (other.doc_id, other.score, other.snippet)
+
+    def __repr__(self) -> str:
+        return f"ContextEntry({self.doc_id!r}, {self.score!r}, {self.snippet!r})"
+
+
+class _RetrievedEntry(ContextEntry):
+    """An entry of retrieve_topk: its snippet is cut from the index when first read."""
+
+    __slots__ = ("_ordinal", "_cut")
+
+    def __init__(self, doc_id: str, score: float, ordinal: int, cut: Callable[[int], str]):
+        self.doc_id = doc_id
+        self.score = score
+        self._snippet = None
+        self._ordinal = ordinal
+        self._cut = cut
+
+    @property
+    def snippet(self) -> str:
+        if self._snippet is None:
+            self._snippet = self._cut(self._ordinal)
+        return self._snippet
 
 
 @dataclass(frozen=True)
@@ -84,22 +125,40 @@ class RetrievalContext:
 
 
 class InvertedIndex:
-    """Postings with per-document lengths; built once, then read-only.
+    """CSR postings with per-document lengths; built once, then read-only.
 
-    Ordinals are assigned in insertion order and never leak into results:
-    scoring and tie-breaking depend only on doc_id and corpus statistics.
+    The postings of `terms[i]` are `ordinals[offsets[i]:offsets[i + 1]]`,
+    strictly ascending, with their term frequencies at the same positions of
+    `tfs`. Ordinals are assigned in insertion order and never leak into
+    results: scoring and tie-breaking depend only on doc_id and corpus
+    statistics.
     """
 
     def __init__(
         self,
-        postings: dict[str, list[tuple[int, int]]],
+        terms: list[str],
+        offsets: np.ndarray,
+        ordinals: np.ndarray,
+        tfs: np.ndarray,
         doc_ids: list[str],
-        doc_tokens: list[list[str]],
+        doc_tokens: list[tuple[str, ...]],
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ):
-        self.postings = postings
+        self.terms = terms
+        self._term_id = {term: i for i, term in enumerate(terms)}
+        self.offsets = _frozen(offsets, np.int64)
+        # Python ints: per-term lookups (idf in feedback loops) stay cheap.
+        self._bounds = self.offsets.tolist()
+        self.ordinals = _frozen(ordinals, np.int32)
+        self.tfs = _frozen(tfs, np.int32)
         self.doc_ids = doc_ids
+        self._ordinal_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+        if len(self._ordinal_of) != len(doc_ids):
+            duplicate = next(d for d, n in Counter(doc_ids).items() if n > 1)
+            raise DataError(f"duplicate doc_id {duplicate!r}")
+        # Tuples of strings drop out of the garbage collector's tracking, so
+        # a full collection does not walk every token of the corpus.
         self._doc_tokens = doc_tokens
         self.doc_lengths = [len(toks) for toks in doc_tokens]
         self.num_docs = len(doc_ids)
@@ -107,7 +166,17 @@ class InvertedIndex:
         self.avg_doc_length = total / self.num_docs if self.num_docs > 0 else 0.0
         self.k1 = k1
         self.b = b
-        self._ordinal_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+        # Same operations, in the same order, as the scalar BM25 formula, so
+        # the vectorised scores are bit-identical to it.
+        lengths = np.array(self.doc_lengths, dtype=np.float64)
+        if self.avg_doc_length > 0:
+            norm = (1.0 - b) + b * lengths / self.avg_doc_length
+        else:
+            norm = np.ones_like(lengths)
+        self._norm = norm
+        by_doc_id = sorted(range(self.num_docs), key=doc_ids.__getitem__)
+        self._doc_id_rank = np.empty(self.num_docs, dtype=np.int64)
+        self._doc_id_rank[by_doc_id] = np.arange(self.num_docs)
 
     def ordinal(self, doc_id: str) -> int:
         try:
@@ -115,8 +184,17 @@ class InvertedIndex:
         except KeyError:
             raise DataError(f"unknown doc_id {doc_id!r}") from None
 
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the term's ascending ordinals and their tfs (empty if unknown)."""
+        i = self._term_id.get(term)
+        if i is None:
+            return self.ordinals[:0], self.tfs[:0]
+        lo, hi = self._bounds[i], self._bounds[i + 1]
+        return self.ordinals[lo:hi], self.tfs[lo:hi]
+
     def document_frequency(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        i = self._term_id.get(term)
+        return 0 if i is None else self._bounds[i + 1] - self._bounds[i]
 
     def idf(self, term: str) -> float:
         """Smoothed, nonnegative idf: ln(1 + (N - df + 0.5) / (df + 0.5))."""
@@ -130,25 +208,44 @@ class InvertedIndex:
         return " ".join(self._doc_tokens[ordinal][:max_tokens])
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.ascontiguousarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 def build_index(
     docs: Iterable[Document], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> InvertedIndex:
-    """Build an inverted index over the collection; rejects duplicate doc_ids."""
+    """Build an inverted index over the collection; rejects duplicate doc_ids.
+
+    Term ids follow first occurrence. One sort of (term id, ordinal) keys
+    over every token groups the postings by term, ordinals ascending, and
+    counts the term frequencies.
+    """
     doc_ids: list[str] = []
-    doc_tokens: list[list[str]] = []
-    postings: dict[str, list[tuple[int, int]]] = {}
-    seen: set[str] = set()
+    doc_tokens: list[tuple[str, ...]] = []
+    # One string object per term: repeated tokens are freed at once, and the
+    # term-id lookups below hit cached hashes and compare by identity.
+    canonical: dict[str, str] = {}
     for doc in docs:
-        if doc.doc_id in seen:
-            raise DataError(f"duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-        ordinal = len(doc_ids)
         doc_ids.append(doc.doc_id)
         tokens = tokenize(doc.text)
-        doc_tokens.append(tokens)
-        for term, tf in sorted(Counter(tokens).items()):
-            postings.setdefault(term, []).append((ordinal, tf))
-    return InvertedIndex(postings, doc_ids, doc_tokens, k1=k1, b=b)
+        doc_tokens.append(tuple(map(canonical.setdefault, tokens, tokens)))
+    num_docs = len(doc_ids)
+    terms = list(canonical)
+    term_id = {term: i for i, term in enumerate(terms)}
+    lengths = np.fromiter(map(len, doc_tokens), dtype=np.int64, count=num_docs)
+    token_terms = np.fromiter(
+        map(term_id.__getitem__, chain.from_iterable(doc_tokens)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    token_ordinals = np.repeat(np.arange(num_docs, dtype=np.int64), lengths)
+    keys, tfs = np.unique(token_terms * num_docs + token_ordinals, return_counts=True)
+    posting_terms, ordinals = np.divmod(keys, max(num_docs, 1))
+    offsets = np.searchsorted(posting_terms, np.arange(len(terms) + 1))
+    return InvertedIndex(terms, offsets, ordinals, tfs, doc_ids, doc_tokens, k1=k1, b=b)
 
 
 def bm25_score(
@@ -161,29 +258,17 @@ def bm25_score(
     """
     if index.num_docs == 0:
         raise DataError("cannot score against an empty index")
-    doc_len = index.doc_lengths[ordinal]
-    norm = _length_norm(index, doc_len)
+    norm = float(index._norm[ordinal])
     score = 0.0
     for term in sorted(query_terms):
         weight = query_terms[term]
-        tf = _term_frequency(index, term, ordinal)
+        ordinals, tfs = index.postings(term)
+        at = int(np.searchsorted(ordinals, ordinal))
+        tf = int(tfs[at]) if at < ordinals.size and ordinals[at] == ordinal else 0
         if tf == 0 or weight == 0.0:
             continue
         score += weight * index.idf(term) * tf * (index.k1 + 1.0) / (tf + index.k1 * norm)
     return score
-
-
-def _length_norm(index: InvertedIndex, doc_len: int) -> float:
-    if index.avg_doc_length > 0:
-        return 1.0 - index.b + index.b * doc_len / index.avg_doc_length
-    return 1.0
-
-
-def _term_frequency(index: InvertedIndex, term: str, ordinal: int) -> int:
-    for doc_ord, tf in index.postings.get(term, ()):
-        if doc_ord == ordinal:
-            return tf
-    return 0
 
 
 def retrieve_topk(
@@ -196,29 +281,35 @@ def retrieve_topk(
     """Top-k retrieval: exactly min(k, #docs with positive score) ranked entries.
 
     Sorted by score descending, ties broken by ascending doc_id. Accumulation
-    walks query terms in sorted order so scores are bit-reproducible across
-    document insertion orders.
+    walks query terms in sorted order, and every document receives the same
+    floating-point operations in the same order as bm25_score performs, so
+    scores are bit-identical to it and across document insertion orders.
+    Snippets are built when read.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     weights = query_term_weights(query) if isinstance(query, str) else query
-    scores: dict[int, float] = {}
+    k1 = index.k1
+    scores = np.zeros(index.num_docs)
     for term in sorted(weights):
         weight = weights[term]
         if weight == 0.0:
             continue
+        ordinals, tfs = index.postings(term)
         idf = index.idf(term)
-        for ordinal, tf in index.postings.get(term, ()):
-            norm = _length_norm(index, index.doc_lengths[ordinal])
-            contribution = weight * idf * tf * (index.k1 + 1.0) / (tf + index.k1 * norm)
-            scores[ordinal] = scores.get(ordinal, 0.0) + contribution
-    ranked = sorted(
-        ((index.doc_ids[o], s) for o, s in scores.items() if s > 0.0),
-        key=lambda pair: (-pair[1], pair[0]),
-    )[:k]
+        scores[ordinals] += weight * idf * tfs * (k1 + 1.0) / (tfs + k1 * index._norm[ordinals])
+    hits = np.flatnonzero(scores > 0.0)
+    hit_scores = scores[hits]
+    if hits.size > k:
+        # Keep every hit tied with the k-th best score; the sort below picks among them.
+        kth = np.partition(hit_scores, hits.size - k)[hits.size - k]
+        keep = hit_scores >= kth
+        hits, hit_scores = hits[keep], hit_scores[keep]
+    order = np.lexsort((index._doc_id_rank[hits], -hit_scores))[:k]
+    doc_ids, cut = index.doc_ids, partial(index.snippet, max_tokens=snippet_tokens)
     entries = tuple(
-        ContextEntry(doc_id, score, index.snippet(index.ordinal(doc_id), snippet_tokens))
-        for doc_id, score in ranked
+        _RetrievedEntry(doc_ids[o], score, o, cut)
+        for o, score in zip(hits[order].tolist(), hit_scores[order].tolist())
     )
     return RetrievalContext(query_id=query_id, entries=entries, k=k)
 
@@ -259,7 +350,16 @@ def _tsv_lines(path: str | Path):
 
 
 def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") -> None:
-    """Persist the index as JSON; `config_hash` records the producing configuration."""
+    """Persist the index as `patternqr-index-v1` JSON, atomically.
+
+    `config_hash` records the producing configuration. Terms are written in
+    order of (first ordinal, term), the order a document-at-a-time build
+    meets them in, so the bytes do not depend on how term ids were assigned.
+    """
+    terms, offsets, ordinals = index.terms, index.offsets.tolist(), index.ordinals.tolist()
+    pairs = [[o, tf] for o, tf in zip(ordinals, index.tfs.tolist())]
+    order = sorted(range(len(terms)), key=lambda i: (ordinals[offsets[i]], terms[i]))
+    postings = {terms[i]: pairs[offsets[i] : offsets[i + 1]] for i in order}
     payload = {
         "format": "patternqr-index-v1",
         "config_hash": config_hash,
@@ -267,25 +367,51 @@ def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") ->
         "b": index.b,
         "doc_ids": index.doc_ids,
         "doc_tokens": index._doc_tokens,
-        "postings": {t: [[o, tf] for o, tf in plist] for t, plist in index.postings.items()},
+        "postings": postings,
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    data = json.dumps(payload)
+    atomic_write(Path(path), lambda tmp: tmp.write_text(data, encoding="utf-8"))
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read a `patternqr-index-v1` file into the arrays, taking its postings as written."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load index from {path}: {exc}") from exc
-    if payload.get("format") != "patternqr-index-v1":
+    if not isinstance(payload, dict) or payload.get("format") != "patternqr-index-v1":
         raise DataError(f"{path} is not a patternqr index file")
-    postings = {
-        t: [(int(o), int(tf)) for o, tf in plist] for t, plist in payload["postings"].items()
-    }
-    return InvertedIndex(
-        postings,
-        payload["doc_ids"],
-        payload["doc_tokens"],
-        k1=payload["k1"],
-        b=payload["b"],
-    )
+    try:
+        postings = payload["postings"]
+        doc_ids = payload["doc_ids"]
+        doc_tokens = [tuple(tokens) for tokens in payload["doc_tokens"]]
+        lengths = np.fromiter(map(len, postings.values()), dtype=np.int64, count=len(postings))
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(postings.values())),
+            dtype=np.int64,
+            count=2 * int(lengths.sum()),
+        ).reshape(-1, 2)
+        k1, b = payload["k1"], payload["b"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed index file {path}: {exc}") from exc
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    ordinals, tfs = pairs[:, 0], pairs[:, 1]
+    # The kernel relies on in-range ordinals, strictly ascending within each term.
+    keys = np.repeat(np.arange(len(postings), dtype=np.int64), lengths) * len(doc_ids) + ordinals
+    if len(doc_tokens) != len(doc_ids) or (
+        ordinals.size
+        and (ordinals.min() < 0 or ordinals.max() >= len(doc_ids) or np.any(np.diff(keys) <= 0))
+    ):
+        raise DataError(f"malformed index file {path}: postings do not match the documents")
+    return InvertedIndex(list(postings), offsets, ordinals, tfs, doc_ids, doc_tokens, k1=k1, b=b)
+
+
+def atomic_write(path: Path, write_fn) -> None:
+    """Write via a temp file and rename, so an aborted write leaves no partial file."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

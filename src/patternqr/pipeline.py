@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,6 +37,7 @@ from .index import (
     DEFAULT_K1,
     DEFAULT_SNIPPET_TOKENS,
     InvertedIndex,
+    atomic_write,
     build_index,
     read_corpus_tsv,
     read_queries_tsv,
@@ -258,10 +258,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     rankings, records = _stage(stage, rank_queries, config, index, queries)
 
     run = run_from_rankings(rankings, tag=tag)
-    _atomic_write(run_path, lambda p: write_run(run, p))
+    atomic_write(run_path, lambda p: write_run(run, p))
     emitted_log = None
     if reformer:
-        _atomic_write(log_path, lambda p: write_reformulation_log(records, p, config_hash=digest))
+        atomic_write(log_path, lambda p: write_reformulation_log(records, p, config_hash=digest))
         emitted_log = log_path
 
     report = None
@@ -271,7 +271,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         report = _stage(
             "evaluate", evaluate_run, run, qrels, binarize_at=config.binarize_at
         )
-        _atomic_write(report_path, lambda p: write_report_csv(report, p, config_hash=digest))
+        atomic_write(report_path, lambda p: write_report_csv(report, p, config_hash=digest))
         emitted_report = report_path
 
     return PipelineResult(
@@ -283,17 +283,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     )
 
 
-def _atomic_write(path: Path, write_fn) -> None:
-    """Write via a temp file and rename, so aborted runs leave no partial artifact."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _from_dict(cls, payload, what: str):
     """Build dataclass `cls` from a JSON object, naming any unknown or mistyped key."""
     if not isinstance(payload, dict):
@@ -302,16 +291,19 @@ def _from_dict(cls, payload, what: str):
     unknown = set(payload) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    values = {}
     for key, value in payload.items():
         allowed = typing.get_args(hints[key]) or (hints[key],)
-        if float in allowed:
-            allowed += (int,)
+        if float in allowed and isinstance(value, int) and not isinstance(value, bool):
+            # `1` and `1.0` (what a float flag gives) must hash alike.
+            value = float(value)
         # No field is a bool, and a JSON true/false would pass as an int.
         if isinstance(value, bool) or not isinstance(value, allowed):
             expected = getattr(hints[key], "__name__", hints[key])
             raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
+        values[key] = value
     try:
-        return cls(**payload)
+        return cls(**values)
     except TypeError as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 

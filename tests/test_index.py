@@ -1,5 +1,9 @@
+import json
 import random
+from pathlib import Path
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,7 +68,9 @@ class TestBuildIndex:
         index = build_index([Document("d1", "")])
         assert index.num_docs == 1
         assert index.doc_lengths == [0]
-        assert index.postings == {}
+        assert index.terms == []
+        assert index.offsets.tolist() == [0]
+        assert index.ordinals.size == 0 and index.tfs.size == 0
 
     def test_duplicate_doc_id_rejected(self):
         with pytest.raises(DataError, match="d1"):
@@ -73,12 +79,12 @@ class TestBuildIndex:
     def test_posting_frequencies_sum_to_doc_length(self):
         docs = [Document(f"d{i}", "a b c a b a"[: 2 * i + 1]) for i in range(5)]
         index = build_index(docs)
-        for ordinal, length in enumerate(index.doc_lengths):
-            total = sum(
-                tf for plist in index.postings.values() for o, tf in plist if o == ordinal
-            )
-            assert total == length
-            assert all(tf >= 1 for plist in index.postings.values() for _, tf in plist)
+        totals = np.bincount(index.ordinals, weights=index.tfs, minlength=index.num_docs)
+        assert totals.tolist() == index.doc_lengths
+        assert (index.tfs >= 1).all()
+        for term in index.terms:
+            ordinals, _ = index.postings(term)
+            assert (np.diff(ordinals) > 0).all()
 
 
 class TestBm25Score:
@@ -135,6 +141,52 @@ class TestRetrieveTopk:
         assert ctx.doc_ids == ["da", "dm", "dz"]
         assert ctx.entries[0].score == ctx.entries[2].score
 
+    def test_empty_corpus_is_empty(self):
+        assert retrieve_topk(build_index([]), "sat", 5).entries == ()
+
+    def test_empty_document_is_never_retrieved(self):
+        index = build_index([Document("d1", ""), Document("d2", "sat")])
+        assert retrieve_topk(index, "sat", 5).doc_ids == ["d2"]
+        assert retrieve_topk(build_index([Document("d1", "")]), "sat", 5).entries == ()
+
+    @pytest.mark.parametrize(
+        "query",
+        ["", "zebra okapi", {"zebra": 1.0}, {"sat": 0.0, "cat": 0.0}, {"sat": -1.0}],
+        ids=["empty", "unknown-only", "unknown-mapping", "all-zero-weights", "negative-only"],
+    )
+    def test_queries_without_a_positive_score_are_empty(self, tiny_index, query):
+        assert retrieve_topk(tiny_index, query, 5).entries == ()
+
+    def test_negative_weight_in_a_mapping(self, tiny_index):
+        weights = MappingProxyType({"cat": 1.0, "sat": -0.5})
+        docs = {"d1": "cat sat", "d2": "dog sat sat"}
+        ctx = retrieve_topk(tiny_index, weights, 5)
+        assert [(e.doc_id, e.score) for e in ctx.entries] == oracle_rank(
+            oracle_bm25_all(docs, dict(weights)), 5
+        )
+
+    def test_k_above_the_number_of_hits(self, tiny_index):
+        ctx = retrieve_topk(tiny_index, "sat", 1000)
+        assert ctx.k == 1000
+        assert ctx.doc_ids == ["d2", "d1"]
+
+    def test_snippets_are_built_only_when_read(self, monkeypatch):
+        index = build_index([Document(f"d{i}", f"w{i} common") for i in range(20)])
+        built = []
+        original = index.snippet
+
+        def snippet(*args, **kwargs):
+            built.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(index, "snippet", snippet)
+        ctx = retrieve_topk(index, "common", 1000, snippet_tokens=1)
+        assert built == []
+        first = ctx.entries[0]
+        assert first.snippet == "w0"
+        assert first.snippet == "w0"
+        assert built == [index.ordinal("d0")]
+
 
 def _random_corpus(rng: random.Random):
     vocab = [f"t{i}" for i in range(rng.randint(5, 200))]
@@ -167,6 +219,43 @@ class TestOracleEquivalence:
         rng.shuffle(shuffled)
         a = retrieve_topk(build_index(items), query, 20)
         b = retrieve_topk(build_index(shuffled), query, 20)
+        assert [(e.doc_id, e.score) for e in a.entries] == [
+            (e.doc_id, e.score) for e in b.entries
+        ]
+
+    def test_scores_are_bit_identical_to_the_oracle(self):
+        rng = random.Random(31)
+        straddled = 0
+        for _ in range(40):
+            docs, query = _random_corpus(rng)
+            # Copies score exactly alike, so ties fall across the k-th rank.
+            for i, text in enumerate(list(docs.values())[: rng.randint(1, 10)]):
+                docs[f"dup{i:03d}"] = text
+            weights = query_term_weights(query)
+            if rng.random() < 0.5:
+                weights = {t: rng.choice([0.0, -0.5, rng.uniform(0.1, 3.0)]) for t in weights}
+            index = build_index([Document(d, t) for d, t in docs.items()])
+            scores = oracle_bm25_all(docs, weights)
+            full = oracle_rank(scores, len(docs))
+            tied = [i + 1 for i in range(len(full) - 1) if full[i][1] == full[i + 1][1]]
+            straddled += bool(tied)
+            for k in {1, rng.randint(1, 60), len(docs) + 5, *tied[:3]}:
+                got = retrieve_topk(index, weights, k)
+                assert [(e.doc_id, e.score) for e in got.entries] == full[:k]
+            for doc_id, score in scores.items():
+                assert bm25_score(index, weights, index.ordinal(doc_id)) == score
+        assert straddled >= 10
+
+    @given(st.data())
+    def test_permuting_documents_leaves_rankings_unchanged(self, data):
+        words = st.sampled_from(["a", "b", "c", "d", "e"])
+        texts = data.draw(st.lists(st.lists(words, max_size=8).map(" ".join), max_size=20))
+        docs = [Document(f"d{i:02d}", text) for i, text in enumerate(texts)]
+        shuffled = data.draw(st.permutations(docs))
+        query = " ".join(data.draw(st.lists(words, min_size=1, max_size=4)))
+        k = data.draw(st.integers(1, 25))
+        a = retrieve_topk(build_index(docs), query, k)
+        b = retrieve_topk(build_index(shuffled), query, k)
         assert [(e.doc_id, e.score) for e in a.entries] == [
             (e.doc_id, e.score) for e in b.entries
         ]
@@ -211,4 +300,69 @@ class TestIndexPersistence:
         path = tmp_path / "not_index.json"
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(DataError):
+            load_index(path)
+
+
+# `patternqr-index-v1` files of two corpora, frozen: saved indexes must keep these bytes.
+FROZEN_INDEX_FILES = {
+    "tiny": (
+        [("d1", "cat sat"), ("d2", "dog sat sat")],
+        '{"format": "patternqr-index-v1", "config_hash": "abc123", "k1": 0.9, "b": 0.4, '
+        '"doc_ids": ["d1", "d2"], "doc_tokens": [["cat", "sat"], ["dog", "sat", "sat"]], '
+        '"postings": {"cat": [[0, 1]], "sat": [[0, 1], [1, 2]], "dog": [[1, 1]]}}',
+    ),
+    "first-ordinal-order": (
+        [("z", "zeta alpha zeta"), ("a", "beta alpha"), ("e", "")],
+        '{"format": "patternqr-index-v1", "config_hash": "abc123", "k1": 0.9, "b": 0.4, '
+        '"doc_ids": ["z", "a", "e"], "doc_tokens": [["zeta", "alpha", "zeta"], '
+        '["beta", "alpha"], []], "postings": {"alpha": [[0, 1], [1, 1]], "zeta": [[0, 2]], '
+        '"beta": [[1, 1]]}}',
+    ),
+}
+
+
+class TestIndexFileFormat:
+    @pytest.mark.parametrize("name", sorted(FROZEN_INDEX_FILES))
+    def test_saved_bytes_are_frozen(self, name, tmp_path):
+        docs, expected = FROZEN_INDEX_FILES[name]
+        path = tmp_path / "index.json"
+        save_index(build_index([Document(d, t) for d, t in docs]), path, config_hash="abc123")
+        assert path.read_text(encoding="utf-8") == expected
+        resaved = tmp_path / "resaved.json"
+        save_index(load_index(path), resaved, config_hash="abc123")
+        assert resaved.read_text(encoding="utf-8") == expected
+
+    def test_failed_write_leaves_no_partial_file(self, tiny_index, tmp_path, monkeypatch):
+        path = tmp_path / "index.json"
+        path.write_text("previous index", encoding="utf-8")
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            with open(self, "w", encoding="utf-8") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(tiny_index, path)
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == "previous index"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json"]
+
+    @pytest.mark.parametrize(
+        "postings",
+        [
+            {"cat": [[0, 1]], "sat": [[1, 2], [0, 1]]},
+            {"cat": [[0, 1], [0, 1]]},
+            {"cat": [[2, 1]]},
+            {"cat": [[-1, 1]]},
+            {"cat": "zero"},
+        ],
+        ids=["unsorted", "repeated", "out-of-range", "negative", "not-a-list"],
+    )
+    def test_load_rejects_malformed_postings(self, tiny_index, tmp_path, postings):
+        path = tmp_path / "index.json"
+        save_index(tiny_index, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**payload, "postings": postings}), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed"):
             load_index(path)

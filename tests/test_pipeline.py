@@ -266,6 +266,13 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match=key):
             config_from_dict({"corpus": "c", "queries": "q", **extra})
 
+    @pytest.mark.parametrize("key", ["k1", "b", "orig_weight", "alpha", "beta"])
+    def test_int_for_a_float_field_hashes_like_the_float(self, key):
+        as_int = config_from_dict({"corpus": "c", "queries": "q", key: 1})
+        as_float = config_from_dict({"corpus": "c", "queries": "q", key: 1.0})
+        assert type(getattr(as_int, key)) is float
+        assert config_hash(as_int) == config_hash(as_float)
+
     def test_unknown_select_mode_rejected(self, workspace):
         config = _config(workspace, "reformer", selector="prompt", select_mode="bogus")
         with pytest.raises(ConfigError, match="bogus"):
