@@ -13,7 +13,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import requests
@@ -54,6 +54,15 @@ class ChatRequest:
     def __post_init__(self):
         if not self.messages:
             raise ValueError("a chat request needs at least one message")
+
+
+def reask(request: ChatRequest, suffix: str) -> ChatRequest:
+    """The request asked again with `suffix` appended to its last message; model and
+    sampling parameters carry over."""
+    last = request.messages[-1]
+    return replace(
+        request, messages=request.messages[:-1] + (ChatMessage(last.role, last.content + suffix),)
+    )
 
 
 @dataclass(frozen=True)

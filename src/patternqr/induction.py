@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import DataError, GatewayError
-from .gateway import ChatMessage, ChatRequest, ChatResponse, Gateway, request_to_wire
+from .gateway import ChatMessage, ChatRequest, ChatResponse, Gateway, reask, request_to_wire
+from .index import atomic_write
 
 DEFAULT_BATCH_SIZE = 50
 DEFAULT_MAX_PATTERNS = 16
@@ -312,14 +313,7 @@ def _consolidate_once(
         return _parse_library_payload(extract_payload(response.content), library)
     except DataError:
         pass
-    retry = ChatRequest(
-        model=request.model,
-        messages=request.messages[:-1]
-        + (ChatMessage("user", request.messages[-1].content + FORMAT_REMINDER),),
-        max_tokens=request.max_tokens,
-        temperature=request.temperature,
-        seed=request.seed,
-    )
+    retry = reask(request, FORMAT_REMINDER)
     response = gateway.complete(retry)
     transcript.record(retry, response)
     try:
@@ -356,17 +350,7 @@ def label_pair(pair: TrainingPair, library: PatternLibrary, gateway: Gateway) ->
         return PatternLabel(pair.pair_id, library.resolve_name(_clean_name(answer)))
     except DataError:
         pass
-    retry = ChatRequest(
-        model=request.model,
-        messages=request.messages[:-1]
-        + (
-            ChatMessage(
-                "user",
-                request.messages[-1].content
-                + f"\n\nAnswer with exactly one of: {', '.join(library.names)}.",
-            ),
-        ),
-    )
+    retry = reask(request, f"\n\nAnswer with exactly one of: {', '.join(library.names)}.")
     answer = gateway.complete(retry).content
     try:
         return PatternLabel(pair.pair_id, library.resolve_name(_clean_name(answer)))
@@ -410,7 +394,8 @@ def save_library(library: PatternLibrary, path: str | Path) -> None:
             {"pattern_id": p.pattern_id, **_pattern_to_payload(p)} for p in library.patterns
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    text = json.dumps(payload, indent=2)
+    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def load_library(path: str | Path) -> PatternLibrary:
@@ -453,7 +438,8 @@ def default_library() -> PatternLibrary:
 
 def save_labels(labels: list[PatternLabel], path: str | Path) -> None:
     lines = [f"{lb.pair_id}\t{lb.pattern_id}" for lb in labels]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    text = "\n".join(lines) + ("\n" if lines else "")
+    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def load_labels(path: str | Path) -> list[PatternLabel]:

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .gateway import ChatMessage, ChatRequest, Gateway
-from .index import RetrievalContext, tokenize
+from .gateway import ChatMessage, ChatRequest, Gateway, reask
+from .index import RetrievalContext, atomic_write, tokenize
 from .induction import PatternLibrary
 
 DEFAULT_DIMENSION = 2**18
@@ -134,25 +134,38 @@ class SelectorModel:
         )
 
 
-def _logits(model: SelectorModel, fv: FeatureVector) -> np.ndarray:
+def _softmax(
+    weights: np.ndarray, bias: np.ndarray, fv: FeatureVector
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One vector's pattern logits, shifted by their max, with their softmax and log-partition."""
+    logits = weights[:, fv.indices] @ fv.values + bias if fv.indices.size else bias.copy()
+    shifted = logits - logits.max()
+    exp = np.exp(shifted)
+    z = exp.sum()
+    return shifted, exp / z, np.log(z)
+
+
+def _cross_entropy(
+    weights: np.ndarray, bias: np.ndarray, vectors: list[FeatureVector], labels: np.ndarray
+) -> tuple[float, list[np.ndarray]]:
+    """Summed cross-entropy of the labels, and each vector's softmax minus its label's one-hot."""
+    total = 0.0
+    deltas = []
+    for fv, label in zip(vectors, labels):
+        shifted, delta, log_z = _softmax(weights, bias, fv)
+        total -= shifted[label] - log_z
+        delta[label] -= 1.0
+        deltas.append(delta)
+    return total, deltas
+
+
+def predict_from_vector(model: SelectorModel, fv: FeatureVector) -> PatternDistribution:
     if fv.dimension != model.feature_config.dimension:
         raise ConfigError(
             f"feature vector dimension {fv.dimension} does not match model "
             f"dimension {model.feature_config.dimension}"
         )
-    if fv.indices.size == 0:
-        return model.bias.copy()
-    return model.weights[:, fv.indices] @ fv.values + model.bias
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
-def predict_from_vector(model: SelectorModel, fv: FeatureVector) -> PatternDistribution:
-    return PatternDistribution(probs=_softmax(_logits(model, fv)))
+    return PatternDistribution(probs=_softmax(model.weights, model.bias, fv)[1])
 
 
 def predict_distribution(
@@ -186,18 +199,10 @@ def loss_and_gradient(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy + l2*||weights||^2 with its exact gradient."""
     n = len(vectors)
+    total, deltas = _cross_entropy(weights, bias, vectors, labels)
     grad_w = np.zeros_like(weights)
     grad_b = np.zeros_like(bias)
-    total = 0.0
-    for fv, label in zip(vectors, labels):
-        logits = (
-            weights[:, fv.indices] @ fv.values + bias if fv.indices.size else bias.copy()
-        )
-        shifted = logits - logits.max()
-        log_z = np.log(np.exp(shifted).sum())
-        total -= shifted[label] - log_z
-        delta = np.exp(shifted - log_z)
-        delta[label] -= 1.0
+    for fv, delta in zip(vectors, deltas):
         if fv.indices.size:
             grad_w[:, fv.indices] += np.outer(delta, fv.values)
         grad_b += delta
@@ -214,14 +219,8 @@ def selection_loss(
     labels: np.ndarray,
     l2: float,
 ) -> float:
-    """Objective value only (no gradient work)."""
-    total = 0.0
-    for fv, label in zip(vectors, labels):
-        logits = (
-            weights[:, fv.indices] @ fv.values + bias if fv.indices.size else bias.copy()
-        )
-        shifted = logits - logits.max()
-        total -= shifted[label] - np.log(np.exp(shifted).sum())
+    """Objective value only; no gradient is accumulated."""
+    total, _ = _cross_entropy(weights, bias, vectors, labels)
     return total / len(vectors) + l2 * float(np.dot(weights.ravel(), weights.ravel()))
 
 
@@ -250,20 +249,8 @@ def _apply_batch(
     this matches the batch gradient at the pre-update weights exactly.
     """
     n = len(vectors)
-    deltas = []
-    bias_grad = np.zeros_like(model.bias)
-    for fv, label in zip(vectors, labels):
-        logits = (
-            model.weights[:, fv.indices] @ fv.values + model.bias
-            if fv.indices.size
-            else model.bias.copy()
-        )
-        shifted = logits - logits.max()
-        delta = np.exp(shifted)
-        delta /= delta.sum()
-        delta[label] -= 1.0
-        deltas.append(delta)
-        bias_grad += delta
+    _, deltas = _cross_entropy(model.weights, model.bias, vectors, labels)
+    bias_grad = sum(deltas, np.zeros_like(model.bias))
     model.weights *= 1.0 - 2.0 * l2 * eta
     for fv, delta in zip(vectors, deltas):
         if fv.indices.size:
@@ -314,11 +301,14 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
         "feature_config": model.feature_config.to_dict(),
         "library_version": model.library_version,
     }
-    # Through a handle: given a path, numpy appends ".npz" to any other suffix.
-    with open(path, "wb") as handle:
-        np.savez_compressed(
-            handle, weights=model.weights, bias=model.bias, meta=np.array(json.dumps(meta))
-        )
+    arrays = {"weights": model.weights, "bias": model.bias, "meta": np.array(json.dumps(meta))}
+
+    def write(tmp: Path) -> None:
+        # Through a handle: given a path, numpy appends ".npz" to any other suffix.
+        with open(tmp, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+
+    atomic_write(Path(path), write)
 
 
 def load_model(path: str | Path) -> SelectorModel:
@@ -329,20 +319,25 @@ def load_model(path: str | Path) -> SelectorModel:
             bias = bundle["bias"]
     except (OSError, KeyError, ValueError) as exc:
         raise DataError(f"cannot load selector model from {path}: {exc}") from exc
-    if meta.get("format") != MODEL_FORMAT:
+    if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
         raise DataError(f"{path} is not a patternqr selector model")
-    return SelectorModel(
-        weights=weights,
-        bias=bias,
-        feature_config=FeatureConfig.from_dict(meta["feature_config"]),
-        library_version=meta["library_version"],
-    )
+    try:
+        feature_config = FeatureConfig.from_dict(meta["feature_config"])
+        library_version = meta["library_version"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed selector model meta: {exc!r}") from exc
+    if weights.ndim != 2 or weights.shape[1] != feature_config.dimension:
+        raise DataError(f"{path}: weights {weights.shape} lack {feature_config.dimension} columns")
+    if bias.shape != weights.shape[:1]:
+        raise DataError(f"{path}: bias {bias.shape} does not fit weights {weights.shape}")
+    return SelectorModel(weights, bias, feature_config, library_version)
 
 
 def write_loss_curve(history: list[float], path: str | Path, config_hash: str = "") -> None:
     lines = [f"# config_hash={config_hash}", "epoch,loss"]
     lines += [f"{epoch},{loss:.10f}" for epoch, loss in enumerate(history)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 class ModelSelector:
@@ -382,7 +377,7 @@ class PromptSelector:
         self.gateway = gateway
         self.library = library
 
-    def _request(self, query: str, context: RetrievalContext, suffix: str = "") -> ChatRequest:
+    def _request(self, query: str, context: RetrievalContext) -> ChatRequest:
         menu = "\n".join(f"- {p.name}: {p.description}" for p in self.library.patterns)
         parts = [f"Patterns:\n{menu}", f"Query: {query}"]
         if context.entries:
@@ -390,7 +385,6 @@ class PromptSelector:
             parts.append(f"Top retrieved passages:\n{snippets}")
         parts.append(
             "Which pattern should guide the reformulation? Answer with the pattern name only."
-            + suffix
         )
         return ChatRequest(
             model=self.gateway.model,
@@ -412,15 +406,12 @@ class PromptSelector:
         mode: str = "argmax",
         seed: int | None = None,
     ) -> int:
-        answer = self.gateway.complete(self._request(query, context)).content
+        request = self._request(query, context)
+        answer = self.gateway.complete(request).content
         try:
             return self.library.resolve_name(answer.strip().strip('"').strip("'"))
         except DataError:
             pass
-        retry = self._request(
-            query,
-            context,
-            suffix=f" Answer with exactly one of: {', '.join(self.library.names)}.",
-        )
+        retry = reask(request, f" Answer with exactly one of: {', '.join(self.library.names)}.")
         answer = self.gateway.complete(retry).content
         return self.library.resolve_name(answer.strip().strip('"').strip("'"))

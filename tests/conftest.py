@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,18 @@ SEED_PATTERN_NAMES = [
 @pytest.fixture
 def tiny_index():
     return build_index([Document("d1", "cat sat"), Document("d2", "dog sat sat")])
+
+
+@pytest.fixture
+def half_write_text(monkeypatch):
+    """`Path.write_text` writes the first half of its data, then fails as on a full disk."""
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
 
 
 @pytest.fixture

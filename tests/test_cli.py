@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import SEED_PATTERN_NAMES, consolidation_payload
@@ -344,6 +345,33 @@ class TestExitCodes:
         )
         assert code == 4
         assert "gateway error" in capsys.readouterr().err
+
+    def test_malformed_model_is_3(self, files, capsys):
+        model_path = files["dir"] / "model.npz"
+        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=16), "seed-1"), model_path)
+        with np.load(model_path) as bundle:
+            arrays = {**bundle, "weights": np.zeros((10, 8))}
+        with model_path.open("wb") as handle:
+            np.savez(handle, **arrays)
+        code = main(
+            [
+                "run",
+                "--corpus",
+                str(files["corpus"]),
+                "--queries",
+                str(files["queries"]),
+                "--mode",
+                "reformer",
+                "--selector-model",
+                str(model_path),
+                "--mock-script",
+                str(_mock(files["dir"], "Generalization")),
+                "--out-dir",
+                str(files["dir"] / "out"),
+            ]
+        )
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload, key",

@@ -1,11 +1,12 @@
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 import requests
 
-from patternqr.errors import ConfigError, MockMissError, ProtocolError, TransportError
+from patternqr.errors import ConfigError, DataError, MockMissError, ProtocolError, TransportError
 from patternqr.gateway import (
     ChatMessage,
     ChatRequest,
@@ -20,7 +21,11 @@ from patternqr.gateway import (
     fingerprint,
     request_from_wire,
     request_to_wire,
+    reask,
 )
+from patternqr.index import ContextEntry, RetrievalContext
+from patternqr.induction import TrainingPair, induce_patterns, label_pair
+from patternqr.selector import PromptSelector
 
 
 def _request(content="hello", model="m"):
@@ -56,6 +61,60 @@ class TestChatRequest:
         wire = request_to_wire(request)
         assert "seed" not in wire
         assert request_from_wire(wire) == request
+
+
+class RecordingBackend:
+    """Answers every request with the same unusable text and keeps the requests."""
+
+    def __init__(self):
+        self.requests = []
+
+    def send(self, request):
+        self.requests.append(request)
+        return ChatResponse("not a pattern name", "stop", Usage(0, 0))
+
+
+# Fingerprints of the three re-asks below, as first computed; mock scripts key on them.
+REASK_FINGERPRINTS = {
+    "consolidate": "38d383c2128f3fb430d2e08e2809b9364d38a35bb8e035d478c8aeef82732abc",
+    "label": "2e895b17f7a13ae7d1c97fafdf616eddc4a9c2bcc33c033be819a9edbbf2e9af",
+    "select": "b5779ba44aa26d806ed8ed68142ee0331ffe2bfea1cbb5670c0315a7a6d5337d",
+}
+
+
+class TestReask:
+    def test_appends_to_last_message_and_keeps_parameters(self):
+        request = ChatRequest(
+            model="m",
+            messages=(ChatMessage("system", "sys"), ChatMessage("user", "question")),
+            max_tokens=7,
+            temperature=0.2,
+            seed=5,
+        )
+        retry = reask(request, " Be brief.")
+        assert retry.messages == (
+            ChatMessage("system", "sys"),
+            ChatMessage("user", "question Be brief."),
+        )
+        assert replace(retry, messages=request.messages) == request
+
+    @pytest.mark.parametrize("site", sorted(REASK_FINGERPRINTS))
+    def test_reask_fingerprints_are_frozen(self, site, seed_library):
+        pair = TrainingPair("p1", "cheap flights", "low cost airline tickets")
+        context = RetrievalContext("q1", (ContextEntry("d1", 1.5, "wage info passage"),), 3)
+        ask = {
+            "consolidate": lambda gateway: induce_patterns([pair], gateway),
+            "label": lambda gateway: label_pair(pair, seed_library, gateway),
+            "select": lambda gateway: PromptSelector(gateway, seed_library).choose(
+                "minimum wage", context
+            ),
+        }[site]
+        backend = RecordingBackend()
+        with pytest.raises(DataError):
+            ask(Gateway(backend, model="m"))
+        first, retry = backend.requests
+        assert fingerprint(retry) == REASK_FINGERPRINTS[site]
+        assert replace(retry, messages=first.messages) == first
 
 
 class TestFingerprint:

@@ -1,6 +1,5 @@
 import json
 import random
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -332,20 +331,12 @@ class TestIndexFileFormat:
         save_index(load_index(path), resaved, config_hash="abc123")
         assert resaved.read_text(encoding="utf-8") == expected
 
-    def test_failed_write_leaves_no_partial_file(self, tiny_index, tmp_path, monkeypatch):
+    def test_failed_write_leaves_no_partial_file(self, tiny_index, tmp_path, half_write_text):
         path = tmp_path / "index.json"
-        path.write_text("previous index", encoding="utf-8")
-
-        def write_half_then_fail(self, data, *args, **kwargs):
-            with open(self, "w", encoding="utf-8") as fh:
-                fh.write(data[: len(data) // 2])
-            raise OSError("disk full")
-
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        path.write_bytes(b"previous index")
         with pytest.raises(OSError, match="disk full"):
             save_index(tiny_index, path)
-        monkeypatch.undo()
-        assert path.read_text(encoding="utf-8") == "previous index"
+        assert path.read_bytes() == b"previous index"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json"]
 
     @pytest.mark.parametrize(

@@ -192,6 +192,14 @@ class TestLibraryIO:
         save_library(library, path)
         assert load_library(path) == library
 
+    def test_failed_save_leaves_previous_file(self, seed_library, tmp_path, half_write_text):
+        path = tmp_path / "library.json"
+        path.write_bytes(b"previous library")
+        with pytest.raises(OSError, match="disk full"):
+            save_library(seed_library, path)
+        assert path.read_bytes() == b"previous library"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["library.json"]
+
     def test_dense_ids_enforced(self):
         with pytest.raises(DataError):
             PatternLibrary(patterns=(ReformulationPattern(1, "A", "d", "r"),), version="v")
@@ -215,6 +223,16 @@ class TestLabelsIO:
         path = tmp_path / "labels.tsv"
         save_labels(labels, path)
         assert load_labels(path) == labels
+
+    def test_failed_save_leaves_previous_file(self, tmp_path, half_write_text):
+        from patternqr.induction import PatternLabel
+
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(b"p0\t1\n")
+        with pytest.raises(OSError, match="disk full"):
+            save_labels([PatternLabel("p1", 3), PatternLabel("p2", 0)], path)
+        assert path.read_bytes() == b"p0\t1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.tsv"]
 
     def test_bad_pattern_id_reports_line(self, tmp_path):
         path = tmp_path / "labels.tsv"

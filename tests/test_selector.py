@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from patternqr.selector import (
     select_pattern,
     save_model,
     train_selector,
+    write_loss_curve,
 )
 
 
@@ -191,6 +193,31 @@ class TestTraining:
         model, history = train_selector(example, library, hyper)
         assert history[0] < math.log(3)
 
+    def test_one_full_batch_step_applies_the_checked_gradient(self):
+        library = _library(4)
+        examples = separable_examples(library, per_class=6, seed=6)[:21]  # unbalanced labels
+        hyper = TrainConfig(
+            epochs=1,
+            learning_rate=0.3,
+            decay=0.0,
+            l2=1e-3,
+            batch_size=len(examples),
+            feature_config=SMALL,
+        )
+        model, _ = train_selector(examples, library, hyper)
+        vectors = [featurize(q, ctx, SMALL) for q, ctx, _ in examples]
+        labels = np.array([lbl for _, _, lbl in examples])
+        m = len(library)
+        _, grad_w, grad_b = loss_and_gradient(
+            np.zeros((m, SMALL.dimension)), np.zeros(m), vectors, labels, hyper.l2
+        )
+        assert np.any(grad_w != 0.0) and np.all(grad_b != 0.0)
+        # Relative to the largest entry: the batch sums in shuffled order, so
+        # entries that cancel to zero in one order may leave ~1e-18 in the other.
+        for trained, grad in ((model.weights, grad_w), (model.bias, grad_b)):
+            expected = -hyper.learning_rate * grad
+            assert np.abs(trained - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_label_out_of_range_names_example(self):
         library = _library(2)
         with pytest.raises(DataError, match="bad query"):
@@ -275,6 +302,23 @@ class TestSelectPattern:
             select_pattern(PatternDistribution(np.array([1.0])), mode="sample")
 
 
+MODEL_META = {
+    "format": "patternqr-selector-v1",
+    "config_hash": "",
+    "feature_config": SMALL.to_dict(),
+    "library_version": "v1",
+}
+
+
+def _meta_without(key):
+    return {k: v for k, v in MODEL_META.items() if k != key}
+
+
+def _write_raw_model(path, weights, bias, meta):
+    with open(path, "wb") as handle:
+        np.savez(handle, weights=weights, bias=bias, meta=np.array(json.dumps(meta)))
+
+
 class TestModelPersistence:
     def test_round_trip_predictions_bit_exact(self, tmp_path):
         library = _library(3)
@@ -302,6 +346,65 @@ class TestModelPersistence:
         np.savez(path, x=np.zeros(3))
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "weights, bias, meta",
+        [
+            (np.zeros((3, 2**10)), np.zeros(3), _meta_without("feature_config")),
+            (np.zeros((3, 2**10)), np.zeros(3), _meta_without("library_version")),
+            (np.zeros((3, 2**10)), np.zeros(3), {**MODEL_META, "feature_config": "1024"}),
+            (
+                np.zeros((3, 2**10)),
+                np.zeros(3),
+                {**MODEL_META, "feature_config": {"dimension": 2**10}},
+            ),
+            (np.zeros((3, 2**10)), np.zeros(3), ["patternqr-selector-v1"]),
+            (np.zeros((10, 16)), np.zeros(10), MODEL_META),
+            (np.zeros(2**10), np.zeros(1), MODEL_META),
+            (np.zeros((3, 2**10)), np.zeros(4), MODEL_META),
+            (np.zeros((3, 2**10)), np.zeros((3, 1)), MODEL_META),
+        ],
+        ids=[
+            "no-feature-config",
+            "no-library-version",
+            "feature-config-not-object",
+            "feature-config-incomplete",
+            "meta-not-object",
+            "width-not-dimension",
+            "weights-not-2d",
+            "bias-length",
+            "bias-not-1d",
+        ],
+    )
+    def test_load_rejects_malformed_models(self, tmp_path, weights, bias, meta):
+        _write_raw_model(tmp_path / "good.npz", np.zeros((3, 2**10)), np.zeros(3), MODEL_META)
+        assert load_model(tmp_path / "good.npz").num_patterns == 3
+        path = tmp_path / "model.npz"
+        _write_raw_model(path, weights, bias, meta)
+        with pytest.raises(DataError):
+            load_model(path)
+
+    def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        path.write_bytes(b"previous model")
+
+        def write_half_then_fail(handle, **arrays):
+            handle.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(SelectorModel.zeros(3, SMALL, "v1"), path)
+        assert path.read_bytes() == b"previous model"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+
+    def test_failed_loss_curve_write_leaves_previous_file(self, tmp_path, half_write_text):
+        path = tmp_path / "loss.csv"
+        path.write_bytes(b"previous curve")
+        with pytest.raises(OSError, match="disk full"):
+            write_loss_curve([2.3, 1.1, 0.4], path, config_hash="cafe01")
+        assert path.read_bytes() == b"previous curve"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv"]
 
 
 class TestSelectorInterfaces:
