@@ -24,12 +24,16 @@ class GatewayError(PatternQRError):
 class TransportError(GatewayError):
     """Transient network failure that exhausted its retries.
 
-    Carries the per-attempt error log in ``attempts``.
+    Carries the per-attempt error log in ``attempts``, and in ``retry_after``
+    the least number of seconds the service asked to wait before a retry.
     """
 
-    def __init__(self, message: str, attempts: list[str] | None = None):
+    def __init__(
+        self, message: str, attempts: list[str] | None = None, retry_after: float | None = None
+    ):
         super().__init__(message)
         self.attempts = attempts or []
+        self.retry_after = retry_after
 
 
 class ProtocolError(GatewayError):

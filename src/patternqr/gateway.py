@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -157,6 +158,20 @@ class MockBackend:
         )
 
 
+# Request Timeout and Too Many Requests: the request may succeed when sent again.
+_TRANSIENT_STATUSES = (408, 429)
+
+
+def _retry_after(value: str | None) -> float | None:
+    """Seconds from a Retry-After header; None for no header, an HTTP date, or a
+    value that is not a finite, non-negative number."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0.0 else None
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions endpoint over HTTPS."""
 
@@ -178,8 +193,11 @@ class HttpBackend:
             )
         except requests.RequestException as exc:
             raise TransportError(f"request to {url} failed: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"{url} returned {resp.status_code}")
+        if resp.status_code >= 500 or resp.status_code in _TRANSIENT_STATUSES:
+            raise TransportError(
+                f"{url} returned {resp.status_code}",
+                retry_after=_retry_after(resp.headers.get("Retry-After")),
+            )
         if resp.status_code != 200:
             raise ProtocolError(f"{url} returned {resp.status_code}: {resp.text[:500]}")
         try:
@@ -206,7 +224,8 @@ def complete_chat(
     jitter_rng: random.Random | None = None,
     sleep=time.sleep,
 ) -> ChatResponse:
-    """Send one request; transient failures retry with jittered exponential backoff.
+    """Send one request; transient failures retry with jittered exponential backoff,
+    waiting at least as long as a Retry-After header asked.
 
     A successful response returns immediately (at-most-once delivery to the
     caller); permanent failures (protocol errors, mock misses) never retry.
@@ -222,14 +241,17 @@ def complete_chat(
                 raise TransportError(
                     f"gave up after {max_retries} attempts: {attempts}", attempts=attempts
                 ) from exc
-            sleep(backoff_base * (2**attempt) * (1.0 + rng.random()))
+            backoff = backoff_base * (2**attempt) * (1.0 + rng.random())
+            sleep(max(backoff, exc.retry_after or 0.0))
     raise TransportError("retry loop exited unexpectedly", attempts=attempts)
 
 
 class Gateway:
     """Backend plus retry policy and a global in-flight cap.
 
-    Safe for concurrent callers: the only shared state is the semaphore.
+    Safe for concurrent callers: the shared state is the semaphore and the
+    jitter generator, whose draws are atomic (their order across threads only
+    moves backoff times).
     """
 
     def __init__(
@@ -283,6 +305,10 @@ class GatewayConfig:
         )
 
     def build(self, jitter_seed: int | None = None) -> Gateway:
+        # A semaphore of 0 blocks every call forever; 0 retries never sends.
+        for name in ("max_retries", "max_in_flight"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"gateway {name} must be >= 1, got {getattr(self, name)}")
         if self.mock_script:
             backend = MockBackend(MockScript.load(self.mock_script))
         elif self.base_url:

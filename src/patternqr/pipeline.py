@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import typing
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -165,43 +167,63 @@ def _build_selector(config: PipelineConfig, library: PatternLibrary, gateway: Ga
 def reformulate_queries(
     config: PipelineConfig, index: InvertedIndex, queries: list[tuple[str, str]]
 ) -> list[ReformulationRecord]:
-    """Per query: retrieve context, select a pattern, generate the rewrite, compose the hybrid."""
+    """Per query: retrieve context, select a pattern, generate the rewrite, compose the hybrid.
+
+    Up to `config.gateway.max_in_flight` queries run at once, on threads; the
+    records keep the input order, and the first failing query's error is raised.
+    """
     library = load_library(config.library) if config.library else default_library()
     gateway = config.gateway.build(jitter_seed=config.seed)
     selector = _build_selector(config, library, gateway)
     hook = load_hook_passages(config.hook_file) if config.mode == "reformer+hook" else {}
 
+    def reformulate(query_id: str, text: str) -> ReformulationRecord:
+        context = retrieve_topk(
+            index, text, config.k_context, query_id=query_id, snippet_tokens=config.snippet_tokens
+        )
+        seed = _query_seed(config.seed, query_id) if config.select_mode == "sample" else None
+        pattern_id = selector.choose(text, context, mode=config.select_mode, seed=seed)
+        pattern = library.patterns[pattern_id]
+        extra = [hook[query_id]] if query_id in hook else None
+        reformulation = generate_reformulation(
+            gateway, text, context, pattern, query_id=query_id, extra_context=extra
+        )
+        hybrid = compose_hybrid(text, reformulation.text, repetition=config.repetition)
+        return ReformulationRecord(
+            query_id=query_id,
+            pattern_id=pattern.pattern_id,
+            pattern_name=pattern.name,
+            reformulation=reformulation.text,
+            hybrid_query=hybrid.text,
+            fallback=reformulation.fallback,
+        )
+
+    # Queries are independent and their seeds come from their ids, so running
+    # them concurrently and collecting in input order gives the serial records.
+    # At most `window` queries are submitted from the one collected next on, so
+    # when a query fails, fewer than `window` later ones have started.
+    window = config.gateway.max_in_flight
+    pool = ThreadPoolExecutor(max_workers=window)
+    pending: deque = deque()
     records: list[ReformulationRecord] = []
-    for query_id, text in queries:
+
+    def collect() -> None:
+        query_id, future = pending.popleft()
         try:
-            context = retrieve_topk(
-                index,
-                text,
-                config.k_context,
-                query_id=query_id,
-                snippet_tokens=config.snippet_tokens,
-            )
-            seed = _query_seed(config.seed, query_id) if config.select_mode == "sample" else None
-            pattern_id = selector.choose(text, context, mode=config.select_mode, seed=seed)
-            pattern = library.patterns[pattern_id]
-            extra = [hook[query_id]] if query_id in hook else None
-            reformulation = generate_reformulation(
-                gateway, text, context, pattern, query_id=query_id, extra_context=extra
-            )
-            hybrid = compose_hybrid(text, reformulation.text, repetition=config.repetition)
-            records.append(
-                ReformulationRecord(
-                    query_id=query_id,
-                    pattern_id=pattern.pattern_id,
-                    pattern_name=pattern.name,
-                    reformulation=reformulation.text,
-                    hybrid_query=hybrid.text,
-                    fallback=reformulation.fallback,
-                )
-            )
+            records.append(future.result())
         except PatternQRError as exc:
             _rewrap(f"query {query_id}", exc)
-    return records
+
+    try:
+        for query_id, text in queries:
+            if len(pending) == window:
+                collect()
+            pending.append((query_id, pool.submit(reformulate, query_id, text)))
+        while pending:
+            collect()
+        return records
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def rank_queries(

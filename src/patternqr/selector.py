@@ -236,26 +236,27 @@ class TrainConfig:
 
 
 def _apply_batch(
-    model: SelectorModel,
+    weights: np.ndarray,
+    bias: np.ndarray,
     vectors: list[FeatureVector],
     labels: np.ndarray,
     eta: float,
     l2: float,
 ) -> None:
-    """One step of theta -= eta * (data gradient + 2*l2*theta).
+    """One in-place step of theta -= eta * (data gradient + 2*l2*theta).
 
     The L2 part becomes a single in-place scaling; the data part touches only
     active feature columns. Deltas are computed before either is applied, so
     this matches the batch gradient at the pre-update weights exactly.
     """
     n = len(vectors)
-    _, deltas = _cross_entropy(model.weights, model.bias, vectors, labels)
-    bias_grad = sum(deltas, np.zeros_like(model.bias))
-    model.weights *= 1.0 - 2.0 * l2 * eta
+    _, deltas = _cross_entropy(weights, bias, vectors, labels)
+    bias_grad = sum(deltas, np.zeros_like(bias))
+    weights *= 1.0 - 2.0 * l2 * eta
     for fv, delta in zip(vectors, deltas):
         if fv.indices.size:
-            model.weights[:, fv.indices] -= (eta / n) * np.outer(delta, fv.values)
-    model.bias -= (eta / n) * bias_grad
+            weights[:, fv.indices] -= (eta / n) * np.outer(delta, fv.values)
+    bias -= (eta / n) * bias_grad
 
 
 def train_selector(
@@ -280,6 +281,15 @@ def train_selector(
     labels = np.array([lbl for _, _, lbl in examples], dtype=np.int64)
 
     model = SelectorModel.zeros(m, config, library.version)
+    # A column no example activates starts at +0.0 and stays exactly +0.0 under
+    # the L2 scaling, so the steps run on the active columns alone: every
+    # weight gets the same operations as on the full matrix.
+    active = np.unique(np.concatenate([fv.indices for fv in vectors]))
+    compact = [
+        FeatureVector(np.searchsorted(active, fv.indices), fv.values, active.size)
+        for fv in vectors
+    ]
+    weights = np.zeros((m, active.size), dtype=np.float64)
     rng = np.random.default_rng(hyper.seed)
     step = 0
     history: list[float] = []
@@ -288,8 +298,11 @@ def train_selector(
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
             eta = hyper.learning_rate / (1.0 + step * hyper.decay)
-            _apply_batch(model, [vectors[i] for i in batch], labels[batch], eta, hyper.l2)
+            batch_vectors = [compact[i] for i in batch]
+            _apply_batch(weights, model.bias, batch_vectors, labels[batch], eta, hyper.l2)
             step += 1
+        # The loss sums the L2 term over the full matrix, in the order it always has.
+        model.weights[:, active] = weights
         history.append(selection_loss(model.weights, model.bias, vectors, labels, hyper.l2))
     return model, history
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def oracle_tokenize(text: str) -> list[str]:
     tokens: list[str] = []
@@ -97,3 +99,63 @@ def oracle_recall(
     if not relevant:
         return 0.0
     return sum(1 for d in ranked[:k] if d in relevant) / len(relevant)
+
+
+def oracle_train_dense(
+    vectors: list[tuple[np.ndarray, np.ndarray]],
+    labels: np.ndarray,
+    num_classes: int,
+    dimension: int,
+    epochs: int,
+    learning_rate: float,
+    decay: float,
+    l2: float,
+    batch_size: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Mini-batch descent on mean cross-entropy + l2*||W||^2 over the full (M, F) matrix.
+
+    `vectors` holds each example's sorted feature indices and their values.
+    Every step rescales all of W for the L2 term; shuffling, step sizes and
+    the order of the floating-point operations are those of the selector's
+    trainer, so the results must agree bit for bit.
+    """
+    weights = np.zeros((num_classes, dimension))
+    bias = np.zeros(num_classes)
+
+    def cross_entropy(batch):
+        total = 0.0
+        deltas = []
+        for i in batch:
+            indices, values = vectors[i]
+            logits = weights[:, indices] @ values + bias if indices.size else bias.copy()
+            shifted = logits - logits.max()
+            exp = np.exp(shifted)
+            z = exp.sum()
+            total -= shifted[labels[i]] - np.log(z)
+            delta = exp / z
+            delta[labels[i]] -= 1.0
+            deltas.append(delta)
+        return total, deltas
+
+    rng = np.random.default_rng(seed)
+    step = 0
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(len(vectors))
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
+            eta = learning_rate / (1.0 + step * decay)
+            _, deltas = cross_entropy(batch)
+            bias_grad = sum(deltas, np.zeros_like(bias))
+            weights *= 1.0 - 2.0 * l2 * eta
+            for i, delta in zip(batch, deltas):
+                indices, values = vectors[i]
+                if indices.size:
+                    weights[:, indices] -= (eta / len(batch)) * np.outer(delta, values)
+            bias -= (eta / len(batch)) * bias_grad
+            step += 1
+        total, _ = cross_entropy(range(len(vectors)))
+        flat = weights.ravel()
+        history.append(total / len(vectors) + l2 * float(np.dot(flat, flat)))
+    return weights, bias, history

@@ -6,7 +6,7 @@ import pytest
 from conftest import SEED_PATTERN_NAMES, consolidation_payload
 from patternqr.cli import main
 from patternqr.evaluation import parse_run
-from patternqr.gateway import GatewayConfig, MockScript
+from patternqr.gateway import Gateway, GatewayConfig, MockScript
 from patternqr.generator import read_reformulation_log
 from patternqr.induction import load_labels, load_library
 from patternqr.pipeline import PipelineConfig, run_pipeline
@@ -345,6 +345,37 @@ class TestExitCodes:
         )
         assert code == 4
         assert "gateway error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-in-flight", "--max-retries"])
+    def test_gateway_count_below_one_is_2(self, files, capsys, monkeypatch, flag):
+        def no_call(self, request):
+            raise AssertionError("a gateway call was made")
+
+        # A cap of 0 in-flight calls would block the first call forever.
+        monkeypatch.setattr(Gateway, "complete", no_call)
+        model_path = files["dir"] / "model.npz"
+        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
+        code = main(
+            [
+                "run",
+                "--corpus",
+                str(files["corpus"]),
+                "--queries",
+                str(files["queries"]),
+                "--mode",
+                "reformer",
+                "--selector-model",
+                str(model_path),
+                "--mock-script",
+                str(_mock(files["dir"], "a rewritten query")),
+                flag,
+                "0",
+                "--out-dir",
+                str(files["dir"] / "out"),
+            ]
+        )
+        assert code == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
 
     def test_malformed_model_is_3(self, files, capsys):
         model_path = files["dir"] / "model.npz"

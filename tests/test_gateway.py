@@ -1,4 +1,5 @@
 import json
+import random
 import threading
 import time
 from dataclasses import replace
@@ -272,10 +273,50 @@ class TestHttpBackend:
         class FakeResponse:
             status_code = 503
             text = "unavailable"
+            headers = {}
 
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
         with pytest.raises(TransportError):
             HttpBackend("http://localhost:8000").send(_request())
+
+    @pytest.mark.parametrize(
+        "status, retry_after, waited",
+        [
+            (429, "7", 7.0),  # Retry-After above the backoff is the wait
+            (408, "0.01", None),  # below it, the jittered backoff is
+            (429, "Wed, 21 Oct 2026 07:28:00 GMT", None),  # a date is not a number of seconds
+        ],
+    )
+    def test_rate_limit_and_timeout_retry(self, monkeypatch, status, retry_after, waited):
+        class FakeResponse:
+            def __init__(self, status_code, headers):
+                self.status_code = status_code
+                self.headers = headers
+                self.text = ""
+
+            def json(self):
+                return {"choices": [{"message": {"content": "ok"}}]}
+
+        replies = [FakeResponse(status, {"Retry-After": retry_after}), FakeResponse(200, {})]
+        posts = []
+
+        def fake_post(url, **kwargs):
+            posts.append(url)
+            return replies[len(posts) - 1]
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        sleeps = []
+        response = complete_chat(
+            HttpBackend("http://localhost:8000"),
+            _request(),
+            backoff_base=0.5,
+            jitter_rng=random.Random(0),
+            sleep=sleeps.append,
+        )
+        assert response.content == "ok"
+        assert len(posts) == 2
+        backoff = 0.5 * (1.0 + random.Random(0).random())
+        assert sleeps == [waited if waited is not None else backoff]
 
     def test_malformed_body_is_protocol_error(self, monkeypatch):
         class FakeResponse:
@@ -307,6 +348,13 @@ class TestGatewayConfig:
         config = GatewayConfig(base_url="http://ignored", mock_script=str(path))
         gateway = config.build()
         assert isinstance(gateway.backend, MockBackend)
+
+    @pytest.mark.parametrize("field", ["max_retries", "max_in_flight"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected(self, field, value):
+        config = GatewayConfig(base_url="http://localhost:8000", **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            config.build()
 
     def test_unconfigured_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,12 +1,15 @@
 import json
+import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patternqr import pipeline
 from patternqr.errors import ConfigError, GatewayError
 from patternqr.evaluation import parse_run
-from patternqr.gateway import GatewayConfig, MockScript, fingerprint
+from patternqr.gateway import GatewayConfig, MockBackend, MockScript, fingerprint
 from patternqr.generator import build_generation_prompt, read_reformulation_log
 from patternqr.index import build_index, read_corpus_tsv, retrieve_topk
 from patternqr.induction import default_library
@@ -277,3 +280,159 @@ class TestConfigHandling:
         config = _config(workspace, "reformer", selector="prompt", select_mode="bogus")
         with pytest.raises(ConfigError, match="bogus"):
             config.validate()
+
+
+MANY_QUERIES = [
+    (f"q{i}", text)
+    for i, text in enumerate(
+        [
+            "sat",
+            "jaguar",
+            "cat pet",
+            "weather tomorrow",
+            "jaguar fur",
+            "dog",
+            "feline predator",
+            "sunny forecast",
+            "south america cat",
+            "domestic paws",
+            "rainforest",
+            "spotted whiskers",
+        ],
+        start=1,
+    )
+]
+
+
+def _many_queries(workspace):
+    path = workspace / "many.tsv"
+    path.write_text("".join(f"{qid}\t{text}\n" for qid, text in MANY_QUERIES), encoding="utf-8")
+    return path
+
+
+class CountingSend:
+    """Wraps `MockBackend.send`, counting calls; `before` runs first in each."""
+
+    def __init__(self, monkeypatch, before=lambda: None):
+        self.calls = 0
+        self._lock = threading.Lock()
+        original = MockBackend.send
+
+        def send(backend, request):
+            with self._lock:
+                self.calls += 1
+            before()
+            return original(backend, request)
+
+        monkeypatch.setattr(MockBackend, "send", send)
+
+
+class TestConcurrentReformulation:
+    """`max_in_flight` queries are reformulated at once; the artifacts do not change."""
+
+    @pytest.mark.parametrize(
+        "mode, overrides, fallback",
+        [
+            ("reformer", {}, "{user}"),
+            ("reformer", {"select_mode": "sample"}, "{user}"),
+            ("reformer", {"selector": "prompt"}, "Temporal Adjustment"),
+            ("reformer+hook", {}, "{user}"),
+        ],
+        ids=["argmax", "sample", "prompt", "hook"],
+    )
+    def test_artifacts_do_not_depend_on_max_in_flight(
+        self, workspace, mode, overrides, fallback
+    ):
+        rng = np.random.default_rng(4)
+        model = SelectorModel(
+            rng.normal(size=(10, 2**12)), rng.normal(size=10), FeatureConfig(2**12), "seed-1"
+        )
+        save_model(model, workspace / "random.npz")
+        hook_path = workspace / "hook.tsv"
+        hook_path.write_text(
+            "".join(f"{qid}\tpassage on {text}\n" for qid, text in MANY_QUERIES[::2]),
+            encoding="utf-8",
+        )
+        mock = workspace / "mock.json"
+        MockScript(fallback=fallback).save(mock)
+
+        artifacts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to surface any shared-state race
+        try:
+            for max_in_flight in (1, 4):
+                config = _config(
+                    workspace,
+                    mode,
+                    queries=str(_many_queries(workspace)),
+                    selector_model=str(workspace / "random.npz"),
+                    hook_file=str(hook_path),
+                    gateway=GatewayConfig(
+                        mock_script=str(mock), model="mock-model", max_in_flight=max_in_flight
+                    ),
+                    out_dir=str(workspace / f"out{max_in_flight}"),
+                    **overrides,
+                )
+                result = run_pipeline(config)
+                # The config hash covers every field, max_in_flight included.
+                artifacts.append(
+                    [
+                        path.read_text(encoding="utf-8").replace(result.config_hash, "HASH")
+                        for path in (result.run_path, result.log_path, result.report_path)
+                    ]
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert artifacts[0] == artifacts[1]
+        records = read_reformulation_log(workspace / "out4" / f"{mode}.reformulations.jsonl")
+        assert [r.query_id for r in records] == [qid for qid, _ in MANY_QUERIES]
+        assert overrides.get("selector") == "prompt" or len({r.pattern_id for r in records}) > 1
+
+    def test_generations_overlap(self, workspace, monkeypatch):
+        # Each generation waits until four are in flight; run one at a time, the
+        # first wait times out and breaks the barrier.
+        barrier = threading.Barrier(4, timeout=5)
+        sends = CountingSend(monkeypatch, before=barrier.wait)
+        mock = workspace / "mock.json"
+        MockScript(fallback="rewritten").save(mock)
+        config = _config(
+            workspace,
+            "reformer",
+            gateway=GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=4),
+        )
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        records = pipeline.reformulate_queries(config, index, MANY_QUERIES[:8])
+        assert [r.query_id for r in records] == [qid for qid, _ in MANY_QUERIES[:8]]
+        assert sends.calls == 8
+
+    def test_first_failing_query_stops_the_run(self, workspace, monkeypatch):
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        pattern = default_library().patterns[0]  # zero model: argmax picks pattern 0
+        texts = [text for _, text in MANY_QUERIES]
+        texts += [f"{text} dog" for text in texts[:8]]  # distinct prompts
+        queries = [(f"q{i:02d}", text) for i, text in enumerate(texts)]
+        entries = {}
+        for query_id, text in queries:
+            if query_id != "q02":
+                context = retrieve_topk(index, text, 3, query_id=query_id)
+                request = build_generation_prompt(text, context, pattern, model="mock-model")
+                entries[fingerprint(request)] = f"{text} rewritten"
+        mock = workspace / "mock.json"
+        MockScript(entries=entries).save(mock)  # no fallback: q02 misses
+
+        errors = {}
+        for max_in_flight in (1, 4):
+            sends = CountingSend(monkeypatch)
+            config = _config(
+                workspace,
+                "reformer",
+                gateway=GatewayConfig(
+                    mock_script=str(mock), model="mock-model", max_in_flight=max_in_flight
+                ),
+            )
+            with pytest.raises(GatewayError) as err:
+                pipeline.reformulate_queries(config, index, queries)
+            errors[max_in_flight] = str(err.value)
+            assert sends.calls <= 2 + max_in_flight
+        assert errors[1] == errors[4]
+        assert errors[1].startswith("query q02: mock script has no entry")

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_train_dense
 from patternqr.errors import ConfigError, DataError
 from patternqr.index import ContextEntry, RetrievalContext
-from patternqr.induction import PatternLibrary, ReformulationPattern
+from patternqr.induction import PatternLibrary, ReformulationPattern, default_library
 from patternqr.selector import (
     FeatureConfig,
     FeatureVector,
@@ -217,6 +218,43 @@ class TestTraining:
         for trained, grad in ((model.weights, grad_w), (model.bias, grad_b)):
             expected = -hyper.learning_rate * grad
             assert np.abs(trained - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "library, per_class, empty, hyper",
+        [
+            # the acceptance-3 fixture: 1000 examples, 20 epochs, 2^18 columns
+            (default_library(), 100, 0, TrainConfig(epochs=20, seed=0)),
+            # batches of 7, some holding empty feature vectors
+            (
+                _library(3),
+                5,
+                3,
+                TrainConfig(epochs=5, batch_size=7, l2=1e-3, feature_config=SMALL),
+            ),
+        ],
+        ids=["acceptance-3", "empty-vectors"],
+    )
+    def test_matches_the_dense_reference(self, library, per_class, empty, hyper):
+        data = separable_examples(library, per_class=per_class, seed=1)
+        data[3:3] = [("", EMPTY_CONTEXT, label % len(library)) for label in range(empty)]
+        model, history = train_selector(data, library, hyper)
+        vectors = [featurize(q, ctx, hyper.feature_config) for q, ctx, _ in data]
+        assert sum(fv.indices.size == 0 for fv in vectors) == empty
+        weights, bias, expected = oracle_train_dense(
+            [(fv.indices, fv.values) for fv in vectors],
+            np.array([lbl for _, _, lbl in data]),
+            len(library),
+            hyper.feature_config.dimension,
+            hyper.epochs,
+            hyper.learning_rate,
+            hyper.decay,
+            hyper.l2,
+            hyper.batch_size,
+            hyper.seed,
+        )
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.bias, bias)
+        assert history == expected
 
     def test_label_out_of_range_names_example(self):
         library = _library(2)
