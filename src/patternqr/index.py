@@ -29,11 +29,23 @@ DEFAULT_SNIPPET_TOKENS = 64
 
 # Maximal runs of Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every non-alphanumeric ASCII character becomes a space, so on ASCII text
+# str.split yields exactly the runs _TOKEN_RE finds.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on any maximal run of non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase, then take the maximal runs of `str.isalnum` characters.
+
+    ASCII text (checked after lowercasing, which can map a non-ASCII
+    character into ASCII) takes a translate-and-split path that is about
+    twice as fast as the regex; the regex serves all other text, on which a
+    translate table was measured slower. Both give the same tokens.
+    """
+    text = text.lower()
+    if text.isascii():
+        return text.translate(_ASCII_SEPARATORS).split()
+    return _TOKEN_RE.findall(text)
 
 
 def query_term_weights(query: str) -> dict[str, float]:
@@ -49,16 +61,6 @@ class Document:
     def __post_init__(self):
         if not self.doc_id:
             raise DataError("document doc_id must be non-empty")
-
-
-@dataclass(frozen=True)
-class ScoredDoc:
-    doc_id: str
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise DataError(f"non-finite score for doc {self.doc_id!r}")
 
 
 class ContextEntry:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import typing
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -114,6 +115,19 @@ class PipelineConfig:
             raise ConfigError(f"repetition must be >= 1, got {self.repetition}")
         if self.k_context < 1 or self.k_eval < 1:
             raise ConfigError("k_context and k_eval must be >= 1")
+        if not 0.0 <= self.k1 < math.inf:
+            raise ConfigError(f"k1 must be finite and >= 0, got {self.k1}")
+        for name, value in (("b", self.b), ("orig_weight", self.orig_weight)):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        for name, count in (
+            ("fb_docs", self.fb_docs),
+            ("fb_terms", self.fb_terms),
+            ("snippet_tokens", self.snippet_tokens),
+            ("binarize_at", self.binarize_at),
+        ):
+            if count < 1:
+                raise ConfigError(f"{name} must be >= 1, got {count}")
 
 
 def config_hash(config: PipelineConfig) -> str:

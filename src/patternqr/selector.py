@@ -212,18 +212,6 @@ def loss_and_gradient(
     return loss, grad_w, grad_b
 
 
-def selection_loss(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    vectors: list[FeatureVector],
-    labels: np.ndarray,
-    l2: float,
-) -> float:
-    """Objective value only; no gradient is accumulated."""
-    total, _ = _cross_entropy(weights, bias, vectors, labels)
-    return total / len(vectors) + l2 * float(np.dot(weights.ravel(), weights.ravel()))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
@@ -301,9 +289,13 @@ def train_selector(
             batch_vectors = [compact[i] for i in batch]
             _apply_batch(weights, model.bias, batch_vectors, labels[batch], eta, hyper.l2)
             step += 1
-        # The loss sums the L2 term over the full matrix, in the order it always has.
+        # The data term reads the same weights, in the same order, from the
+        # compact matrix. The L2 term sums over the full matrix: a sum over the
+        # compact one alone groups the terms differently and can move the last bit.
+        total, _ = _cross_entropy(weights, model.bias, compact, labels)
         model.weights[:, active] = weights
-        history.append(selection_loss(model.weights, model.bias, vectors, labels, hyper.l2))
+        flat = model.weights.ravel()
+        history.append(total / len(vectors) + hyper.l2 * float(np.dot(flat, flat)))
     return model, history
 
 

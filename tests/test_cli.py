@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SEED_PATTERN_NAMES, consolidation_payload
+from patternqr import pipeline
 from patternqr.cli import main
 from patternqr.evaluation import parse_run
 from patternqr.gateway import Gateway, GatewayConfig, MockScript
@@ -376,6 +377,49 @@ class TestExitCodes:
         )
         assert code == 2
         assert f"{flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("bm25", "--k1", "-1"),
+            ("bm25", "--k1", "nan"),
+            ("bm25", "--b", "-0.1"),
+            ("bm25", "--b", "2"),
+            ("bm25", "--snippet-tokens", "-1"),
+            ("bm25", "--binarize-at", "0"),
+            ("rm3", "--fb-docs", "0"),
+            ("rm3", "--fb-terms", "0"),
+            ("rm3", "--orig-weight", "1.5"),
+            ("rm3", "--orig-weight", "-0.5"),
+        ],
+    )
+    def test_out_of_range_value_is_2_before_reading_the_corpus(
+        self, files, capsys, monkeypatch, mode, flag, value
+    ):
+        def no_read(path):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(pipeline, "read_corpus_tsv", no_read)
+        code = main(
+            [
+                "run",
+                "--corpus",
+                str(files["corpus"]),
+                "--queries",
+                str(files["queries"]),
+                "--qrels",
+                str(files["qrels"]),
+                "--mode",
+                mode,
+                flag,
+                value,
+                "--out-dir",
+                str(files["dir"] / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and flag[2:].replace("-", "_") in err
 
     def test_malformed_model_is_3(self, files, capsys):
         model_path = files["dir"] / "model.npz"

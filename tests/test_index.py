@@ -47,6 +47,26 @@ class TestTokenize:
     def test_matches_character_scan_reference(self, text):
         assert tokenize(text) == oracle_tokenize(text)
 
+    @given(st.text(st.characters(max_codepoint=127), max_size=200))
+    def test_ascii_matches_character_scan_reference(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    def test_every_ascii_character_splits_or_joins(self):
+        ascii_chars = [chr(cp) for cp in range(128)]
+        splitting = [c for c in ascii_chars if tokenize(f"a{c}b") == ["a", "b"]]
+        joining = [c for c in ascii_chars if tokenize(f"a{c}b") == [f"a{c.lower()}b"]]
+        assert splitting == [c for c in ascii_chars if not c.isalnum()]
+        assert joining == [c for c in ascii_chars if c.isalnum()]
+
+    def test_lowercasing_into_ascii(self):
+        # U+212A KELVIN SIGN lowercases to ASCII "k".
+        assert tokenize("\u212aelvin 5\u212a") == ["kelvin", "5k"]
+
+    def test_lowercasing_out_of_ascii(self):
+        # U+0130 lowercases to "i" plus U+0307 COMBINING DOT ABOVE, which is not alphanumeric.
+        assert "\u0130".lower() == "i\u0307"
+        assert tokenize("\u0130stanbul") == ["i", "stanbul"]
+
     @given(st.text(max_size=200))
     def test_deterministic(self, text):
         assert tokenize(text) == tokenize(text)
