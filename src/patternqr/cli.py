@@ -212,8 +212,10 @@ def _gateway_config(args) -> GatewayConfig:
     return GatewayConfig(**_overlay(env, _given_flags(args, GatewayConfig)))
 
 
-def _load_index_source(args):
-    if args.index:
+def _load_index_source(args, **settings):
+    """Range-check the subcommand's settings, then load or build its index."""
+    pipeline.check_ranges({**_field_values(args, pipeline.PipelineConfig), **settings})
+    if getattr(args, "index", None):
         return load_index(args.index)
     return build_index(read_corpus_tsv(args.corpus), k1=args.k1, b=args.b)
 
@@ -226,7 +228,7 @@ def _args_hash(args) -> str:
 
 
 def _cmd_index(args) -> None:
-    index = build_index(read_corpus_tsv(args.corpus), k1=args.k1, b=args.b)
+    index = _load_index_source(args)
     save_index(index, args.out, config_hash=_args_hash(args))
     print(f"indexed {index.num_docs} documents -> {args.out}")
 
@@ -237,13 +239,12 @@ def _cmd_retrieve(args) -> None:
     config = pipeline.PipelineConfig(
         **_field_values(args, pipeline.PipelineConfig), mode=mode, k_eval=args.k
     )
-    rankings, _ = pipeline.rank_queries(
-        config, _load_index_source(args), read_queries_tsv(args.queries)
-    )
     tag = args.tag if args.tag else f"{config.mode}-{_args_hash(args)}"
-    run = evaluation.run_from_rankings(rankings, tag=tag)
+    run, _ = pipeline.rank_queries(
+        config, _load_index_source(args, k_eval=args.k), read_queries_tsv(args.queries), tag
+    )
     evaluation.write_run(run, args.out)
-    print(f"wrote {sum(len(v) for v in run.values())} run lines -> {args.out}")
+    print(f"wrote {sum(len(r.doc_ids) for r in run.values())} run lines -> {args.out}")
 
 
 def _cmd_induce(args) -> None:

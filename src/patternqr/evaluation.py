@@ -10,8 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError
 
@@ -21,16 +24,15 @@ DEFAULT_RECALL_K = 1000
 DEFAULT_BINARIZE_AT = 2
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    query_id: str
-    doc_id: str
-    rank: int
-    score: float
+class Ranking(NamedTuple):
+    """One query's ranked list: doc ids and their scores in rank order, and the run tag."""
+
+    doc_ids: tuple[str, ...]
+    scores: tuple[float, ...]
     tag: str
 
 
-Run = dict[str, list[RunEntry]]  # query_id -> entries ordered by rank
+Run = dict[str, Ranking]  # query_id -> ranking
 Qrels = dict[str, dict[str, int]]  # query_id -> doc_id -> grade
 
 
@@ -53,28 +55,29 @@ def parse_qrels(path: str | Path) -> Qrels:
 
 
 def parse_run(path: str | Path) -> Run:
-    """Parse `query_id Q0 doc_id rank score tag` lines and validate per-query invariants."""
-    grouped: dict[str, list[RunEntry]] = {}
+    """Parse `query_id Q0 doc_id rank score tag` lines and validate per-query invariants:
+    dense ranks, distinct doc ids, scores not increasing with rank, one tag."""
+    grouped: dict[str, list[tuple[int, str, float, str]]] = {}
     for line_no, fields in _split_lines(path, expected=6):
         query_id, _, doc_id, rank_text, score_text, tag = fields
         try:
-            entry = RunEntry(query_id, doc_id, int(rank_text), float(score_text), tag)
+            line = (int(rank_text), doc_id, float(score_text), tag)
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
-        grouped.setdefault(query_id, []).append(entry)
+        grouped.setdefault(query_id, []).append(line)
     run: Run = {}
-    for query_id, entries in grouped.items():
-        entries.sort(key=lambda e: e.rank)
-        ranks = [e.rank for e in entries]
-        if ranks != list(range(1, len(entries) + 1)):
+    for query_id, lines in grouped.items():
+        lines.sort(key=lambda line: line[0])
+        ranks, doc_ids, scores, tags = zip(*lines)
+        if ranks != tuple(range(1, len(lines) + 1)):
             raise DataError(f"{path}: query {query_id}: ranks are not dense 1..n")
-        doc_ids = [e.doc_id for e in entries]
         if len(set(doc_ids)) != len(doc_ids):
             raise DataError(f"{path}: query {query_id}: duplicate doc_id in ranking")
-        for prev, cur in zip(entries, entries[1:]):
-            if cur.score > prev.score:
-                raise DataError(f"{path}: query {query_id}: scores increase with rank")
-        run[query_id] = entries
+        if any(cur > prev for prev, cur in zip(scores, scores[1:])):
+            raise DataError(f"{path}: query {query_id}: scores increase with rank")
+        if len(set(tags)) > 1:
+            raise DataError(f"{path}: query {query_id}: lines carry different tags")
+        run[query_id] = Ranking(doc_ids, scores, tags[0])
     return run
 
 
@@ -96,30 +99,27 @@ def _split_lines(path: str | Path, expected: int):
 
 
 def run_from_rankings(rankings: dict[str, list[tuple[str, float]]], tag: str) -> Run:
-    """Build a validated run from per-query (doc_id, score) lists in rank order."""
-    run: Run = {}
-    for query_id, ranked in rankings.items():
-        run[query_id] = [
-            RunEntry(query_id, doc_id, rank, score, tag)
-            for rank, (doc_id, score) in enumerate(ranked, start=1)
-        ]
-    return run
+    """Build a run from per-query (doc_id, score) lists in rank order."""
+    return {
+        query_id: Ranking(tuple(d for d, _ in ranked), tuple(s for _, s in ranked), tag)
+        for query_id, ranked in rankings.items()
+    }
 
 
 def write_run(run: Run, path: str | Path) -> None:
     """Deterministic emission: query_id ascending, rank ascending, scores at 6 decimals."""
-    lines = []
+    blocks = []
     for query_id in sorted(run):
-        for entry in sorted(run[query_id], key=lambda e: e.rank):
-            lines.append(
-                f"{entry.query_id} Q0 {entry.doc_id} {entry.rank} "
-                f"{entry.score:.6f} {entry.tag}"
-            )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        doc_ids, scores, tag = run[query_id]
+        n = len(doc_ids)
+        # One %-format per query; the ids and tag are arguments, so a % in them is literal.
+        fields = zip(repeat(query_id, n), doc_ids, range(1, n + 1), scores, repeat(tag, n))
+        blocks.append("%s Q0 %s %d %.6f %s\n" * n % tuple(chain.from_iterable(fields)))
+    Path(path).write_text("".join(blocks), encoding="utf-8")
 
 
 def ndcg_at_k(
-    ranked_doc_ids: list[str], judgments: dict[str, int], k: int = DEFAULT_NDCG_K
+    ranked_doc_ids: Sequence[str], judgments: dict[str, int], k: int = DEFAULT_NDCG_K
 ) -> float:
     """Exponential-gain nDCG over graded judgments; 0 when the query has no relevant docs."""
     if k < 1:
@@ -136,7 +136,7 @@ def ndcg_at_k(
 
 
 def average_precision_at_k(
-    ranked_doc_ids: list[str],
+    ranked_doc_ids: Sequence[str],
     judgments: dict[str, int],
     k: int = DEFAULT_MAP_K,
     binarize_at: int = DEFAULT_BINARIZE_AT,
@@ -157,7 +157,7 @@ def average_precision_at_k(
 
 
 def recall_at_k(
-    ranked_doc_ids: list[str],
+    ranked_doc_ids: Sequence[str],
     judgments: dict[str, int],
     k: int = DEFAULT_RECALL_K,
     binarize_at: int = DEFAULT_BINARIZE_AT,
@@ -200,7 +200,7 @@ def evaluate_run(
         raise DataError("no query in the run has judgments in the qrels")
     per_query: dict[str, QueryMetrics] = {}
     for query_id in judged:
-        ranked = [e.doc_id for e in run[query_id]]
+        ranked = run[query_id].doc_ids
         judgments = qrels[query_id]
         per_query[query_id] = QueryMetrics(
             map=average_precision_at_k(ranked, judgments, k=map_k, binarize_at=binarize_at),

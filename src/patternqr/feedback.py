@@ -72,14 +72,14 @@ def rm3_expand(
         raise DataError(f"orig_weight must be in [0, 1], got {orig_weight}")
     p_query = _query_distribution(query)
     first_pass = retrieve_topk(index, query, fb_docs) if p_query else None
-    if first_pass is None or not first_pass.entries:
+    if first_pass is None or not first_pass.doc_ids:
         return WeightedQuery(terms=dict(p_query), origin=ExpansionOrigin.RM3)
 
-    total_score = sum(e.score for e in first_pass.entries)
+    total_score = sum(first_pass.scores)
     p_feedback: dict[str, float] = {}
-    for entry in first_pass.entries:
-        doc_weight = entry.score / total_score
-        ordinal = index.ordinal(entry.doc_id)
+    for doc_id, score in zip(first_pass.doc_ids, first_pass.scores):
+        doc_weight = score / total_score
+        ordinal = index.ordinal(doc_id)
         doc_len = index.doc_lengths[ordinal]
         for term, tf in index.term_frequencies(ordinal).items():
             p_feedback[term] = p_feedback.get(term, 0.0) + doc_weight * tf / doc_len
@@ -116,16 +116,16 @@ def rocchio_expand(
         raise DataError("fb_docs and fb_terms must be >= 1")
     tf_query = query_term_weights(query)
     first_pass = retrieve_topk(index, query, fb_docs) if tf_query else None
-    if first_pass is None or not first_pass.entries:
+    if first_pass is None or not first_pass.doc_ids:
         return WeightedQuery(
             terms={t: alpha * c for t, c in tf_query.items() if alpha * c > 0.0},
             origin=ExpansionOrigin.ROCCHIO,
         )
 
-    num_fb = len(first_pass.entries)
+    num_fb = len(first_pass.doc_ids)
     centroid: dict[str, float] = {}
-    for entry in first_pass.entries:
-        ordinal = index.ordinal(entry.doc_id)
+    for doc_id in first_pass.doc_ids:
+        ordinal = index.ordinal(doc_id)
         for term, tf in index.term_frequencies(ordinal).items():
             centroid[term] = centroid.get(term, 0.0) + tf * index.idf(term) / num_fb
 

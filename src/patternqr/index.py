@@ -16,7 +16,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -105,25 +105,32 @@ class _RetrievedEntry(ContextEntry):
         return self._snippet
 
 
-@dataclass(frozen=True)
 class RetrievalContext:
-    """Ranked top-k documents for one query, with truncated snippets."""
+    """Ranked top-k documents for one query: `doc_ids` and `scores` in rank order, and
+    `entries` pairing them with snippets (built when first read, for retrieve_topk)."""
 
-    query_id: str
-    entries: tuple[ContextEntry, ...]
-    k: int
+    def __init__(self, query_id: str, entries: Iterable[ContextEntry], k: int):
+        self._entries = tuple(entries)
+        if len(self._entries) > k:
+            raise DataError(f"context holds {len(self._entries)} entries but k={k}")
+        self.query_id, self.k = query_id, k
+        self.doc_ids = [e.doc_id for e in self._entries]
+        self.scores = [e.score for e in self._entries]
 
-    def __post_init__(self):
-        if len(self.entries) > self.k:
-            raise DataError(f"context holds {len(self.entries)} entries but k={self.k}")
+    @classmethod
+    def _retrieved(cls, query_id, doc_ids, scores, k, ordinals, cut) -> RetrievalContext:
+        context = cls.__new__(cls)
+        context.query_id, context.doc_ids, context.scores, context.k = query_id, doc_ids, scores, k
+        context._entries, context._ordinals, context._cut = None, ordinals, cut
+        return context
 
     @property
-    def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
-
-    @property
-    def snippets(self) -> list[str]:
-        return [e.snippet for e in self.entries]
+    def entries(self) -> tuple[ContextEntry, ...]:
+        if self._entries is None:
+            self._entries = tuple(
+                map(_RetrievedEntry, self.doc_ids, self.scores, self._ordinals, repeat(self._cut))
+            )
+        return self._entries
 
 
 class InvertedIndex:
@@ -286,7 +293,7 @@ def retrieve_topk(
     walks query terms in sorted order, and every document receives the same
     floating-point operations in the same order as bm25_score performs, so
     scores are bit-identical to it and across document insertion orders.
-    Snippets are built when read.
+    Entries and their snippets are built when read.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
@@ -308,12 +315,12 @@ def retrieve_topk(
         keep = hit_scores >= kth
         hits, hit_scores = hits[keep], hit_scores[keep]
     order = np.lexsort((index._doc_id_rank[hits], -hit_scores))[:k]
-    doc_ids, cut = index.doc_ids, partial(index.snippet, max_tokens=snippet_tokens)
-    entries = tuple(
-        _RetrievedEntry(doc_ids[o], score, o, cut)
-        for o, score in zip(hits[order].tolist(), hit_scores[order].tolist())
+    ordinals = hits[order].tolist()
+    doc_ids = list(map(index.doc_ids.__getitem__, ordinals))
+    cut = partial(index.snippet, max_tokens=snippet_tokens)
+    return RetrievalContext._retrieved(
+        query_id, doc_ids, hit_scores[order].tolist(), k, ordinals, cut
     )
-    return RetrievalContext(query_id=query_id, entries=entries, k=k)
 
 
 def read_corpus_tsv(path: str | Path) -> list[Document]:

@@ -13,6 +13,7 @@ import json
 import math
 import typing
 from collections import deque
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,9 +22,10 @@ from . import evaluation, feedback
 from .errors import ConfigError, DataError, GatewayError, PatternQRError
 from .evaluation import (
     MetricsReport,
+    Ranking,
+    Run,
     evaluate_run,
     parse_qrels,
-    run_from_rankings,
     write_report_csv,
     write_run,
 )
@@ -111,23 +113,24 @@ class PipelineConfig:
                 )
             if self.selector == "model" and not self.selector_model:
                 raise ConfigError("selector='model' requires a selector model file")
-        if self.repetition < 1:
-            raise ConfigError(f"repetition must be >= 1, got {self.repetition}")
-        if self.k_context < 1 or self.k_eval < 1:
-            raise ConfigError("k_context and k_eval must be >= 1")
-        if not 0.0 <= self.k1 < math.inf:
-            raise ConfigError(f"k1 must be finite and >= 0, got {self.k1}")
-        for name, value in (("b", self.b), ("orig_weight", self.orig_weight)):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        for name, count in (
-            ("fb_docs", self.fb_docs),
-            ("fb_terms", self.fb_terms),
-            ("snippet_tokens", self.snippet_tokens),
-            ("binarize_at", self.binarize_at),
-        ):
-            if count < 1:
-                raise ConfigError(f"{name} must be >= 1, got {count}")
+        check_ranges(vars(self))
+
+
+_COUNTS = (
+    "repetition", "k_context", "k_eval", "fb_docs", "fb_terms", "snippet_tokens", "binarize_at"
+)
+
+
+def check_ranges(settings: Mapping[str, object]) -> None:
+    """Raise a ConfigError for the first numeric PipelineConfig field in `settings`
+    that is out of range; other keys are skipped."""
+    for name, value in settings.items():
+        if name in _COUNTS and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+        if name in ("k1", "alpha", "beta") and not 0.0 <= value < math.inf:
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if name in ("b", "orig_weight") and not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
 
 
 def config_hash(config: PipelineConfig) -> str:
@@ -241,19 +244,19 @@ def reformulate_queries(
 
 
 def rank_queries(
-    config: PipelineConfig, index: InvertedIndex, queries: list[tuple[str, str]]
-) -> tuple[dict[str, list[tuple[str, float]]], list[ReformulationRecord]]:
-    """Rank every query at k_eval the way `config.mode` prescribes.
+    config: PipelineConfig, index: InvertedIndex, queries: list[tuple[str, str]], tag: str
+) -> tuple[Run, list[ReformulationRecord]]:
+    """Rank every query at k_eval the way `config.mode` prescribes, into a run tagged `tag`.
 
     Reformer modes retrieve with each query's hybrid rewrite and also return
     the reformulation records; rm3 and rocchio expand the query first.
-    Queries that retrieve nothing are left out of the rankings.
+    Queries that retrieve nothing are left out of the run.
     """
     records: list[ReformulationRecord] = []
     if config.mode in REFORMER_MODES:
         records = reformulate_queries(config, index, queries)
         queries = [(record.query_id, record.hybrid_query) for record in records]
-    rankings: dict[str, list[tuple[str, float]]] = {}
+    run: Run = {}
     for query_id, text in queries:
         try:
             if config.mode == "rm3":
@@ -267,11 +270,11 @@ def rank_queries(
             else:
                 terms = text
             result = retrieve_topk(index, terms, config.k_eval, query_id=query_id)
-            if result.entries:
-                rankings[query_id] = [(e.doc_id, e.score) for e in result.entries]
+            if result.doc_ids:
+                run[query_id] = Ranking(tuple(result.doc_ids), tuple(result.scores), tag)
         except PatternQRError as exc:
             _rewrap(f"query {query_id}", exc)
-    return rankings, records
+    return run, records
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -291,9 +294,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     reformer = config.mode in REFORMER_MODES
     stage = "reformulate" if reformer else "retrieve"
-    rankings, records = _stage(stage, rank_queries, config, index, queries)
-
-    run = run_from_rankings(rankings, tag=tag)
+    run, records = _stage(stage, rank_queries, config, index, queries, tag)
     atomic_write(run_path, lambda p: write_run(run, p))
     emitted_log = None
     if reformer:

@@ -65,6 +65,22 @@ def oracle_rank(scores: dict[str, float], k: int) -> list[tuple[str, float]]:
     return positive[:k]
 
 
+def oracle_run_text(run: dict[str, tuple]) -> str:
+    """A TREC run file written one line at a time from per-query
+    (doc_ids, scores, tag) rankings: queries in ascending id order, ranks
+    counted from 1, each score printed at 6 decimals, one newline after
+    every line."""
+    text = ""
+    for query_id in sorted(run):
+        doc_ids, scores, tag = run[query_id]
+        for i in range(len(doc_ids)):
+            rank = i + 1
+            score = format(scores[i], ".6f")
+            text += query_id + " Q0 " + doc_ids[i] + " " + str(rank) + " " + score + " " + tag
+            text += "\n"
+    return text
+
+
 def oracle_ndcg(ranked: list[str], judgments: dict[str, int], k: int) -> float:
     dcg = 0.0
     for i in range(min(k, len(ranked))):

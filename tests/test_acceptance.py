@@ -320,9 +320,9 @@ def test_end_to_end_reproducibility(tmp_path):
     bm25_run = parse_run(bm25.run_path)
     assert set(reformer_run) == set(bm25_run)
     for query_id in bm25_run:
-        assert [e.doc_id for e in reformer_run[query_id]] == [
-            e.doc_id for e in bm25_run[query_id]
-        ], f"identity reformulation changed the ranking for {query_id}"
+        assert reformer_run[query_id].doc_ids == bm25_run[query_id].doc_ids, (
+            f"identity reformulation changed the ranking for {query_id}"
+        )
 
 
 # ---------------------------------------------------------------------------

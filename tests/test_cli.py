@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SEED_PATTERN_NAMES, consolidation_payload
-from patternqr import pipeline
+from patternqr import cli, pipeline
 from patternqr.cli import main
 from patternqr.evaluation import parse_run
 from patternqr.gateway import Gateway, GatewayConfig, MockScript
@@ -63,7 +63,7 @@ class TestIndexRetrieveEvaluate:
             == 0
         )
         run = parse_run(run_path)
-        assert [e.doc_id for e in run["q1"]] == ["d2", "d1"]
+        assert run["q1"].doc_ids == ("d2", "d1")
         assert (
             main(["evaluate", "--run", str(run_path), "--qrels", str(files["qrels"])]) == 0
         )
@@ -89,6 +89,22 @@ class TestIndexRetrieveEvaluate:
         )
         assert code == 0
         assert parse_run(run_path)
+
+    def test_retrieve_reports_the_lines_it_wrote(self, files, capsys):
+        run_path = files["dir"] / "run.txt"
+        argv = ["retrieve", "--corpus", str(files["corpus"]), "--queries", str(files["queries"])]
+        assert main([*argv, "--out", str(run_path)]) == 0
+        written = len(run_path.read_text(encoding="utf-8").splitlines())
+        assert written == 3
+        assert f"wrote {written} run lines" in capsys.readouterr().out
+
+    def test_mixed_tags_in_one_query_are_a_data_error(self, files, capsys):
+        run_path = files["dir"] / "run.txt"
+        run_path.write_text("q1 Q0 d2 1 2.0 a\nq1 Q0 d1 2 1.0 b\n", encoding="utf-8")
+        code = main(["evaluate", "--run", str(run_path), "--qrels", str(files["qrels"])])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "data error" in err and "tags" in err
 
 
 class TestLlmCommands:
@@ -420,6 +436,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and flag[2:].replace("-", "_") in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["retrieve", "--k1", "-1"], "k1"),
+            (["retrieve", "--b", "1.5"], "b"),
+            (["retrieve", "--k", "0"], "k_eval"),
+            (["baseline", "--method", "rocchio", "--beta", "-1"], "beta"),
+            (["baseline", "--method", "rocchio", "--alpha", "nan"], "alpha"),
+            (["baseline", "--method", "rm3", "--fb-docs", "0"], "fb_docs"),
+            (["baseline", "--method", "rm3", "--orig-weight", "2"], "orig_weight"),
+            (["index", "--k1", "-1"], "k1"),
+            (["index", "--b", "-0.5"], "b"),
+            (["reformulate", "--k-context", "0"], "k_context"),
+            (["reformulate", "--repetition", "0"], "repetition"),
+            (["train-selector", "--k-context", "0"], "k_context"),
+            (["train-selector", "--k1", "inf"], "k1"),
+            (["run", "--mode", "rocchio", "--beta", "-1"], "beta"),
+            (["run", "--mode", "rocchio", "--alpha", "-0.5"], "alpha"),
+            (["run", "--mode", "rocchio", "--beta", "inf"], "beta"),
+        ],
+    )
+    def test_subcommand_out_of_range_value_is_2_before_reading_the_corpus(
+        self, files, capsys, monkeypatch, argv, flag
+    ):
+        def no_read(path):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(pipeline, "read_corpus_tsv", no_read)
+        monkeypatch.setattr(cli, "read_corpus_tsv", no_read)
+        out = files["dir"] / "out"
+        extra = {
+            "retrieve": ["--queries", str(files["queries"]), "--out", str(out)],
+            "baseline": ["--queries", str(files["queries"]), "--out", str(out)],
+            "index": ["--out", str(out)],
+            "reformulate": ["--queries", str(files["queries"]), "--out", str(out)],
+            "train-selector": ["--pairs", str(files["pairs"]), "--labels", str(out)],
+            "run": ["--queries", str(files["queries"]), "--out-dir", str(out)],
+        }[argv[0]]
+        if argv[0] == "train-selector":
+            extra += ["--out", str(out)]
+        code = main([*argv, "--corpus", str(files["corpus"]), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and flag in err
+        assert not out.exists()
 
     def test_malformed_model_is_3(self, files, capsys):
         model_path = files["dir"] / "model.npz"

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import oracle_average_precision, oracle_ndcg, oracle_recall
+from oracles import oracle_average_precision, oracle_ndcg, oracle_recall, oracle_run_text
 from patternqr.errors import DataError
 from patternqr.evaluation import (
     QueryMetrics,
+    Ranking,
     average_precision_at_k,
     evaluate_run,
     ndcg_at_k,
@@ -77,6 +80,69 @@ class TestRunIO:
         path.write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 2.0 t\n", encoding="utf-8")
         with pytest.raises(DataError, match="increase"):
             parse_run(path)
+
+
+    def test_mixed_tags_in_one_query_rejected(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 2.0 a\nq2 Q0 d1 1 2.0 b\nq1 Q0 d2 2 1.0 b\n", encoding="utf-8")
+        with pytest.raises(DataError, match="q1: lines carry different tags"):
+            parse_run(path)
+
+
+# A run-file field: no whitespace or line break, ASCII or not, and it may
+# hold characters that format strings treat specially.
+FIELDS = st.text(alphabet="aZ09._-%{}()#Qé中ßΩ\u0301😀", min_size=1, max_size=6)
+# Ties, values that round at the 6th decimal (half-way cases included), and
+# arbitrary floats of either sign.
+SCORES = st.one_of(
+    st.sampled_from([1.0, 0.5, 2.0000005, 0.0000005, 0.1234565, 1e-7, 0.0, -0.0000004]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def rankings(draw):
+    doc_ids = draw(st.lists(FIELDS, min_size=1, max_size=12, unique=True))
+    scores = sorted(draw(st.lists(SCORES, min_size=len(doc_ids), max_size=len(doc_ids))))
+    return Ranking(tuple(doc_ids), tuple(reversed(scores)), draw(FIELDS))
+
+
+class TestRunFileProperties:
+    @given(run=st.dictionaries(FIELDS, rankings(), max_size=4), shuffle=st.randoms())
+    def test_write_matches_oracle_and_parses_back(self, tmp_path_factory, run, shuffle):
+        path = tmp_path_factory.mktemp("run") / "run.txt"
+        write_run(run, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == oracle_run_text(run)
+        rounded = {
+            query_id: ranking._replace(scores=tuple(float(f"{s:.6f}") for s in ranking.scores))
+            for query_id, ranking in run.items()
+        }
+        assert parse_run(path) == rounded
+        lines = text.splitlines()
+        shuffle.shuffle(lines)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert parse_run(path) == rounded
+
+    @given(
+        qrels=st.dictionaries(
+            FIELDS, st.dictionaries(FIELDS, st.integers(0, 4), min_size=1, max_size=5), max_size=4
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        separators=st.lists(st.sampled_from([" ", "\t", "  ", " \t"]), min_size=3, max_size=3),
+    )
+    def test_qrels_parse_back_from_any_line_order(self, tmp_path_factory, qrels, seed, separators):
+        lines = [
+            separators[0].join([query_id, "0"])
+            + separators[1]
+            + separators[2].join([doc_id, str(grade)])
+            for query_id, judgments in qrels.items()
+            for doc_id, grade in judgments.items()
+        ]
+        random.Random(seed).shuffle(lines)
+        path = tmp_path_factory.mktemp("qrels") / "qrels.txt"
+        path.write_text("\n\n".join(lines) + "\n", encoding="utf-8")
+        assert parse_qrels(path) == qrels
 
 
 class TestNdcg:

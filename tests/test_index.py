@@ -8,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import oracle_bm25_all, oracle_rank, oracle_tokenize
+from patternqr import index as index_module
 from patternqr.errors import DataError
 from patternqr.index import (
+    ContextEntry,
     Document,
+    RetrievalContext,
     bm25_score,
     build_index,
     load_index,
@@ -205,6 +208,31 @@ class TestRetrieveTopk:
         assert first.snippet == "w0"
         assert first.snippet == "w0"
         assert built == [index.ordinal("d0")]
+
+    def test_entries_are_built_on_first_read_from_the_columns(self, monkeypatch):
+        made = []
+        original = index_module._RetrievedEntry
+
+        def counting(*args):
+            made.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(index_module, "_RetrievedEntry", counting)
+        index = build_index([Document(f"d{i}", f"w{i} common " * i) for i in range(1, 6)])
+        ctx = retrieve_topk(index, "common", 3)
+        assert made == []
+        assert ctx.doc_ids == ["d5", "d4", "d3"]
+        assert [(e.doc_id, e.score) for e in ctx.entries] == list(zip(ctx.doc_ids, ctx.scores))
+        assert ctx.entries is ctx.entries
+        assert made == ctx.doc_ids
+
+    def test_context_from_entries_has_the_same_columns(self):
+        entries = (ContextEntry("a", 2.0, "x y"), ContextEntry("b", 1.0, "z"))
+        ctx = RetrievalContext("q", entries, 3)
+        assert (ctx.query_id, ctx.k, ctx.entries) == ("q", 3, entries)
+        assert (ctx.doc_ids, ctx.scores) == (["a", "b"], [2.0, 1.0])
+        with pytest.raises(DataError, match="k=1"):
+            RetrievalContext("q", entries, 1)
 
 
 def _random_corpus(rng: random.Random):

@@ -89,7 +89,7 @@ class TestBaselineModes:
     def test_bm25_ranks_fixture_correctly(self, workspace):
         result = run_pipeline(_config(workspace, "bm25"))
         run = parse_run(result.run_path)
-        assert [e.doc_id for e in run["q1"]] == ["d2", "d1"]
+        assert run["q1"].doc_ids == ("d2", "d1")
         assert result.report is not None
         assert result.report.num_judged == 2
 
@@ -98,7 +98,7 @@ class TestBaselineModes:
         run = parse_run(result.run_path)
         assert "q2" in run
         # co-occurring "cat" vocabulary pulls in the cat-only document
-        assert "d5" in [e.doc_id for e in run["q2"]]
+        assert "d5" in run["q2"].doc_ids
 
     def test_rocchio_mode_runs(self, workspace):
         result = run_pipeline(_config(workspace, "rocchio"))
@@ -119,9 +119,8 @@ class TestBaselineModes:
         result = run_pipeline(config)
         run = parse_run(result.run_path)
         digest = config_hash(config)
-        for entries in run.values():
-            for entry in entries:
-                assert entry.tag == f"bm25-{digest}"
+        for ranking in run.values():
+            assert ranking.tag == f"bm25-{digest}"
 
 
 class TestReformerMode:
@@ -145,9 +144,7 @@ class TestReformerMode:
         bm25_run = parse_run(bm25.run_path)
         assert set(reformer_run) == set(bm25_run)
         for query_id in bm25_run:
-            assert [e.doc_id for e in reformer_run[query_id]] == [
-                e.doc_id for e in bm25_run[query_id]
-            ]
+            assert reformer_run[query_id].doc_ids == bm25_run[query_id].doc_ids
 
     def test_log_records_pattern_and_hybrid(self, workspace):
         mock = _mock_script_for(workspace, lambda q: f"{q} extended")
