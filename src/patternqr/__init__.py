@@ -36,7 +36,6 @@ from .gateway import (
     HttpBackend,
     MockBackend,
     MockScript,
-    complete_chat,
     fingerprint,
 )
 from .generator import (
@@ -119,7 +118,6 @@ __all__ = [
     "bm25_score",
     "build_generation_prompt",
     "build_index",
-    "complete_chat",
     "compose_hybrid",
     "default_library",
     "evaluate_run",

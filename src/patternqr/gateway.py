@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import requests
-
 from .errors import ConfigError, MockMissError, ProtocolError, TransportError
 
 DEFAULT_MAX_TOKENS = 512
@@ -97,16 +95,6 @@ def request_to_wire(request: ChatRequest) -> dict:
     return body
 
 
-def request_from_wire(body: dict) -> ChatRequest:
-    return ChatRequest(
-        model=body["model"],
-        messages=tuple(ChatMessage(m["role"], m["content"]) for m in body["messages"]),
-        max_tokens=body.get("max_tokens", DEFAULT_MAX_TOKENS),
-        temperature=body.get("temperature", DEFAULT_TEMPERATURE),
-        seed=body.get("seed"),
-    )
-
-
 @dataclass(frozen=True)
 class MockScript:
     """Canned responses keyed by request fingerprint, with an optional fallback.
@@ -173,37 +161,59 @@ def _retry_after(value: str | None) -> float | None:
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completions endpoint over HTTPS."""
+    """OpenAI-compatible chat-completions endpoint over HTTP(S), one connection per call.
+
+    Proxies come from HTTP(S)_PROXY, read when the backend is built, and
+    NO_PROXY; HTTPS verifies against the system trust store (SSL_CERT_FILE and
+    SSL_CERT_DIR honoured).
+    """
 
     def __init__(self, base_url: str, api_key: str | None = None, timeout: float = 60.0):
         if not base_url:
             raise ConfigError("http backend requires a base URL")
+        # Imported here, not at module level: modes without an endpoint load no HTTP client.
+        import http.client
+        import urllib.request
+
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
+        self._urllib = urllib.request
+        self._opener = urllib.request.build_opener()  # reads the proxy variables
+        self._http_errors = (OSError, http.client.HTTPException)
+
+    def _post(self, url: str, data: bytes, headers: dict) -> tuple[int, object, bytes]:
+        """Status, headers and body of one POST; an error status is returned, not raised."""
+        request = self._urllib.Request(url, data=data, headers=headers, method="POST")
+        try:
+            with self._opener.open(request, timeout=self.timeout) as resp:
+                return resp.status, resp.headers, resp.read()
+        except self._urllib.HTTPError as exc:
+            with exc:
+                return exc.code, exc.headers, exc.read()
 
     def send(self, request: ChatRequest) -> ChatResponse:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         url = f"{self.base_url}/v1/chat/completions"
+        data = json.dumps(request_to_wire(request)).encode("utf-8")
         try:
-            resp = requests.post(
-                url, json=request_to_wire(request), headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            status, reply_headers, body = self._post(url, data, headers)
+        except self._http_errors as exc:
             raise TransportError(f"request to {url} failed: {exc}") from exc
-        if resp.status_code >= 500 or resp.status_code in _TRANSIENT_STATUSES:
+        if status >= 500 or status in _TRANSIENT_STATUSES:
             raise TransportError(
-                f"{url} returned {resp.status_code}",
-                retry_after=_retry_after(resp.headers.get("Retry-After")),
+                f"{url} returned {status}",
+                retry_after=_retry_after(reply_headers.get("Retry-After")),
             )
-        if resp.status_code != 200:
-            raise ProtocolError(f"{url} returned {resp.status_code}: {resp.text[:500]}")
+        if status != 200:
+            text = body[:500].decode("utf-8", errors="replace")
+            raise ProtocolError(f"{url} returned {status}: {text}")
         try:
-            body = resp.json()
-            choice = body["choices"][0]
-            usage = body.get("usage", {})
+            payload = json.loads(body)
+            choice = payload["choices"][0]
+            usage = payload.get("usage", {})
             return ChatResponse(
                 content=choice["message"]["content"],
                 finish_reason=choice.get("finish_reason", "stop"),
@@ -212,38 +222,8 @@ class HttpBackend:
                     completion_tokens=int(usage.get("completion_tokens", 0)),
                 ),
             )
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProtocolError(f"malformed chat completion from {url}: {exc}") from exc
-
-
-def complete_chat(
-    backend,
-    request: ChatRequest,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    backoff_base: float = 0.5,
-    jitter_rng: random.Random | None = None,
-    sleep=time.sleep,
-) -> ChatResponse:
-    """Send one request; transient failures retry with jittered exponential backoff,
-    waiting at least as long as a Retry-After header asked.
-
-    A successful response returns immediately (at-most-once delivery to the
-    caller); permanent failures (protocol errors, mock misses) never retry.
-    """
-    rng = jitter_rng if jitter_rng is not None else random.Random()
-    attempts: list[str] = []
-    for attempt in range(max_retries):
-        try:
-            return backend.send(request)
-        except TransportError as exc:
-            attempts.append(f"attempt {attempt + 1}: {exc}")
-            if attempt + 1 >= max_retries:
-                raise TransportError(
-                    f"gave up after {max_retries} attempts: {attempts}", attempts=attempts
-                ) from exc
-            backoff = backoff_base * (2**attempt) * (1.0 + rng.random())
-            sleep(max(backoff, exc.retry_after or 0.0))
-    raise TransportError("retry loop exited unexpectedly", attempts=attempts)
 
 
 class Gateway:
@@ -273,15 +253,27 @@ class Gateway:
         self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
+        """Send one request; transient failures retry with jittered exponential backoff,
+        waiting at least as long as a Retry-After header asked.
+
+        A successful response returns immediately (at-most-once delivery to the
+        caller); permanent failures (protocol errors, mock misses) never retry.
+        """
+        attempts: list[str] = []
         with self._slots:
-            return complete_chat(
-                self.backend,
-                request,
-                max_retries=self.max_retries,
-                backoff_base=self.backoff_base,
-                jitter_rng=self._jitter_rng,
-                sleep=self._sleep,
-            )
+            for attempt in range(self.max_retries):
+                try:
+                    return self.backend.send(request)
+                except TransportError as exc:
+                    attempts.append(f"attempt {attempt + 1}: {exc}")
+                    if attempt + 1 >= self.max_retries:
+                        raise TransportError(
+                            f"gave up after {self.max_retries} attempts: {attempts}",
+                            attempts=attempts,
+                        ) from exc
+                    backoff = self.backoff_base * (2**attempt) * (1.0 + self._jitter_rng.random())
+                    self._sleep(max(backoff, exc.retry_after or 0.0))
+        raise TransportError("retry loop exited unexpectedly", attempts=attempts)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 import typing
-from collections import deque
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -186,20 +186,41 @@ def reformulate_queries(
 ) -> list[ReformulationRecord]:
     """Per query: retrieve context, select a pattern, generate the rewrite, compose the hybrid.
 
-    Up to `config.gateway.max_in_flight` queries run at once, on threads; the
-    records keep the input order, and the first failing query's error is raised.
+    Up to `config.gateway.max_in_flight` queries run at once, on threads, and
+    the next one starts as soon as any of them finishes. The records keep the
+    input order. After a failure no later query starts; the running ones
+    finish and the error of the first failing query in input order is raised.
     """
     library = load_library(config.library) if config.library else default_library()
     gateway = config.gateway.build(jitter_seed=config.seed)
     selector = _build_selector(config, library, gateway)
     hook = load_hook_passages(config.hook_file) if config.mode == "reformer+hook" else {}
 
-    def reformulate(query_id: str, text: str) -> ReformulationRecord:
+    # Queries are independent and their seeds come from their ids, so running
+    # them concurrently and storing each record at its index gives the serial records.
+    window = config.gateway.max_in_flight
+    records: list = [None] * len(queries)
+    failures: dict[int, PatternQRError] = {}
+    chosen = [False] * len(queries)  # chose its pattern, or ended without one
+    oldest = 0  # the first query not yet chosen
+    turn = threading.Condition()
+
+    def done_choosing(i: int) -> None:
+        nonlocal oldest
+        with turn:
+            chosen[i] = True
+            while oldest < len(queries) and chosen[oldest]:
+                oldest += 1
+            turn.notify_all()
+
+    def reformulate(i: int) -> ReformulationRecord:
+        query_id, text = queries[i]
         context = retrieve_topk(
             index, text, config.k_context, query_id=query_id, snippet_tokens=config.snippet_tokens
         )
         seed = _query_seed(config.seed, query_id) if config.select_mode == "sample" else None
         pattern_id = selector.choose(text, context, mode=config.select_mode, seed=seed)
+        done_choosing(i)
         pattern = library.patterns[pattern_id]
         extra = [hook[query_id]] if query_id in hook else None
         reformulation = generate_reformulation(
@@ -215,32 +236,30 @@ def reformulate_queries(
             fallback=reformulation.fallback,
         )
 
-    # Queries are independent and their seeds come from their ids, so running
-    # them concurrently and collecting in input order gives the serial records.
-    # At most `window` queries are submitted from the one collected next on, so
-    # when a query fails, fewer than `window` later ones have started.
-    window = config.gateway.max_in_flight
-    pool = ThreadPoolExecutor(max_workers=window)
-    pending: deque = deque()
-    records: list[ReformulationRecord] = []
-
-    def collect() -> None:
-        query_id, future = pending.popleft()
+    def attempt(i: int) -> None:
+        # The pool's workers take queries in input order, each as soon as it is
+        # free. A query starts only within `window` places of the oldest one
+        # still choosing its pattern, so one that lags is overtaken by at most
+        # `window` later queries.
+        with turn:
+            turn.wait_for(lambda: i < oldest + window)
+            over = bool(failures) and i > min(failures)
         try:
-            records.append(future.result())
+            if not over:  # else an earlier query failed and the run is over
+                records[i] = reformulate(i)
         except PatternQRError as exc:
-            _rewrap(f"query {query_id}", exc)
+            with turn:
+                failures[i] = exc
+        finally:
+            done_choosing(i)
 
-    try:
-        for query_id, text in queries:
-            if len(pending) == window:
-                collect()
-            pending.append((query_id, pool.submit(reformulate, query_id, text)))
-        while pending:
-            collect()
-        return records
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(max_workers=window) as pool:
+        # Re-raises, in input order, an error that is not a PatternQRError.
+        list(pool.map(attempt, range(len(queries))))
+    if failures:
+        first = min(failures)
+        _rewrap(f"query {queries[first][0]}", failures[first])
+    return records
 
 
 def rank_queries(

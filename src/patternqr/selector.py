@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,9 @@ from .index import RetrievalContext, atomic_write, tokenize
 from .induction import PatternLibrary
 
 DEFAULT_DIMENSION = 2**18
-MODEL_FORMAT = "patternqr-selector-v1"
+MODEL_FORMAT = "patternqr-selector-v2"
+# v1 files store the dense weight matrix; they are read as v2 with every column listed.
+MODEL_FORMAT_V1 = "patternqr-selector-v1"
 
 SELECT_SYSTEM = (
     "You choose how a search query should be rewritten. Given a query, "
@@ -80,27 +83,29 @@ class PatternDistribution:
             raise DataError(f"probabilities sum to {self.probs.sum()}, not 1")
 
 
-def _stable_hash(key: str, seed: int, dimension: int) -> int:
-    digest = hashlib.blake2b(
-        key.encode("utf-8"), digest_size=8, salt=seed.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest, "little") % dimension
-
-
 def featurize(query: str, context: RetrievalContext, config: FeatureConfig) -> FeatureVector:
     """Hashed word n-grams: query terms under "q:", snippet terms under "d:"."""
-    counts: dict[int, float] = {}
+    keys: list[str] = []
 
     def add(namespace: str, tokens: list[str]):
         for order in config.ngram_orders:
-            for i in range(len(tokens) - order + 1):
-                gram = " ".join(tokens[i : i + order])
-                idx = _stable_hash(f"{namespace}:{gram}", config.hash_seed, config.dimension)
-                counts[idx] = counts.get(idx, 0.0) + 1.0
+            keys.extend(
+                f"{namespace}:{' '.join(tokens[i : i + order])}"
+                for i in range(len(tokens) - order + 1)
+            )
 
     add("q", tokenize(query))
     for entry in context.entries:
         add("d", tokenize(entry.snippet)[: config.snippet_token_cap])
+
+    # Each distinct key is hashed once; keys that share a bucket add their counts.
+    salted = hashlib.blake2b(digest_size=8, salt=config.hash_seed.to_bytes(8, "little"))
+    counts: dict[int, float] = {}
+    for key, n in Counter(keys).items():
+        h = salted.copy()
+        h.update(key.encode("utf-8"))
+        idx = int.from_bytes(h.digest(), "little") % config.dimension
+        counts[idx] = counts.get(idx, 0.0) + n
 
     if not counts:
         return FeatureVector(
@@ -300,18 +305,27 @@ def train_selector(
 
 
 def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") -> None:
+    """Store the columns that hold any nonzero bit (-0.0 and NaN included) and
+    their weights; the other columns are +0.0 and `load_model` restores them."""
     meta = {
         "format": MODEL_FORMAT,
         "config_hash": config_hash,
         "feature_config": model.feature_config.to_dict(),
         "library_version": model.library_version,
     }
-    arrays = {"weights": model.weights, "bias": model.bias, "meta": np.array(json.dumps(meta))}
+    weights = np.asarray(model.weights, dtype=np.float64)
+    columns = np.flatnonzero(weights.view(np.int64).any(axis=0))
+    arrays = {
+        "columns": columns,
+        "weights": weights[:, columns],
+        "bias": model.bias,
+        "meta": np.array(json.dumps(meta)),
+    }
 
     def write(tmp: Path) -> None:
         # Through a handle: given a path, numpy appends ".npz" to any other suffix.
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez(handle, **arrays)
 
     atomic_write(Path(path), write)
 
@@ -320,21 +334,36 @@ def load_model(path: str | Path) -> SelectorModel:
     try:
         with np.load(path, allow_pickle=False) as bundle:
             meta = json.loads(str(bundle["meta"]))
-            weights = bundle["weights"]
+            if not isinstance(meta, dict) or meta.get("format") not in (
+                MODEL_FORMAT,
+                MODEL_FORMAT_V1,
+            ):
+                raise DataError(f"{path} is not a patternqr selector model")
+            columns = bundle["columns"] if meta["format"] == MODEL_FORMAT else None
+            stored = bundle["weights"]
             bias = bundle["bias"]
     except (OSError, KeyError, ValueError) as exc:
         raise DataError(f"cannot load selector model from {path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
-        raise DataError(f"{path} is not a patternqr selector model")
     try:
         feature_config = FeatureConfig.from_dict(meta["feature_config"])
         library_version = meta["library_version"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed selector model meta: {exc!r}") from exc
-    if weights.ndim != 2 or weights.shape[1] != feature_config.dimension:
-        raise DataError(f"{path}: weights {weights.shape} lack {feature_config.dimension} columns")
-    if bias.shape != weights.shape[:1]:
-        raise DataError(f"{path}: bias {bias.shape} does not fit weights {weights.shape}")
+    dimension = feature_config.dimension
+    if columns is None:
+        columns = np.arange(dimension)
+    if columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer):
+        raise DataError(f"{path}: columns must be a 1-D integer array, got {columns.dtype}")
+    if columns.size and (
+        columns[0] < 0 or columns[-1] >= dimension or np.any(columns[1:] <= columns[:-1])
+    ):
+        raise DataError(f"{path}: columns must ascend strictly within [0, {dimension})")
+    if stored.ndim != 2 or stored.shape[1] != columns.size:
+        raise DataError(f"{path}: weights {stored.shape} lack {columns.size} columns")
+    if bias.shape != stored.shape[:1]:
+        raise DataError(f"{path}: bias {bias.shape} does not fit weights {stored.shape}")
+    weights = np.zeros((stored.shape[0], dimension), dtype=np.float64)
+    weights[:, columns] = stored
     return SelectorModel(weights, bias, feature_config, library_version)
 
 

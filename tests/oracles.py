@@ -7,6 +7,7 @@ patternqr so the two paths cannot share a bug.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,31 @@ def oracle_tokenize(text: str) -> list[str]:
     if current:
         tokens.append("".join(current))
     return tokens
+
+
+def oracle_featurize(
+    query: str,
+    snippets: list[str],
+    dimension: int,
+    ngram_orders: tuple[int, ...],
+    snippet_token_cap: int,
+    hash_seed: int,
+) -> dict[int, float]:
+    """Hashed n-gram counts: every occurrence of "q:<gram>" or "d:<gram>" hashes
+    on its own (blake2b-64, salted with the seed) and adds 1.0 to its bucket."""
+    counts: dict[int, float] = {}
+    texts = [("q", oracle_tokenize(query))]
+    texts += [("d", oracle_tokenize(s)[:snippet_token_cap]) for s in snippets]
+    for namespace, tokens in texts:
+        for order in ngram_orders:
+            for i in range(len(tokens) - order + 1):
+                key = namespace + ":" + " ".join(tokens[i : i + order])
+                digest = hashlib.blake2b(
+                    key.encode("utf-8"), digest_size=8, salt=hash_seed.to_bytes(8, "little")
+                ).digest()
+                bucket = int.from_bytes(digest, "little") % dimension
+                counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    return counts
 
 
 def oracle_bm25_all(

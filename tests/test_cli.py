@@ -98,6 +98,31 @@ class TestIndexRetrieveEvaluate:
         assert written == 3
         assert f"wrote {written} run lines" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["retrieve", "--corpus", "{corpus}", "--queries", "{queries}", "--out"],
+            ["baseline", "--method", "rm3", "--corpus", "{corpus}", "--queries", "{queries}",
+             "--out"],
+            ["reformulate", "--corpus", "{corpus}", "--queries", "{queries}", "--selector",
+             "prompt", "--mock-script", "{mock}", "--out"],
+            ["evaluate", "--run", "{run}", "--qrels", "{qrels}", "--csv"],
+        ],
+        ids=["retrieve", "baseline", "reformulate", "evaluate"],
+    )
+    def test_failed_output_write_leaves_previous_file(self, files, argv, half_write_text):
+        # Written with write_bytes: the fixture makes every Path.write_text fail.
+        files["mock"] = files["dir"] / "mock.json"
+        files["mock"].write_bytes(json.dumps({"fallback": "Clarify Intent"}).encode())
+        files["run"] = files["dir"] / "in.run"
+        files["run"].write_bytes(b"q1 Q0 d2 1 2.0 t\n")
+        out = files["dir"] / "out.txt"
+        out.write_bytes(b"previous output")
+        with pytest.raises(OSError, match="disk full"):
+            main([arg.format(**files) for arg in argv] + [str(out)])
+        assert out.read_bytes() == b"previous output"
+        assert not out.with_name("out.txt.tmp").exists()
+
     def test_mixed_tags_in_one_query_are_a_data_error(self, files, capsys):
         run_path = files["dir"] / "run.txt"
         run_path.write_text("q1 Q0 d2 1 2.0 a\nq1 Q0 d1 2 1.0 b\n", encoding="utf-8")

@@ -1,12 +1,18 @@
+import http.server
 import json
+import os
 import random
+import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-import requests
 
+import patternqr
 from patternqr.errors import ConfigError, DataError, MockMissError, ProtocolError, TransportError
 from patternqr.gateway import (
     ChatMessage,
@@ -18,9 +24,7 @@ from patternqr.gateway import (
     MockBackend,
     MockScript,
     Usage,
-    complete_chat,
     fingerprint,
-    request_from_wire,
     request_to_wire,
     reask,
 )
@@ -47,7 +51,7 @@ class TestChatRequest:
         with pytest.raises(ValueError):
             ChatMessage("robot", "hi")
 
-    def test_wire_round_trip(self):
+    def test_wire_body_carries_every_field(self):
         request = ChatRequest(
             model="m",
             messages=(ChatMessage("system", "s"), ChatMessage("user", "u")),
@@ -55,13 +59,16 @@ class TestChatRequest:
             temperature=0.2,
             seed=7,
         )
-        assert request_from_wire(request_to_wire(request)) == request
+        assert request_to_wire(request) == {
+            "model": "m",
+            "messages": [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}],
+            "max_tokens": 64,
+            "temperature": 0.2,
+            "seed": 7,
+        }
 
-    def test_wire_round_trip_without_seed(self):
-        request = _request()
-        wire = request_to_wire(request)
-        assert "seed" not in wire
-        assert request_from_wire(wire) == request
+    def test_wire_body_without_seed(self):
+        assert "seed" not in request_to_wire(_request())
 
 
 class RecordingBackend:
@@ -185,19 +192,22 @@ class FlakyBackend:
 class TestRetry:
     def test_recovers_from_transient_failures(self):
         backend = FlakyBackend(2, MockBackend(MockScript(fallback="ok")).send(_request()))
-        response = complete_chat(backend, _request(), max_retries=3, sleep=lambda s: None)
-        assert response.content == "ok"
+        gateway = Gateway(backend, "m", max_retries=3, jitter_seed=0, sleep=lambda s: None)
+        assert gateway.complete(_request()).content == "ok"
         assert backend.calls == 3
 
     def test_success_returns_immediately(self):
         backend = FlakyBackend(0, MockBackend(MockScript(fallback="ok")).send(_request()))
-        complete_chat(backend, _request(), max_retries=3, sleep=lambda s: None)
+        Gateway(backend, "m", max_retries=3, jitter_seed=0, sleep=lambda s: None).complete(
+            _request()
+        )
         assert backend.calls == 1
 
     def test_exhausted_retries_carry_attempt_log(self):
         backend = FlakyBackend(99, None)
+        gateway = Gateway(backend, "m", max_retries=3, jitter_seed=0, sleep=lambda s: None)
         with pytest.raises(TransportError) as err:
-            complete_chat(backend, _request(), max_retries=3, sleep=lambda s: None)
+            gateway.complete(_request())
         assert len(err.value.attempts) == 3
         assert "attempt 1" in err.value.attempts[0]
 
@@ -241,43 +251,79 @@ class TestInFlightCap:
         assert backend.peak <= 2
 
 
+def _completion(content="rewritten"):
+    return json.dumps(
+        {
+            "choices": [{"message": {"content": content}, "finish_reason": "stop"}],
+            "usage": {"prompt_tokens": 5, "completion_tokens": 2},
+        }
+    ).encode("utf-8")
+
+
+class _Endpoint(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's next queued reply and records the request."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.command, self.path, dict(self.headers), body))
+        status, headers, payload = self.server.replies.pop(0)
+        self.send_response(status)
+        for name, value in {"Content-Length": str(len(payload)), **headers}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format, *args):
+        pass
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """An HTTP server on 127.0.0.1 with a `replies` queue of (status, headers, body),
+    a `seen` list of (method, path, headers, body) and its `url`; no proxy is set."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Endpoint)
+    server.replies, server.seen = [], []
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
 class TestHttpBackend:
-    def test_posts_openai_shape_and_parses_response(self, monkeypatch):
-        captured = {}
+    def test_posts_openai_shape_and_parses_response(self, endpoint):
+        endpoint.replies.append((200, {"Content-Type": "application/json"}, _completion()))
+        request = _request("rewrite me")
+        response = HttpBackend(endpoint.url + "/", api_key="key").send(request)
+        assert response == ChatResponse("rewritten", "stop", Usage(5, 2))
+        [(method, path, headers, body)] = endpoint.seen
+        assert (method, path) == ("POST", "/v1/chat/completions")
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer key"
+        assert headers["Connection"] == "close"  # one connection per call
+        assert json.loads(body) == request_to_wire(request)
 
-        class FakeResponse:
-            status_code = 200
+    def test_no_key_sends_no_authorization(self, endpoint):
+        endpoint.replies.append((200, {}, _completion()))
+        HttpBackend(endpoint.url).send(_request())
+        assert "Authorization" not in endpoint.seen[0][2]
 
-            def json(self):
-                return {
-                    "choices": [{"message": {"content": "rewritten"}, "finish_reason": "stop"}],
-                    "usage": {"prompt_tokens": 5, "completion_tokens": 2},
-                }
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            captured["url"] = url
-            captured["json"] = json
-            captured["headers"] = headers
-            return FakeResponse()
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        backend = HttpBackend("http://localhost:8000", api_key="key")
-        response = backend.send(_request("rewrite me"))
-        assert response.content == "rewritten"
-        assert captured["url"] == "http://localhost:8000/v1/chat/completions"
-        assert captured["json"]["max_tokens"] == 512
-        assert captured["json"]["temperature"] == 1.0
-        assert captured["headers"]["Authorization"] == "Bearer key"
-
-    def test_server_error_is_transient(self, monkeypatch):
-        class FakeResponse:
-            status_code = 503
-            text = "unavailable"
-            headers = {}
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
-        with pytest.raises(TransportError):
-            HttpBackend("http://localhost:8000").send(_request())
+    def test_server_error_is_transient(self, endpoint):
+        endpoint.replies.append((503, {}, b"unavailable"))
+        with pytest.raises(TransportError, match="returned 503") as err:
+            HttpBackend(endpoint.url).send(_request())
+        assert err.value.retry_after is None
 
     @pytest.mark.parametrize(
         "status, retry_after, waited",
@@ -287,47 +333,92 @@ class TestHttpBackend:
             (429, "Wed, 21 Oct 2026 07:28:00 GMT", None),  # a date is not a number of seconds
         ],
     )
-    def test_rate_limit_and_timeout_retry(self, monkeypatch, status, retry_after, waited):
-        class FakeResponse:
-            def __init__(self, status_code, headers):
-                self.status_code = status_code
-                self.headers = headers
-                self.text = ""
-
-            def json(self):
-                return {"choices": [{"message": {"content": "ok"}}]}
-
-        replies = [FakeResponse(status, {"Retry-After": retry_after}), FakeResponse(200, {})]
-        posts = []
-
-        def fake_post(url, **kwargs):
-            posts.append(url)
-            return replies[len(posts) - 1]
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_rate_limit_and_timeout_retry(self, endpoint, status, retry_after, waited):
+        endpoint.replies.append((status, {"Retry-After": retry_after}, b""))
+        endpoint.replies.append((200, {}, _completion("ok")))
         sleeps = []
-        response = complete_chat(
-            HttpBackend("http://localhost:8000"),
-            _request(),
-            backoff_base=0.5,
-            jitter_rng=random.Random(0),
-            sleep=sleeps.append,
+        gateway = Gateway(
+            HttpBackend(endpoint.url), "m", backoff_base=0.5, jitter_seed=0, sleep=sleeps.append
         )
-        assert response.content == "ok"
-        assert len(posts) == 2
+        assert gateway.complete(_request()).content == "ok"
+        assert len(endpoint.seen) == 2
         backoff = 0.5 * (1.0 + random.Random(0).random())
         assert sleeps == [waited if waited is not None else backoff]
 
-    def test_malformed_body_is_protocol_error(self, monkeypatch):
-        class FakeResponse:
-            status_code = 200
+    @pytest.mark.parametrize("status", [400, 401, 404, 201])
+    def test_other_status_is_protocol_error(self, endpoint, status):
+        endpoint.replies.append((status, {}, b"bad request body"))
+        gateway = Gateway(HttpBackend(endpoint.url), "m", sleep=lambda s: None)
+        with pytest.raises(ProtocolError, match=f"returned {status}: bad request body"):
+            gateway.complete(_request())
+        assert len(endpoint.seen) == 1  # permanent: not retried
 
-            def json(self):
-                return {"unexpected": True}
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"not json",
+            b'{"unexpected": true}',
+            b'{"choices": []}',
+            b'{"choices": [{}]}',
+            b"[1]",
+            b'{"choices": [{"message": {"content": "x"}}], "usage": 5}',
+        ],
+        ids=[
+            "not-json",
+            "no-choices",
+            "empty-choices",
+            "choice-without-message",
+            "not-an-object",
+            "usage-not-an-object",
+        ],
+    )
+    def test_malformed_body_is_protocol_error(self, endpoint, body):
+        endpoint.replies.append((200, {}, body))
+        with pytest.raises(ProtocolError, match="malformed chat completion"):
+            HttpBackend(endpoint.url).send(_request())
 
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
-        with pytest.raises(ProtocolError):
-            HttpBackend("http://localhost:8000").send(_request())
+    def test_truncated_body_is_transient(self, endpoint):
+        endpoint.replies.append((200, {"Content-Length": "1000"}, _completion()))
+        with pytest.raises(TransportError, match="failed"):
+            HttpBackend(endpoint.url).send(_request())
+
+    def test_refused_connection_is_transient(self, endpoint):
+        with pytest.raises(TransportError, match="failed"):
+            HttpBackend(f"http://127.0.0.1:{_closed_port()}").send(_request())
+
+    def test_http_proxy_from_the_environment(self, endpoint, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", endpoint.url)
+        endpoint.replies.append((200, {}, _completion()))
+        target = f"http://127.0.0.1:{_closed_port()}"
+        assert HttpBackend(target).send(_request()).content == "rewritten"
+        assert endpoint.seen[0][1] == f"{target}/v1/chat/completions"
+
+    def test_no_proxy_bypasses_the_proxy(self, endpoint, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_closed_port()}")
+        with pytest.raises(TransportError):
+            HttpBackend(endpoint.url).send(_request())
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        endpoint.replies.append((200, {}, _completion()))
+        assert HttpBackend(endpoint.url).send(_request()).content == "rewritten"
+        assert endpoint.seen[0][1] == "/v1/chat/completions"
+
+
+def test_import_loads_no_http_client():
+    # A fresh interpreter: this one has loaded the HTTP modules for the tests above.
+    src = str(Path(patternqr.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import patternqr, patternqr.cli\n"
+        "http = ('requests', 'urllib.request', 'http.client')\n"
+        "print(sorted(m for m in http if m in sys.modules))\n"
+        "patternqr.HttpBackend('http://127.0.0.1:1')\n"
+        "print(sorted(m for m in http if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "['http.client', 'urllib.request']"]
 
 
 class TestGatewayConfig:

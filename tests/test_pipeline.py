@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -172,13 +173,13 @@ class TestReformerMode:
         assert not (workspace / "out" / "reformer.run").exists()
 
     def test_mock_run_touches_no_network(self, workspace, monkeypatch):
-        import requests
+        import socket
 
         def explode(*args, **kwargs):
             raise AssertionError("network call attempted")
 
-        monkeypatch.setattr(requests, "post", explode)
-        monkeypatch.setattr(requests, "get", explode)
+        monkeypatch.setattr(socket.socket, "connect", explode)
+        monkeypatch.setattr(socket.socket, "connect_ex", explode)
         mock = _mock_script_for(workspace, lambda q: f"{q} more")
         run_pipeline(_config(workspace, "reformer", mock))
 
@@ -401,6 +402,115 @@ class TestConcurrentReformulation:
         records = pipeline.reformulate_queries(config, index, MANY_QUERIES[:8])
         assert [r.query_id for r in records] == [qid for qid, _ in MANY_QUERIES[:8]]
         assert sends.calls == 8
+
+    def test_a_slow_query_does_not_hold_back_the_rest(self, workspace, monkeypatch):
+        # Query 0's generation waits until queries 1 to window+1 have been sent.
+        # A window that moves only past the oldest query never starts query
+        # window+1 while query 0 runs, and the wait times out.
+        window = 4
+        queries = MANY_QUERIES[: window + 2]
+        others = {f"\nQuery: {text}\n" for _, text in queries[1:]}
+        slow = f"\nQuery: {queries[0][1]}\n"
+        sent: set[str] = set()
+        lock = threading.Lock()
+        others_sent = threading.Event()
+        original = MockBackend.send
+
+        def send(backend, request):
+            prompt = request.messages[-1].content
+            if slow in prompt:
+                assert others_sent.wait(timeout=5), f"only {len(sent)} later queries were sent"
+            with lock:
+                sent.update(line for line in others if line in prompt)
+                if sent == others:
+                    others_sent.set()
+            return original(backend, request)
+
+        monkeypatch.setattr(MockBackend, "send", send)
+        mock = workspace / "mock.json"
+        MockScript(fallback="rewritten").save(mock)
+        config = _config(
+            workspace,
+            "reformer",
+            gateway=GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=window),
+        )
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        records = pipeline.reformulate_queries(config, index, queries)
+        assert [r.query_id for r in records] == [qid for qid, _ in queries]
+
+    def _scripted_except(self, workspace, index, queries, missing):
+        """A mock script answering every generation prompt but those of `missing`."""
+        pattern = default_library().patterns[0]  # zero model: argmax picks pattern 0
+        entries = {}
+        for query_id, text in queries:
+            if query_id not in missing:
+                context = retrieve_topk(index, text, 3, query_id=query_id)
+                request = build_generation_prompt(text, context, pattern, model="mock-model")
+                entries[fingerprint(request)] = f"{text} rewritten"
+        mock = workspace / "mock.json"
+        MockScript(entries=entries).save(mock)
+        return mock
+
+    def test_error_is_the_first_failure_in_input_order(self, workspace, monkeypatch):
+        # q01 fails late and q06 fails early; the run reports q01, as a serial run would.
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        queries = [(f"q{i:02d}", text) for i, (_, text) in enumerate(MANY_QUERIES)]
+        mock = self._scripted_except(workspace, index, queries, {"q01", "q06"})
+        late = f"\nQuery: {queries[1][1]}\n"
+        original = MockBackend.send
+
+        def send(backend, request):
+            if late in request.messages[-1].content:
+                time.sleep(0.2)
+            return original(backend, request)
+
+        monkeypatch.setattr(MockBackend, "send", send)
+        config = _config(
+            workspace,
+            "reformer",
+            gateway=GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=4),
+        )
+        with pytest.raises(GatewayError, match="^query q01: mock script has no entry"):
+            pipeline.reformulate_queries(config, index, queries)
+
+    def test_many_workers_under_fast_thread_switching(self, workspace):
+        # More workers than cores and a switch every microsecond: a lost update
+        # to the shared start and failure state would change a record, the error
+        # raised, or leave a worker waiting forever.
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        texts = [text for _, text in MANY_QUERIES]
+        queries = [(f"q{i:02d}", f"{texts[i % 12]} {'dog ' * (i // 12)}") for i in range(48)]
+        mock = self._scripted_except(workspace, index, queries, {"q29", "q41"})
+        outcomes = {}
+
+        def reformulate(max_in_flight, n):
+            config = _config(
+                workspace,
+                "reformer",
+                gateway=GatewayConfig(
+                    mock_script=str(mock), model="mock-model", max_in_flight=max_in_flight
+                ),
+            )
+            try:
+                records = pipeline.reformulate_queries(config, index, queries[:n])
+                outcomes[max_in_flight, n] = [r.to_json() for r in records]
+            except GatewayError as exc:
+                outcomes[max_in_flight, n] = str(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for args in [(1, 29), (8, 29), (1, 48), (8, 48)]:
+                thread = threading.Thread(target=reformulate, args=args)
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive(), f"reformulate_queries{args} did not finish"
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes[8, 29] == outcomes[1, 29]
+        assert len(outcomes[1, 29]) == 29
+        assert outcomes[8, 48] == outcomes[1, 48]
+        assert outcomes[1, 48].startswith("query q29: mock script has no entry")
 
     def test_first_failing_query_stops_the_run(self, workspace, monkeypatch):
         index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_train_dense
+from oracles import oracle_featurize, oracle_train_dense
 from patternqr.errors import ConfigError, DataError
 from patternqr.index import ContextEntry, RetrievalContext
 from patternqr.induction import PatternLibrary, ReformulationPattern, default_library
@@ -103,6 +103,30 @@ class TestFeaturize:
         fv_capped = featurize("", _context([long_snippet]), capped)
         fv_full = featurize("", _context([long_snippet]), SMALL)
         assert fv_capped.indices.size < fv_full.indices.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        query=st.lists(st.sampled_from(["a", "b", "cat", "Été", "x_y"]), max_size=8).map(" ".join),
+        snippets=st.lists(
+            st.lists(st.sampled_from(["a", "b", "dog", "naïve"]), max_size=10).map(" ".join),
+            max_size=3,
+        ),
+        dimension=st.sampled_from([1, 7, 2**10]),
+        ngram_orders=st.sampled_from([(1,), (1, 2), (1, 2, 3), (2,)]),
+        snippet_token_cap=st.integers(0, 6),
+        hash_seed=st.integers(0, 2**63),
+    )
+    def test_matches_the_per_occurrence_reference(
+        self, query, snippets, dimension, ngram_orders, snippet_token_cap, hash_seed
+    ):
+        # Few distinct words and small dimensions: keys repeat and buckets collide.
+        config = FeatureConfig(dimension, ngram_orders, snippet_token_cap, hash_seed)
+        fv = featurize(query, _context(snippets), config)
+        expected = oracle_featurize(
+            query, snippets, dimension, ngram_orders, snippet_token_cap, hash_seed
+        )
+        assert fv.indices.tolist() == sorted(expected)
+        assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
 
 
 def _random_vectors(rng, n, dimension):
@@ -352,9 +376,30 @@ def _meta_without(key):
     return {k: v for k, v in MODEL_META.items() if k != key}
 
 
-def _write_raw_model(path, weights, bias, meta):
+MODEL_META_V2 = {**MODEL_META, "format": "patternqr-selector-v2"}
+
+
+def _write_raw_model(path, weights, bias, meta, **extra):
     with open(path, "wb") as handle:
-        np.savez(handle, weights=weights, bias=bias, meta=np.array(json.dumps(meta)))
+        np.savez(handle, weights=weights, bias=bias, meta=np.array(json.dumps(meta)), **extra)
+
+
+def _model(kind):
+    if kind == "trained":
+        library = _library(3)
+        examples = separable_examples(library, per_class=10, seed=4)
+        return train_selector(examples, library, TrainConfig(epochs=2, feature_config=SMALL))[0]
+    model = SelectorModel.zeros(3, SMALL, "v1")
+    if kind == "dense":
+        rng = np.random.default_rng(5)
+        model.weights[:] = rng.normal(size=model.weights.shape)
+        model.bias[:] = rng.normal(size=3)
+    if kind == "signed-zero-and-nan":
+        model.weights[1, 5] = -0.0
+        model.weights[0, 9] = np.nan
+        model.weights[2, 700] = 1.5
+        model.bias[1] = -0.0
+    return model
 
 
 class TestModelPersistence:
@@ -371,6 +416,65 @@ class TestModelPersistence:
             a = predict_distribution(model, query, ctx).probs
             b = predict_distribution(loaded, query, ctx).probs
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["trained", "zeros", "dense", "signed-zero-and-nan"])
+    def test_round_trip_is_bit_exact(self, tmp_path, kind):
+        model = _model(kind)
+        save_model(model, tmp_path / "model.npz")
+        loaded = load_model(tmp_path / "model.npz")
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.bias.tobytes() == model.bias.tobytes()
+        assert loaded.feature_config == model.feature_config
+        assert loaded.library_version == model.library_version
+
+    def test_file_holds_only_columns_with_a_nonzero_bit(self, tmp_path):
+        model = _model("signed-zero-and-nan")
+        save_model(model, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as bundle:
+            assert bundle["columns"].tolist() == [5, 9, 700]
+            assert bundle["weights"].tobytes() == model.weights[:, [5, 9, 700]].tobytes()
+            assert json.loads(str(bundle["meta"]))["format"] == "patternqr-selector-v2"
+
+    def test_reads_dense_v1_files(self, tmp_path):
+        model = _model("dense")
+        model.weights[:, ::3] = 0.0
+        _write_raw_model(tmp_path / "model.npz", model.weights, model.bias, MODEL_META)
+        loaded = load_model(tmp_path / "model.npz")
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.bias.tobytes() == model.bias.tobytes()
+
+    @pytest.mark.parametrize(
+        "columns, width",
+        [
+            (np.array([[1, 2]]), 2),
+            (np.array([1.0, 2.0]), 2),
+            (np.array([2, 1]), 2),
+            (np.array([1, 1]), 2),
+            (np.array([-1, 2]), 2),
+            (np.array([2, 2**10]), 2),
+            (np.array([1, 2, 3]), 2),
+            (None, 2),
+        ],
+        ids=[
+            "not-1d",
+            "not-integer",
+            "descending",
+            "repeated",
+            "negative",
+            "at-dimension",
+            "width-not-columns",
+            "missing",
+        ],
+    )
+    def test_load_rejects_malformed_columns(self, tmp_path, columns, width):
+        good = tmp_path / "good.npz"
+        _write_raw_model(good, np.ones((3, 2)), np.zeros(3), MODEL_META_V2, columns=[1, 2])
+        assert load_model(good).weights[:, 1:3].tolist() == [[1.0, 1.0]] * 3
+        extra = {} if columns is None else {"columns": columns}
+        path = tmp_path / "model.npz"
+        _write_raw_model(path, np.ones((3, width)), np.zeros(3), MODEL_META_V2, **extra)
+        with pytest.raises(DataError):
+            load_model(path)
 
     def test_save_writes_exactly_the_given_path(self, tmp_path):
         model = SelectorModel.zeros(3, SMALL, "v1")
@@ -430,7 +534,7 @@ class TestModelPersistence:
             handle.write(b"PK partial")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", write_half_then_fail)
+        monkeypatch.setattr(np, "savez", write_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
             save_model(SelectorModel.zeros(3, SMALL, "v1"), path)
         assert path.read_bytes() == b"previous model"
