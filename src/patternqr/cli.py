@@ -25,7 +25,6 @@ from .gateway import GatewayConfig
 from .index import (
     DEFAULT_B,
     DEFAULT_K1,
-    atomic_write,
     build_index,
     load_index,
     read_corpus_tsv,
@@ -244,7 +243,7 @@ def _cmd_retrieve(args) -> None:
     run, _ = pipeline.rank_queries(
         config, _load_index_source(args, k_eval=args.k), read_queries_tsv(args.queries), tag
     )
-    atomic_write(Path(args.out), lambda tmp: evaluation.write_run(run, tmp))
+    evaluation.write_run(run, args.out)
     print(f"wrote {sum(len(r.doc_ids) for r in run.values())} run lines -> {args.out}")
 
 
@@ -315,11 +314,7 @@ def _cmd_reformulate(args) -> None:
     records = pipeline.reformulate_queries(
         config, _load_index_source(args), read_queries_tsv(args.queries)
     )
-    digest = _args_hash(args)
-    atomic_write(
-        Path(args.out),
-        lambda tmp: generator.write_reformulation_log(records, tmp, config_hash=digest),
-    )
+    generator.write_reformulation_log(records, args.out, config_hash=_args_hash(args))
     print(f"reformulated {len(records)} queries -> {args.out}")
 
 
@@ -355,11 +350,7 @@ def _cmd_evaluate(args) -> None:
     )
     print(evaluation.render_report_table(report))
     if args.csv:
-        digest = _args_hash(args)
-        atomic_write(
-            Path(args.csv),
-            lambda tmp: evaluation.write_report_csv(report, tmp, config_hash=digest),
-        )
+        evaluation.write_report_csv(report, args.csv, config_hash=_args_hash(args))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataError
+from .index import atomic_write
 
 DEFAULT_NDCG_K = 10
 DEFAULT_MAP_K = 1000
@@ -115,7 +116,8 @@ def write_run(run: Run, path: str | Path) -> None:
         # One %-format per query; the ids and tag are arguments, so a % in them is literal.
         fields = zip(repeat(query_id, n), doc_ids, range(1, n + 1), scores, repeat(tag, n))
         blocks.append("%s Q0 %s %d %.6f %s\n" * n % tuple(chain.from_iterable(fields)))
-    Path(path).write_text("".join(blocks), encoding="utf-8")
+    text = "".join(blocks)
+    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def ndcg_at_k(
@@ -249,4 +251,4 @@ def write_report_csv(report: MetricsReport, path: str | Path, config_hash: str =
             f"{report.mean_recall1k:.6f}",
         ]
     )
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    atomic_write(Path(path), lambda tmp: tmp.write_text(buf.getvalue(), encoding="utf-8"))

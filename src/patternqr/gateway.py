@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigError, MockMissError, ProtocolError, TransportError
+from .errors import ConfigError, DataError, MockMissError, ProtocolError, TransportError
 
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_TEMPERATURE = 1.0
@@ -62,6 +62,21 @@ def reask(request: ChatRequest, suffix: str) -> ChatRequest:
     return replace(
         request, messages=request.messages[:-1] + (ChatMessage(last.role, last.content + suffix),)
     )
+
+
+def ask(gateway, request: ChatRequest, parse, suffix: str):
+    """`parse` of the reply to `request`; if that raises a DataError, `parse` of the
+    reply to `reask(request, suffix)`, whose DataError propagates.
+
+    This is the one re-ask policy of every LLM call. A gateway error never
+    re-asks: `complete` is called outside the `try`.
+    """
+    content = gateway.complete(request).content
+    try:
+        return parse(content)
+    except DataError:
+        pass
+    return parse(gateway.complete(reask(request, suffix)).content)
 
 
 @dataclass(frozen=True)
@@ -112,7 +127,14 @@ class MockScript:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load mock script {path}: {exc}") from exc
-        return cls(entries=dict(payload.get("entries", {})), fallback=payload.get("fallback"))
+        if not isinstance(payload, dict):
+            raise ConfigError(f"mock script {path} must hold a JSON object, got {payload!r}")
+        entries, fallback = payload.get("entries", {}), payload.get("fallback")
+        if not isinstance(entries, dict) or not all(isinstance(v, str) for v in entries.values()):
+            raise ConfigError(f"mock script {path}: entries must map fingerprints to strings")
+        if fallback is not None and not isinstance(fallback, str):
+            raise ConfigError(f"mock script {path}: fallback must be a string")
+        return cls(entries=dict(entries), fallback=fallback)
 
     def save(self, path: str | Path) -> None:
         payload = {"entries": self.entries, "fallback": self.fallback}

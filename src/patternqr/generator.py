@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
-from .gateway import ChatMessage, ChatRequest, Gateway, fingerprint
-from .index import RetrievalContext
+from .gateway import ChatMessage, ChatRequest, Gateway, ask, fingerprint
+from .index import RetrievalContext, _tsv_lines, atomic_write
 from .induction import ReformulationPattern
 
 GENERATION_SYSTEM = (
@@ -56,8 +56,6 @@ def build_generation_prompt(
     pattern: ReformulationPattern,
     model: str,
     extra_context: list[str] | None = None,
-    max_tokens: int = 512,
-    temperature: float = 1.0,
 ) -> ChatRequest:
     """Render the reformulation request for (query, context, pattern).
 
@@ -87,8 +85,6 @@ def build_generation_prompt(
             ChatMessage("system", GENERATION_SYSTEM),
             ChatMessage("user", "\n".join(lines)),
         ),
-        max_tokens=max_tokens,
-        temperature=temperature,
     )
 
 
@@ -126,10 +122,9 @@ def generate_reformulation(
         query, context, pattern, model=gateway.model, extra_context=extra_context
     )
     fp = fingerprint(request)
-    text = clean_generation(gateway.complete(request).content)
-    if not text:
-        text = clean_generation(gateway.complete(request).content)
-    if not text:
+    try:
+        text = ask(gateway, request, _nonempty_generation, "")  # "": the identical request
+    except DataError:
         return Reformulation(
             text=query,
             pattern_id=pattern.pattern_id,
@@ -140,6 +135,13 @@ def generate_reformulation(
     return Reformulation(
         text=text, pattern_id=pattern.pattern_id, query_id=query_id, prompt_fingerprint=fp
     )
+
+
+def _nonempty_generation(content: str) -> str:
+    text = clean_generation(content)
+    if not text:
+        raise DataError("empty generation")
+    return text
 
 
 def compose_hybrid(query: str, reformulation: str, repetition: int = 1) -> HybridQuery:
@@ -180,32 +182,27 @@ def write_reformulation_log(
     """JSON-lines log; the first line is a header carrying the config hash."""
     lines = [json.dumps({"config_hash": config_hash})]
     lines += [r.to_json() for r in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def read_reformulation_log(path: str | Path) -> list[ReformulationRecord]:
     records = []
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        if not line:
-            continue
-        try:
+    for line_no, line in _tsv_lines(path):
+        try:  # a bad JSON line raises a ValueError too
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{line_no}: bad JSON: {exc}") from exc
-        if "query_id" not in payload:
-            continue  # header line
-        records.append(
-            ReformulationRecord(
-                query_id=payload["query_id"],
-                pattern_id=int(payload["pattern_id"]),
-                pattern_name=payload["pattern_name"],
-                reformulation=payload["reformulation"],
-                hybrid_query=payload["hybrid_query"],
-                fallback=bool(payload["fallback"]),
+            if isinstance(payload, dict) and "query_id" not in payload:
+                continue  # header line
+            records.append(
+                ReformulationRecord(
+                    query_id=payload["query_id"],
+                    pattern_id=int(payload["pattern_id"]),
+                    pattern_name=payload["pattern_name"],
+                    reformulation=payload["reformulation"],
+                    hybrid_query=payload["hybrid_query"],
+                    fallback=bool(payload["fallback"]),
+                )
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{line_no}: malformed reformulation record: {exc!r}") from exc
     return records

@@ -348,6 +348,8 @@ def read_queries_tsv(path: str | Path) -> list[tuple[str, str]]:
 
 
 def _tsv_lines(path: str | Path):
+    """(line number, line) for each non-empty line of a UTF-8 file; an unreadable
+    file is a DataError."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import DataError, GatewayError
-from .gateway import ChatMessage, ChatRequest, ChatResponse, Gateway, reask, request_to_wire
-from .index import atomic_write
+from .gateway import ChatMessage, ChatRequest, ChatResponse, Gateway, ask, request_to_wire
+from .index import _tsv_lines, atomic_write
 
 DEFAULT_BATCH_SIZE = 50
 DEFAULT_MAX_PATTERNS = 16
@@ -122,13 +123,19 @@ class PatternLibrary:
     def names(self) -> list[str]:
         return [p.name for p in self.patterns]
 
-    def resolve_name(self, name: str) -> int:
-        """Case-insensitive name lookup; raises DataError listing valid names."""
-        wanted = name.strip().lower()
+    @property
+    def menu(self) -> str:
+        """One `- name: description` line per pattern, as the label and select prompts show it."""
+        return "\n".join(f"- {p.name}: {p.description}" for p in self.patterns)
+
+    def resolve_name(self, answer: str) -> int:
+        """The id of the pattern an LLM answer names, ignoring case and surrounding
+        whitespace, quotes and periods; raises DataError listing valid names."""
+        wanted = answer.strip().strip('"').strip("'").strip(".").strip().lower()
         for pattern in self.patterns:
             if pattern.name.lower() == wanted:
                 return pattern.pattern_id
-        raise DataError(f"unknown pattern name {name!r}; valid names: {self.names}")
+        raise DataError(f"unknown pattern name {answer!r}; valid names: {self.names}")
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,7 @@ def ingest_pairs(path: str | Path) -> list[TrainingPair]:
     """Read `pair_id<TAB>query<TAB>reformulation` lines; strict per-line validation."""
     pairs: list[TrainingPair] = []
     seen: set[str] = set()
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        if line == "":
-            continue
+    for line_no, line in _tsv_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
             raise DataError(f"{path}:{line_no}: expected pair_id<TAB>query<TAB>reformulation")
@@ -218,13 +219,18 @@ def extract_payload(text: str) -> list[dict]:
 
 
 def _parse_pattern(entry: dict, pattern_id: int) -> ReformulationPattern:
+    """One pattern of a consolidation payload or of a library file; examples that
+    are not objects are skipped."""
     if not isinstance(entry, dict):
         raise DataError(f"pattern entry {pattern_id} is not an object")
     name = entry.get("name") or entry.get("pattern_name") or ""
     rule = entry.get("rule") or entry.get("transformation_rule") or ""
+    listed = entry.get("examples", [])
+    if not isinstance(listed, list):
+        raise DataError(f"pattern entry {pattern_id}: examples is not a list")
     examples = tuple(
         PatternExample(query=e.get("query", ""), reformulation=e.get("reformulation", ""))
-        for e in entry.get("examples", [])
+        for e in listed
         if isinstance(e, dict)
     )
     return ReformulationPattern(
@@ -236,29 +242,36 @@ def _parse_pattern(entry: dict, pattern_id: int) -> ReformulationPattern:
     )
 
 
-def _parse_library_payload(payload: list[dict], base: PatternLibrary | None) -> PatternLibrary:
-    patterns = tuple(_parse_pattern(entry, i) for i, entry in enumerate(payload))
-    prov = base.provenance if base else LibraryProvenance()
-    version = base.version if base else "0"
-    return PatternLibrary(patterns=patterns, version=version, provenance=prov)
+def _parse_consolidation(content: str, base: PatternLibrary | None) -> PatternLibrary:
+    """The library a consolidation reply holds, carrying `base`'s version and provenance."""
+    try:
+        payload = extract_payload(content)
+        patterns = tuple(_parse_pattern(entry, i) for i, entry in enumerate(payload))
+        if base is None:
+            return PatternLibrary(patterns=patterns)
+        return PatternLibrary(patterns=patterns, version=base.version, provenance=base.provenance)
+    except DataError as exc:
+        # Only the re-ask's error leaves `ask`, so this message is seen after a re-ask.
+        raise DataError(
+            f"consolidation payload unusable after re-ask: {exc}\nraw response:\n{content}"
+        ) from exc
 
 
 class Transcript:
-    """Append-only JSONL log of every induction request/response."""
+    """A gateway that appends every request it completes, and the reply, to a JSONL file."""
 
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path else None
-        if self.path:
-            self.path.write_text("", encoding="utf-8")
+    def __init__(self, gateway: Gateway, path: str | Path):
+        self.gateway = gateway
+        self.model = gateway.model
+        self.path = Path(path)
+        self.path.write_text("", encoding="utf-8")
 
-    def record(self, request: ChatRequest, response: ChatResponse) -> None:
-        if not self.path:
-            return
-        line = json.dumps(
-            {"request": request_to_wire(request), "response": response.content}
-        )
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        response = self.gateway.complete(request)
+        line = json.dumps({"request": request_to_wire(request), "response": response.content})
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(line + "\n")
+        return response
 
 
 def induce_patterns(
@@ -274,17 +287,20 @@ def induce_patterns(
     Each batch renders the consolidation prompt with the current library and
     replaces it with the parsed payload. An unparseable payload earns one
     re-ask carrying a format reminder, then a hard error with the raw text.
+    With `transcript_path`, every call and its reply is logged there.
     """
     if not pairs:
         raise DataError("cannot induce patterns from an empty pair list")
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    transcript = Transcript(transcript_path)
+    if transcript_path:
+        gateway = Transcript(gateway, transcript_path)
     library = existing
     for offset in range(0, len(pairs), batch_size):
         batch = pairs[offset : offset + batch_size]
         request = render_consolidation_prompt(batch, library, model=gateway.model)
-        library = _consolidate_once(request, gateway, library, transcript)
+        parse = partial(_parse_consolidation, base=library)
+        library = ask(gateway, request, parse, FORMAT_REMINDER)
         if len(library) > max_patterns:
             raise DataError(
                 f"consolidation produced {len(library)} patterns, above the cap of "
@@ -301,34 +317,9 @@ def induce_patterns(
     )
 
 
-def _consolidate_once(
-    request: ChatRequest,
-    gateway: Gateway,
-    library: PatternLibrary | None,
-    transcript: Transcript,
-) -> PatternLibrary:
-    response = gateway.complete(request)
-    transcript.record(request, response)
-    try:
-        return _parse_library_payload(extract_payload(response.content), library)
-    except DataError:
-        pass
-    retry = reask(request, FORMAT_REMINDER)
-    response = gateway.complete(retry)
-    transcript.record(retry, response)
-    try:
-        return _parse_library_payload(extract_payload(response.content), library)
-    except DataError as exc:
-        raise DataError(
-            f"consolidation payload unusable after re-ask: {exc}\n"
-            f"raw response:\n{response.content}"
-        ) from exc
-
-
 def render_label_prompt(pair: TrainingPair, library: PatternLibrary, model: str) -> ChatRequest:
-    menu = "\n".join(f"- {p.name}: {p.description}" for p in library.patterns)
     user = (
-        f"Patterns:\n{menu}\n\n"
+        f"Patterns:\n{library.menu}\n\n"
         f"Query: {pair.query}\n"
         f"Reformulation: {pair.reformulation}\n\n"
         "Which single pattern best explains this reformulation? "
@@ -345,21 +336,11 @@ def label_pair(pair: TrainingPair, library: PatternLibrary, gateway: Gateway) ->
     if len(library) == 1:
         return PatternLabel(pair_id=pair.pair_id, pattern_id=0)
     request = render_label_prompt(pair, library, model=gateway.model)
-    answer = gateway.complete(request).content
+    suffix = f"\n\nAnswer with exactly one of: {', '.join(library.names)}."
     try:
-        return PatternLabel(pair.pair_id, library.resolve_name(_clean_name(answer)))
-    except DataError:
-        pass
-    retry = reask(request, f"\n\nAnswer with exactly one of: {', '.join(library.names)}.")
-    answer = gateway.complete(retry).content
-    try:
-        return PatternLabel(pair.pair_id, library.resolve_name(_clean_name(answer)))
+        return PatternLabel(pair.pair_id, ask(gateway, request, library.resolve_name, suffix))
     except DataError as exc:
         raise DataError(f"pair {pair.pair_id}: {exc}") from exc
-
-
-def _clean_name(text: str) -> str:
-    return text.strip().strip('"').strip("'").strip(".").strip()
 
 
 def label_pairs(
@@ -403,30 +384,25 @@ def load_library(path: str | Path) -> PatternLibrary:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load pattern library {path}: {exc}") from exc
-    if payload.get("format") != LIBRARY_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != LIBRARY_FORMAT:
         raise DataError(f"{path} is not a patternqr pattern library")
-    prov = payload.get("provenance", {})
-    patterns = tuple(
-        ReformulationPattern(
-            pattern_id=int(entry["pattern_id"]),
-            name=entry["name"],
-            description=entry.get("description", ""),
-            rule=entry.get("rule", ""),
-            examples=tuple(
-                PatternExample(e["query"], e["reformulation"])
-                for e in entry.get("examples", [])
-            ),
+    try:
+        prov = payload.get("provenance", {})
+        # The stored ids go through, so PatternLibrary checks they are dense.
+        patterns = tuple(
+            _parse_pattern(entry, int(entry["pattern_id"])) for entry in payload["patterns"]
         )
-        for entry in payload["patterns"]
-    )
-    return PatternLibrary(
-        patterns=patterns,
-        version=payload.get("version", "0"),
-        provenance=LibraryProvenance(
+        provenance = LibraryProvenance(
             source_dataset=prov.get("source_dataset", ""),
             num_pairs=int(prov.get("num_pairs", 0)),
             induction_model=prov.get("induction_model", ""),
-        ),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed pattern library {path}: {exc!r}") from exc
+    return PatternLibrary(
+        patterns=patterns,
+        version=payload.get("version", "0"),
+        provenance=provenance,
         config_hash=payload.get("config_hash", ""),
     )
 
@@ -444,13 +420,7 @@ def save_labels(labels: list[PatternLabel], path: str | Path) -> None:
 
 def load_labels(path: str | Path) -> list[PatternLabel]:
     labels = []
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        if line == "":
-            continue
+    for line_no, line in _tsv_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
             raise DataError(f"{path}:{line_no}: expected pair_id<TAB>pattern_id")

@@ -42,7 +42,6 @@ from .index import (
     DEFAULT_K1,
     DEFAULT_SNIPPET_TOKENS,
     InvertedIndex,
-    atomic_write,
     build_index,
     read_corpus_tsv,
     read_queries_tsv,
@@ -181,6 +180,39 @@ def _build_selector(config: PipelineConfig, library: PatternLibrary, gateway: Ga
     return ModelSelector(load_model(config.selector_model), library)
 
 
+class _Turns:
+    """When each query of the reformer fan-out may start.
+
+    A query starts only within `window` places of the oldest query still
+    choosing its pattern, so one that lags is overtaken by at most `window`
+    later queries; once a query has failed, no later query starts.
+    """
+
+    def __init__(self, count: int, window: int):
+        self.window = window
+        self.chosen = [False] * count  # chose its pattern, or ended without one
+        self.oldest = 0  # the first query not yet chosen
+        self.failures: dict[int, PatternQRError] = {}
+        self.lock = threading.Condition()
+
+    def start(self, i: int) -> bool:
+        """Wait for query i's turn; False if an earlier query has failed."""
+        with self.lock:
+            self.lock.wait_for(lambda: i < self.oldest + self.window)
+            return not self.failures or i < min(self.failures)
+
+    def chose(self, i: int) -> None:
+        with self.lock:
+            self.chosen[i] = True
+            while self.oldest < len(self.chosen) and self.chosen[self.oldest]:
+                self.oldest += 1
+            self.lock.notify_all()
+
+    def fail(self, i: int, exc: PatternQRError) -> None:
+        with self.lock:
+            self.failures[i] = exc
+
+
 def reformulate_queries(
     config: PipelineConfig, index: InvertedIndex, queries: list[tuple[str, str]]
 ) -> list[ReformulationRecord]:
@@ -198,20 +230,8 @@ def reformulate_queries(
 
     # Queries are independent and their seeds come from their ids, so running
     # them concurrently and storing each record at its index gives the serial records.
-    window = config.gateway.max_in_flight
     records: list = [None] * len(queries)
-    failures: dict[int, PatternQRError] = {}
-    chosen = [False] * len(queries)  # chose its pattern, or ended without one
-    oldest = 0  # the first query not yet chosen
-    turn = threading.Condition()
-
-    def done_choosing(i: int) -> None:
-        nonlocal oldest
-        with turn:
-            chosen[i] = True
-            while oldest < len(queries) and chosen[oldest]:
-                oldest += 1
-            turn.notify_all()
+    turns = _Turns(len(queries), config.gateway.max_in_flight)
 
     def reformulate(i: int) -> ReformulationRecord:
         query_id, text = queries[i]
@@ -220,7 +240,7 @@ def reformulate_queries(
         )
         seed = _query_seed(config.seed, query_id) if config.select_mode == "sample" else None
         pattern_id = selector.choose(text, context, mode=config.select_mode, seed=seed)
-        done_choosing(i)
+        turns.chose(i)
         pattern = library.patterns[pattern_id]
         extra = [hook[query_id]] if query_id in hook else None
         reformulation = generate_reformulation(
@@ -237,28 +257,21 @@ def reformulate_queries(
         )
 
     def attempt(i: int) -> None:
-        # The pool's workers take queries in input order, each as soon as it is
-        # free. A query starts only within `window` places of the oldest one
-        # still choosing its pattern, so one that lags is overtaken by at most
-        # `window` later queries.
-        with turn:
-            turn.wait_for(lambda: i < oldest + window)
-            over = bool(failures) and i > min(failures)
+        # The pool's workers take queries in input order, each as soon as it is free.
         try:
-            if not over:  # else an earlier query failed and the run is over
+            if turns.start(i):
                 records[i] = reformulate(i)
         except PatternQRError as exc:
-            with turn:
-                failures[i] = exc
+            turns.fail(i, exc)
         finally:
-            done_choosing(i)
+            turns.chose(i)
 
-    with ThreadPoolExecutor(max_workers=window) as pool:
+    with ThreadPoolExecutor(max_workers=turns.window) as pool:
         # Re-raises, in input order, an error that is not a PatternQRError.
         list(pool.map(attempt, range(len(queries))))
-    if failures:
-        first = min(failures)
-        _rewrap(f"query {queries[first][0]}", failures[first])
+    if turns.failures:
+        first = min(turns.failures)
+        _rewrap(f"query {queries[first][0]}", turns.failures[first])
     return records
 
 
@@ -314,10 +327,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     reformer = config.mode in REFORMER_MODES
     stage = "reformulate" if reformer else "retrieve"
     run, records = _stage(stage, rank_queries, config, index, queries, tag)
-    atomic_write(run_path, lambda p: write_run(run, p))
+    write_run(run, run_path)
     emitted_log = None
     if reformer:
-        atomic_write(log_path, lambda p: write_reformulation_log(records, p, config_hash=digest))
+        write_reformulation_log(records, log_path, config_hash=digest)
         emitted_log = log_path
 
     report = None
@@ -327,7 +340,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         report = _stage(
             "evaluate", evaluate_run, run, qrels, binarize_at=config.binarize_at
         )
-        atomic_write(report_path, lambda p: write_report_csv(report, p, config_hash=digest))
+        write_report_csv(report, report_path, config_hash=digest)
         emitted_report = report_path
 
     return PipelineResult(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .gateway import ChatMessage, ChatRequest, Gateway, reask
+from .gateway import ChatMessage, ChatRequest, Gateway, ask
 from .index import RetrievalContext, atomic_write, tokenize
 from .induction import PatternLibrary
 
@@ -412,8 +412,7 @@ class PromptSelector:
         self.library = library
 
     def _request(self, query: str, context: RetrievalContext) -> ChatRequest:
-        menu = "\n".join(f"- {p.name}: {p.description}" for p in self.library.patterns)
-        parts = [f"Patterns:\n{menu}", f"Query: {query}"]
+        parts = [f"Patterns:\n{self.library.menu}", f"Query: {query}"]
         if context.entries:
             snippets = "\n".join(f"- {e.snippet}" for e in context.entries)
             parts.append(f"Top retrieved passages:\n{snippets}")
@@ -428,11 +427,6 @@ class PromptSelector:
             ),
         )
 
-    def distribution(self, query: str, context: RetrievalContext) -> PatternDistribution:
-        probs = np.zeros(len(self.library), dtype=np.float64)
-        probs[self.choose(query, context)] = 1.0
-        return PatternDistribution(probs=probs)
-
     def choose(
         self,
         query: str,
@@ -440,12 +434,5 @@ class PromptSelector:
         mode: str = "argmax",
         seed: int | None = None,
     ) -> int:
-        request = self._request(query, context)
-        answer = self.gateway.complete(request).content
-        try:
-            return self.library.resolve_name(answer.strip().strip('"').strip("'"))
-        except DataError:
-            pass
-        retry = reask(request, f" Answer with exactly one of: {', '.join(self.library.names)}.")
-        answer = self.gateway.complete(retry).content
-        return self.library.resolve_name(answer.strip().strip('"').strip("'"))
+        suffix = f" Answer with exactly one of: {', '.join(self.library.names)}."
+        return ask(self.gateway, self._request(query, context), self.library.resolve_name, suffix)

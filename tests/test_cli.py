@@ -9,7 +9,13 @@ from patternqr.cli import main
 from patternqr.evaluation import parse_run
 from patternqr.gateway import Gateway, GatewayConfig, MockScript
 from patternqr.generator import read_reformulation_log
-from patternqr.induction import load_labels, load_library
+from patternqr.induction import (
+    LIBRARY_FORMAT,
+    default_library,
+    load_labels,
+    load_library,
+    save_library,
+)
 from patternqr.pipeline import PipelineConfig, run_pipeline
 from patternqr.selector import FeatureConfig, SelectorModel, save_model
 
@@ -339,6 +345,36 @@ class TestRunCommand:
         assert (files["dir"] / "out" / "reformer.run").exists()
         assert (files["dir"] / "out" / "reformer.reformulations.jsonl").exists()
 
+    def test_run_with_prompt_selector_reads_a_name_as_label_does(self, files):
+        # A trailing period is read the same by `label` and by the prompt selector.
+        mock = _mock(files["dir"], "Clarify Intent.")
+        labels = files["dir"] / "labels.tsv"
+        library = files["dir"] / "library.json"
+        save_library(default_library(), library)
+        label = ["label", "--pairs", str(files["pairs"]), "--library", str(library)]
+        assert main([*label, "--out", str(labels), "--mock-script", str(mock)]) == 0
+        code = main(
+            [
+                "run",
+                "--corpus",
+                str(files["corpus"]),
+                "--queries",
+                str(files["queries"]),
+                "--mode",
+                "reformer",
+                "--selector",
+                "prompt",
+                "--mock-script",
+                str(mock),
+                "--out-dir",
+                str(files["dir"] / "out"),
+            ]
+        )
+        assert code == 0
+        records = read_reformulation_log(files["dir"] / "out" / "reformer.reformulations.jsonl")
+        assert {r.pattern_name for r in records} == {"Clarify Intent"}
+        assert {lb.pattern_id for lb in load_labels(labels)} == {0}
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, files, capsys):
@@ -559,6 +595,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and key in err
+
+    def test_library_without_patterns_is_3(self, files, capsys):
+        library = files["dir"] / "library.json"
+        library.write_text(json.dumps({"format": LIBRARY_FORMAT}), encoding="utf-8")
+        code = main(
+            [
+                "run",
+                "--corpus",
+                str(files["corpus"]),
+                "--queries",
+                str(files["queries"]),
+                "--mode",
+                "reformer",
+                "--selector",
+                "prompt",
+                "--library",
+                str(library),
+                "--mock-script",
+                str(_mock(files["dir"], "Clarify Intent")),
+                "--out-dir",
+                str(files["dir"] / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "data error" in err and "patterns" in err
+
+    def test_mock_script_that_is_not_an_object_is_2(self, files, capsys):
+        mock = files["dir"] / "mock.json"
+        mock.write_text("[1]", encoding="utf-8")
+        code = main(
+            [
+                "run",
+                "--corpus",
+                str(files["corpus"]),
+                "--queries",
+                str(files["queries"]),
+                "--mode",
+                "reformer",
+                "--selector",
+                "prompt",
+                "--mock-script",
+                str(mock),
+                "--out-dir",
+                str(files["dir"] / "out"),
+            ]
+        )
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_pairs_file_is_3(self, files, capsys):
         code = main(

@@ -24,6 +24,7 @@ from patternqr.gateway import (
     MockBackend,
     MockScript,
     Usage,
+    ask,
     fingerprint,
     request_to_wire,
     reask,
@@ -125,6 +126,55 @@ class TestReask:
         assert replace(retry, messages=first.messages) == first
 
 
+class ScriptedBackend:
+    """Answers with the given replies in turn and keeps the requests."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.requests = []
+
+    def send(self, request):
+        self.requests.append(request)
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return ChatResponse(reply, "stop", Usage(0, 0))
+
+
+def _number(content):
+    try:
+        return int(content)
+    except ValueError as exc:
+        raise DataError(f"not a number: {content!r}") from exc
+
+
+class TestAsk:
+    def test_a_usable_reply_is_asked_once(self):
+        backend = ScriptedBackend("7")
+        assert ask(Gateway(backend, model="m"), _request("n?"), _number, " Digits only.") == 7
+        assert backend.requests == [_request("n?")]
+
+    def test_an_unusable_reply_is_asked_again_with_the_suffix(self):
+        backend = ScriptedBackend("seven", "7")
+        assert ask(Gateway(backend, model="m"), _request("n?"), _number, " Digits only.") == 7
+        assert backend.requests == [_request("n?"), _request("n? Digits only.")]
+
+    def test_the_second_data_error_propagates(self):
+        backend = ScriptedBackend("seven", "VII", "7")
+        with pytest.raises(DataError, match="VII"):
+            ask(Gateway(backend, model="m"), _request("n?"), _number, " Digits only.")
+        assert len(backend.requests) == 2
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first-call", "re-ask"])
+    def test_a_gateway_error_is_not_asked_again(self, failing):
+        replies = ["seven", "7"]
+        replies[failing] = MockMissError("f" * 64)
+        backend = ScriptedBackend(*replies)
+        with pytest.raises(MockMissError):
+            ask(Gateway(backend, model="m"), _request("n?"), _number, " Digits only.")
+        assert len(backend.requests) == failing + 1
+
+
 class TestFingerprint:
     def test_ignores_sampling_parameters(self):
         a = ChatRequest(model="m", messages=(ChatMessage("user", "x"),), temperature=0.1)
@@ -171,6 +221,17 @@ class TestMockBackend:
         path = tmp_path / "script.json"
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(ConfigError):
+            MockScript.load(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[1], "text", {"entries": [1]}, {"entries": {"fp": 1}}, {"fallback": 3}],
+        ids=["list", "string", "entries-list", "entry-not-text", "fallback-not-text"],
+    )
+    def test_malformed_script_is_a_config_error(self, tmp_path, payload):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ConfigError, match="mock script"):
             MockScript.load(path)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from patternqr.errors import DataError
-from patternqr.gateway import fingerprint
+from patternqr.gateway import ChatResponse, Gateway, Usage, fingerprint
 from patternqr.generator import (
     ReformulationRecord,
     build_generation_prompt,
@@ -121,6 +121,19 @@ class TestGenerateReformulation:
         assert result.text == "the original"
         assert result.fallback is True
 
+    def test_an_empty_answer_asks_the_identical_request_again(self):
+        sent = []
+
+        class Backend:
+            def send(self, request):
+                sent.append(request)
+                content = "  ``  " if len(sent) == 1 else "rewritten"
+                return ChatResponse(content, "stop", Usage(0, 0))
+
+        result = generate_reformulation(Gateway(Backend(), model="m"), "orig", CONTEXT, PATTERN)
+        assert (result.text, result.fallback) == ("rewritten", False)
+        assert sent == [build_generation_prompt("orig", CONTEXT, PATTERN, model="m")] * 2
+
 
 class TestComposeHybrid:
     def test_single_repetition(self):
@@ -159,3 +172,20 @@ class TestReformulationLog:
         assert json.loads(lines[0]) == {"config_hash": "beef99"}
         assert json.loads(lines[1])["pattern_name"] == "Temporal Adjustment"
         assert read_reformulation_log(path) == records
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"query_id": "q1"}',
+            '{"query_id": "q1", "pattern_id": "nine", "pattern_name": "T", "reformulation": "r",'
+            ' "hybrid_query": "q r", "fallback": false}',
+            "3",
+            "[1]",
+        ],
+        ids=["missing-fields", "bad-pattern-id", "number", "list"],
+    )
+    def test_malformed_record_is_a_data_error(self, tmp_path, line):
+        path = tmp_path / "log.jsonl"
+        path.write_text(f'{{"config_hash": "beef99"}}\n{line}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=":2"):
+            read_reformulation_log(path)

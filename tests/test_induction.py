@@ -11,6 +11,8 @@ from patternqr.induction import (
     PatternLibrary,
     ReformulationPattern,
     TrainingPair,
+    FORMAT_REMINDER,
+    LIBRARY_FORMAT,
     extract_payload,
     induce_patterns,
     ingest_pairs,
@@ -24,6 +26,8 @@ from patternqr.induction import (
     save_labels,
     save_library,
 )
+
+ONE_PATTERN = {"pattern_id": 0, "name": "A"}
 
 PAIRS = [
     TrainingPair("p1", "cheap flights", "low cost airline tickets europe"),
@@ -127,6 +131,20 @@ class TestInducePatterns:
         record = json.loads(lines[0])
         assert "request" in record and "response" in record
 
+    def test_transcript_records_the_reask(self, mock_gateway_factory, tmp_path):
+        first = render_consolidation_prompt(PAIRS, existing=None, model="mock-model")
+        entries = {fingerprint(first): "sorry, no JSON from me"}
+        gateway = mock_gateway_factory(entries=entries, fallback=consolidation_payload(["A"]))
+        transcript = tmp_path / "transcript.jsonl"
+        induce_patterns(PAIRS, gateway, batch_size=3, transcript_path=transcript)
+        records = [json.loads(line) for line in transcript.read_text("utf-8").splitlines()]
+        assert [r["response"] for r in records] == [
+            "sorry, no JSON from me",
+            consolidation_payload(["A"]),
+        ]
+        retry = records[1]["request"]["messages"][-1]["content"]
+        assert retry == first.messages[-1].content + FORMAT_REMINDER
+
     def test_reproducible_with_same_script(self, mock_gateway_factory):
         gateway_a = mock_gateway_factory(fallback=consolidation_payload(SEED_PATTERN_NAMES))
         gateway_b = mock_gateway_factory(fallback=consolidation_payload(SEED_PATTERN_NAMES))
@@ -147,6 +165,14 @@ class TestLabelPair:
 
     def test_case_insensitive_resolution(self, seed_library, mock_gateway_factory):
         gateway = mock_gateway_factory(fallback="clarify intent")
+        label = label_pair(PAIRS[0], seed_library, gateway)
+        assert label.pattern_id == seed_library.resolve_name("Clarify Intent")
+
+    @pytest.mark.parametrize(
+        "answer", ['"Clarify Intent."', "'clarify intent'", "Clarify Intent. "]
+    )
+    def test_quotes_and_period_ignored(self, seed_library, mock_gateway_factory, answer):
+        gateway = mock_gateway_factory(fallback=answer)
         label = label_pair(PAIRS[0], seed_library, gateway)
         assert label.pattern_id == seed_library.resolve_name("Clarify Intent")
 
@@ -199,6 +225,39 @@ class TestLibraryIO:
             save_library(seed_library, path)
         assert path.read_bytes() == b"previous library"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["library.json"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"format": LIBRARY_FORMAT},
+            [LIBRARY_FORMAT],
+            {"format": LIBRARY_FORMAT, "patterns": 5},
+            {"format": LIBRARY_FORMAT, "patterns": [1]},
+            {"format": LIBRARY_FORMAT, "patterns": [{"name": "A"}]},
+            {"format": LIBRARY_FORMAT, "patterns": [{"pattern_id": "zero", "name": "A"}]},
+            {"format": LIBRARY_FORMAT, "patterns": [{"pattern_id": 1, "name": "A"}]},
+            {"format": LIBRARY_FORMAT, "patterns": [{"pattern_id": 0}]},
+            {"format": LIBRARY_FORMAT, "patterns": [{**ONE_PATTERN, "examples": 5}]},
+            {"format": LIBRARY_FORMAT, "patterns": [ONE_PATTERN], "provenance": 1},
+        ],
+        ids=[
+            "no-patterns",
+            "not-an-object",
+            "patterns-not-a-list",
+            "pattern-not-an-object",
+            "no-pattern-id",
+            "pattern-id-not-a-number",
+            "ids-not-dense",
+            "no-name",
+            "examples-not-a-list",
+            "provenance-not-an-object",
+        ],
+    )
+    def test_malformed_file_is_a_data_error(self, tmp_path, payload):
+        path = tmp_path / "library.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError):
+            load_library(path)
 
     def test_dense_ids_enforced(self):
         with pytest.raises(DataError):

@@ -106,11 +106,16 @@ class TestBaselineModes:
         assert result.run_path.exists()
 
     def test_failed_metrics_write_leaves_no_csv(self, workspace, monkeypatch):
-        def write_then_fail(report, path, config_hash=""):
-            Path(path).write_text("partial", encoding="utf-8")
+        write_text = Path.write_text
+
+        def write_then_fail(self, data, *args, **kwargs):
+            # The metrics writer is atomic itself, so the failure is injected into it.
+            if ".csv" not in self.name:
+                return write_text(self, data, *args, **kwargs)
+            write_text(self, "partial", *args, **kwargs)
             raise OSError("disk full")
 
-        monkeypatch.setattr(pipeline, "write_report_csv", write_then_fail)
+        monkeypatch.setattr(Path, "write_text", write_then_fail)
         with pytest.raises(OSError):
             run_pipeline(_config(workspace, "bm25"))
         assert not list((workspace / "out").glob("*.csv*"))
@@ -543,3 +548,54 @@ class TestConcurrentReformulation:
             assert sends.calls <= 2 + max_in_flight
         assert errors[1] == errors[4]
         assert errors[1].startswith("query q02: mock script has no entry")
+
+    @pytest.mark.parametrize("window", [2, 4, 8])
+    def test_after_a_failure_only_queries_already_started_call_the_backend(
+        self, workspace, monkeypatch, window
+    ):
+        # Starts and the failure are logged under the fan-out's own lock, so the
+        # log holds them in the order the fan-out decided them, whatever the
+        # schedule. The first query fails, so every other query is a later one.
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        texts = [text for _, text in MANY_QUERIES]
+        queries = [(f"q{i:02d}", f"{texts[i % 12]} {'dog ' * (i // 12)}") for i in range(48)]
+        mock = self._scripted_except(workspace, index, queries, {"q00"})
+        started, current, at_failure, late = [], {}, [], set()
+        start, fail, send = pipeline._Turns.start, pipeline._Turns.fail, MockBackend.send
+
+        def logged_start(turns, i):
+            with turns.lock:
+                go = start(turns, i)
+                if go:
+                    started.append(i)
+                    current[threading.get_ident()] = i
+                return go
+
+        def logged_fail(turns, i, exc):
+            with turns.lock:
+                at_failure.append(set(started))
+                fail(turns, i, exc)
+
+        def logged_send(backend, request):
+            if at_failure:
+                late.add(current[threading.get_ident()])
+            return send(backend, request)
+
+        monkeypatch.setattr(pipeline._Turns, "start", logged_start)
+        monkeypatch.setattr(pipeline._Turns, "fail", logged_fail)
+        monkeypatch.setattr(MockBackend, "send", logged_send)
+        config = _config(
+            workspace,
+            "reformer",
+            gateway=GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=window),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with pytest.raises(GatewayError, match="^query q00: mock script has no entry"):
+                pipeline.reformulate_queries(config, index, queries)
+        finally:
+            sys.setswitchinterval(interval)
+        (running,) = at_failure
+        assert late <= running - {0}
+        assert len(late) <= window - 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_featurize, oracle_train_dense
 from patternqr.errors import ConfigError, DataError
+from patternqr.gateway import Gateway, MockBackend, MockScript
 from patternqr.index import ContextEntry, RetrievalContext
 from patternqr.induction import PatternLibrary, ReformulationPattern, default_library
 from patternqr.selector import (
@@ -565,8 +566,20 @@ class TestSelectorInterfaces:
         chooser = PromptSelector(gateway, seed_library)
         picked = chooser.choose("minimum wage", _context(["wage info passage"]))
         assert picked == seed_library.resolve_name("Location Specification")
-        dist = chooser.distribution("minimum wage", _context(["wage info passage"]))
-        assert dist.probs[picked] == 1.0
+
+    def test_prompt_selector_reads_a_name_as_label_does(self, seed_library):
+        # Label and select share one name parser: a trailing period costs no re-ask.
+        sent = []
+
+        class Backend(MockBackend):
+            def send(self, request):
+                sent.append(request)
+                return super().send(request)
+
+        gateway = Gateway(Backend(MockScript(fallback="Clarify Intent.")), model="m")
+        picked = PromptSelector(gateway, seed_library).choose("minimum wage", EMPTY_CONTEXT)
+        assert picked == seed_library.resolve_name("Clarify Intent")
+        assert len(sent) == 1
 
     def test_prompt_selector_bad_name_twice_errors(self, seed_library, mock_gateway_factory):
         gateway = mock_gateway_factory(fallback="Nonsense")
