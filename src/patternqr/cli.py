@@ -2,10 +2,12 @@
 
 Each subcommand is a thin wrapper over one library operation; `retrieve`,
 `baseline`, `reformulate` and `run` share the pipeline's per-query loop.
-`run` has one flag per PipelineConfig field, gateway fields included, and
-reads an optional JSON config file that mirrors PipelineConfig. Settings
-overlay defaults < environment < config file < flags; an unknown or mistyped
-config key is a config error. Exit codes: 0 success, 2 config error, 3 data
+A flag that sets a config field takes its name, type and default from the
+dataclass field. `run` has one flag per PipelineConfig field, gateway fields
+included, and reads an optional JSON config file that mirrors PipelineConfig.
+Settings overlay defaults < environment < config file < flags; an unknown or
+mistyped config key is a config error. `main` range-checks every subcommand's
+settings before its handler runs. Exit codes: 0 success, 2 config error, 3 data
 error, 4 gateway error.
 """
 
@@ -19,12 +21,10 @@ import typing
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
-from . import evaluation, feedback, generator, induction, pipeline, selector
+from . import evaluation, generator, induction, pipeline, selector
 from .errors import ConfigError, DataError, GatewayError
 from .gateway import GatewayConfig
 from .index import (
-    DEFAULT_B,
-    DEFAULT_K1,
     build_index,
     load_index,
     read_corpus_tsv,
@@ -32,6 +32,7 @@ from .index import (
     retrieve_topk,
     save_index,
 )
+from .pipeline import PipelineConfig
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,6 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
+        pipeline.check_ranges(vars(args))
         args.handler(args)
         return 0
     except ConfigError as exc:
@@ -65,28 +67,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build and save an inverted index from a corpus TSV")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k1", type=float, default=DEFAULT_K1)
-    p.add_argument("--b", type=float, default=DEFAULT_B)
+    _add_field_flags(p, PipelineConfig, "k1", "b")
     p.set_defaults(handler=_cmd_index)
 
     p = sub.add_parser("retrieve", help="BM25 top-k retrieval to a TREC run file")
     _add_index_source(p)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=pipeline.DEFAULT_K_EVAL)
+    _add_field_flags(p, PipelineConfig, "k_eval", flag="--k")
     p.add_argument("--tag", default=None, help="run tag (default: bm25-<args hash>)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_retrieve)
 
     p = sub.add_parser("baseline", help="RM3/Rocchio expansion retrieval to a run file")
     _add_index_source(p)
-    p.add_argument("--method", choices=["rm3", "rocchio"], required=True)
+    p.add_argument("--method", dest="mode", choices=["rm3", "rocchio"], required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=pipeline.DEFAULT_K_EVAL)
-    p.add_argument("--fb-docs", type=int, default=feedback.DEFAULT_FB_DOCS)
-    p.add_argument("--fb-terms", type=int, default=feedback.DEFAULT_FB_TERMS)
-    p.add_argument("--orig-weight", type=float, default=feedback.DEFAULT_ORIG_WEIGHT)
-    p.add_argument("--alpha", type=float, default=feedback.DEFAULT_ALPHA)
-    p.add_argument("--beta", type=float, default=feedback.DEFAULT_BETA)
+    _add_field_flags(p, PipelineConfig, "k_eval", flag="--k")
+    _add_field_flags(p, PipelineConfig, "fb_docs", "fb_terms", "orig_weight", "alpha", "beta")
     p.add_argument("--tag", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_retrieve)
@@ -101,14 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--existing", default=None, help="prior library to consolidate into")
     p.add_argument("--transcript", default=None, help="JSONL transcript of every LLM call")
     p.add_argument("--source-dataset", default="", help="provenance label for the library")
-    _add_field_flags(p, GatewayConfig)
+    _add_field_flags(p, GatewayConfig, unset=True)
     p.set_defaults(handler=_cmd_induce)
 
     p = sub.add_parser("label", help="label each pair with its library pattern")
     p.add_argument("--pairs", required=True)
     p.add_argument("--library", required=True)
     p.add_argument("--out", required=True)
-    _add_field_flags(p, GatewayConfig)
+    _add_field_flags(p, GatewayConfig, unset=True)
     p.set_defaults(handler=_cmd_label)
 
     p = sub.add_parser("train-selector", help="train the pattern selector on labeled pairs")
@@ -116,15 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--library", default=None, help="defaults to the packaged seed library")
-    p.add_argument("--k-context", type=int, default=pipeline.DEFAULT_K_CONTEXT)
-    train = selector.TrainConfig()
-    p.add_argument("--epochs", type=int, default=train.epochs)
-    p.add_argument("--learning-rate", type=float, default=train.learning_rate)
-    p.add_argument("--decay", type=float, default=train.decay)
-    p.add_argument("--l2", type=float, default=train.l2)
-    p.add_argument("--batch-size", type=int, default=train.batch_size)
-    p.add_argument("--dimension", type=int, default=train.feature_config.dimension)
-    p.add_argument("--seed", type=int, default=train.seed)
+    _add_field_flags(p, PipelineConfig, "k_context")
+    _add_field_flags(
+        p, selector.TrainConfig, "epochs", "learning_rate", "decay", "l2", "batch_size", "seed"
+    )
+    _add_field_flags(p, selector.FeatureConfig, "dimension")
     p.add_argument("--out", required=True)
     p.add_argument("--loss-csv", default=None)
     p.set_defaults(handler=_cmd_train_selector)
@@ -132,21 +125,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reformulate", help="generate pattern-guided reformulations")
     _add_index_source(p)
     p.add_argument("--queries", required=True)
-    p.add_argument("--library", default=None)
-    p.add_argument("--selector-model", default=None)
-    p.add_argument("--selector", choices=["model", "prompt"], default="model")
-    p.add_argument("--select-mode", choices=["argmax", "sample"], default="argmax")
-    p.add_argument("--k-context", type=int, default=pipeline.DEFAULT_K_CONTEXT)
-    p.add_argument("--repetition", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hook-file", default=None)
+    _add_field_flags(p, PipelineConfig, "library", "selector_model")
+    _add_field_flags(p, PipelineConfig, "selector", choices=pipeline.SELECTORS)
+    _add_field_flags(p, PipelineConfig, "select_mode", choices=pipeline.SELECT_MODES)
+    _add_field_flags(p, PipelineConfig, "k_context", "repetition", "seed", "hook_file")
     p.add_argument("--out", required=True, help="reformulation log (JSONL)")
-    _add_field_flags(p, GatewayConfig)
+    _add_field_flags(p, GatewayConfig, unset=True)
     p.set_defaults(handler=_cmd_reformulate)
 
     p = sub.add_parser("run", help="full pipeline: retrieve, reformulate, evaluate")
     p.add_argument("--config", default=None, help="JSON config file (flags win over it)")
-    _add_field_flags(p, pipeline.PipelineConfig)
+    _add_field_flags(p, PipelineConfig, unset=True)
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("evaluate", help="score a run file against qrels")
@@ -155,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-k", type=int, default=evaluation.DEFAULT_MAP_K)
     p.add_argument("--ndcg-k", type=int, default=evaluation.DEFAULT_NDCG_K)
     p.add_argument("--recall-k", type=int, default=evaluation.DEFAULT_RECALL_K)
-    p.add_argument("--binarize-at", type=int, default=evaluation.DEFAULT_BINARIZE_AT)
+    _add_field_flags(p, PipelineConfig, "binarize_at")
     p.add_argument("--csv", default=None)
     p.set_defaults(handler=_cmd_evaluate)
 
@@ -166,23 +155,32 @@ def _add_index_source(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--corpus", help="corpus TSV to index on the fly")
     group.add_argument("--index", help="previously saved index file")
-    p.add_argument("--k1", type=float, default=DEFAULT_K1)
-    p.add_argument("--b", type=float, default=DEFAULT_B)
+    _add_field_flags(p, PipelineConfig, "k1", "b")
 
 
-def _add_field_flags(p: argparse.ArgumentParser, cls) -> None:
-    """One `--field-name` flag per field of dataclass `cls`, nested dataclasses
-    flattened. A flag not given stays None and overrides nothing."""
-    for name, hint in typing.get_type_hints(cls).items():
+def _add_field_flags(
+    p: argparse.ArgumentParser, cls, *names: str, flag=None, unset=False, choices=None
+) -> None:
+    """A `--field-name` flag (or `flag`) for each named field of dataclass `cls`,
+    or for every field, nested dataclasses flattened, if none is named. Each is
+    typed like its field, limited to `choices` if given, and defaults to the
+    field's default; with `unset` it defaults to None, so a flag not given
+    overrides nothing."""
+    hints = typing.get_type_hints(cls)
+    defaults = {f.name: f.default for f in fields(cls)}
+    for name in names or hints:
+        hint = hints[name]
         if is_dataclass(hint):
-            _add_field_flags(p, hint)
+            _add_field_flags(p, hint, unset=unset)
             continue
         kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-        p.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
+        default = None if unset else defaults[name]
+        option = flag or f"--{name.replace('_', '-')}"
+        p.add_argument(option, dest=name, type=kind, default=default, choices=choices)
 
 
 def _given_flags(args, cls) -> dict:
-    """The flags of `_add_field_flags(p, cls)` that were given, shaped like `cls`."""
+    """The flags of `_add_field_flags(p, cls, unset=True)` that were given, shaped like `cls`."""
     given = {}
     for name, hint in typing.get_type_hints(cls).items():
         value = _given_flags(args, hint) if is_dataclass(hint) else getattr(args, name)
@@ -212,9 +210,8 @@ def _gateway_config(args) -> GatewayConfig:
     return GatewayConfig(**_overlay(env, _given_flags(args, GatewayConfig)))
 
 
-def _load_index_source(args, **settings):
-    """Range-check the subcommand's settings, then load or build its index."""
-    pipeline.check_ranges({**_field_values(args, pipeline.PipelineConfig), **settings})
+def _load_index_source(args):
+    """Load the subcommand's index file, or build an index from its corpus."""
     if getattr(args, "index", None):
         return load_index(args.index)
     return build_index(read_corpus_tsv(args.corpus), k1=args.k1, b=args.b)
@@ -235,13 +232,10 @@ def _cmd_index(args) -> None:
 
 def _cmd_retrieve(args) -> None:
     """`retrieve` ranks with bm25, `baseline` with its --method."""
-    mode = getattr(args, "method", "bm25")
-    config = pipeline.PipelineConfig(
-        **_field_values(args, pipeline.PipelineConfig), mode=mode, k_eval=args.k
-    )
+    config = PipelineConfig(**_field_values(args, PipelineConfig))
     tag = args.tag if args.tag else f"{config.mode}-{_args_hash(args)}"
     run, _ = pipeline.rank_queries(
-        config, _load_index_source(args, k_eval=args.k), read_queries_tsv(args.queries), tag
+        config, _load_index_source(args), read_queries_tsv(args.queries), tag
     )
     evaluation.write_run(run, args.out)
     print(f"wrote {sum(len(r.doc_ids) for r in run.values())} run lines -> {args.out}")
@@ -306,8 +300,8 @@ def _cmd_train_selector(args) -> None:
 
 
 def _cmd_reformulate(args) -> None:
-    config = pipeline.PipelineConfig(
-        **_field_values(args, pipeline.PipelineConfig),
+    config = PipelineConfig(
+        **_field_values(args, PipelineConfig),
         mode="reformer+hook" if args.hook_file else "reformer",
         gateway=_gateway_config(args),
     )
@@ -327,7 +321,7 @@ def _cmd_run(args) -> None:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(layers[-1], dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-    layers.append(_given_flags(args, pipeline.PipelineConfig))
+    layers.append(_given_flags(args, PipelineConfig))
     result = pipeline.run_pipeline(pipeline.config_from_dict(_overlay(*layers)))
     print(f"run file: {result.run_path}")
     if result.log_path:

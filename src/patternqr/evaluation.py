@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataError
-from .index import atomic_write
+from .index import _tsv_lines, atomic_write
 
 DEFAULT_NDCG_K = 10
 DEFAULT_MAP_K = 1000
@@ -83,14 +83,11 @@ def parse_run(path: str | Path) -> Run:
 
 
 def _split_lines(path: str | Path, expected: int):
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
+    """(line number, fields) for each line that is not whitespace only."""
+    for line_no, line in _tsv_lines(path):
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != expected:
             raise DataError(
                 f"{path}:{line_no}: expected {expected} whitespace-separated fields, "

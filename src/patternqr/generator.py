@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DataError
@@ -193,16 +193,10 @@ def read_reformulation_log(path: str | Path) -> list[ReformulationRecord]:
             payload = json.loads(line)
             if isinstance(payload, dict) and "query_id" not in payload:
                 continue  # header line
-            records.append(
-                ReformulationRecord(
-                    query_id=payload["query_id"],
-                    pattern_id=int(payload["pattern_id"]),
-                    pattern_name=payload["pattern_name"],
-                    reformulation=payload["reformulation"],
-                    hybrid_query=payload["hybrid_query"],
-                    fallback=bool(payload["fallback"]),
-                )
-            )
+            if type(payload["pattern_id"]) is not int or type(payload["fallback"]) is not bool:
+                raise ValueError("pattern_id must be an integer and fallback a boolean")
+            values = {f.name: payload[f.name] for f in fields(ReformulationRecord)}
+            records.append(ReformulationRecord(**values))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: malformed reformulation record: {exc!r}") from exc
     return records

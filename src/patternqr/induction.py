@@ -111,9 +111,9 @@ class PatternLibrary:
                 raise DataError(
                     f"pattern ids must be dense 0..M-1; got {pattern.pattern_id} at position {i}"
                 )
-        lowered = [p.name.lower() for p in self.patterns]
-        if len(set(lowered)) != len(lowered):
-            dupes = sorted({n for n in lowered if lowered.count(n) > 1})
+        keys = [_name_key(p.name) for p in self.patterns]
+        if len(set(keys)) != len(keys):
+            dupes = sorted({n for n in keys if keys.count(n) > 1})
             raise DataError(f"duplicate pattern names: {dupes}")
 
     def __len__(self) -> int:
@@ -130,12 +130,18 @@ class PatternLibrary:
 
     def resolve_name(self, answer: str) -> int:
         """The id of the pattern an LLM answer names, ignoring case and surrounding
-        whitespace, quotes and periods; raises DataError listing valid names."""
-        wanted = answer.strip().strip('"').strip("'").strip(".").strip().lower()
+        whitespace, quotes and periods in both; raises DataError listing valid names."""
+        wanted = _name_key(answer)
         for pattern in self.patterns:
-            if pattern.name.lower() == wanted:
+            if _name_key(pattern.name) == wanted:
                 return pattern.pattern_id
         raise DataError(f"unknown pattern name {answer!r}; valid names: {self.names}")
+
+
+def _name_key(name: str) -> str:
+    """What a pattern name is matched on: lower case, without surrounding
+    whitespace, quotes and periods."""
+    return name.strip().strip('"').strip("'").strip(".").strip().lower()
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,6 @@ MODES = ("bm25", "rm3", "rocchio", "reformer", "reformer+hook")
 REFORMER_MODES = ("reformer", "reformer+hook")
 SELECTORS = ("model", "prompt")
 SELECT_MODES = ("argmax", "sample")
-DEFAULT_K_CONTEXT = 3
-DEFAULT_K_EVAL = 1000
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ class PipelineConfig:
     selector: str = "model"  # one of SELECTORS
     select_mode: str = "argmax"  # one of SELECT_MODES
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
-    k_context: int = DEFAULT_K_CONTEXT
-    k_eval: int = DEFAULT_K_EVAL
+    k_context: int = 3
+    k_eval: int = 1000
     repetition: int = 1
     seed: int = 0
     hook_file: str | None = None
@@ -116,18 +114,24 @@ class PipelineConfig:
 
 
 _COUNTS = (
-    "repetition", "k_context", "k_eval", "fb_docs", "fb_terms", "snippet_tokens", "binarize_at"
+    "repetition", "k_context", "k_eval", "fb_docs", "fb_terms", "snippet_tokens", "binarize_at",
+    "epochs", "batch_size", "dimension", "max_patterns", "sample", "map_k", "ndcg_k", "recall_k",
 )
 
 
 def check_ranges(settings: Mapping[str, object]) -> None:
-    """Raise a ConfigError for the first numeric PipelineConfig field in `settings`
-    that is out of range; other keys are skipped."""
+    """Raise a ConfigError for the first numeric setting in `settings` that is out
+    of range, for PipelineConfig and every subcommand; other keys and None values
+    (a `run` flag not given) are skipped."""
     for name, value in settings.items():
+        if value is None:
+            continue
         if name in _COUNTS and value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-        if name in ("k1", "alpha", "beta") and not 0.0 <= value < math.inf:
+        if name in ("k1", "alpha", "beta", "decay", "l2") and not 0.0 <= value < math.inf:
             raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if name == "learning_rate" and not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if name in ("b", "orig_weight") and not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SEED_PATTERN_NAMES, consolidation_payload
-from patternqr import cli, pipeline
+from patternqr import cli, evaluation, induction, pipeline
 from patternqr.cli import main
 from patternqr.evaluation import parse_run
 from patternqr.gateway import Gateway, GatewayConfig, MockScript
@@ -544,6 +544,61 @@ class TestExitCodes:
         assert "config error" in err and flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, setting",
+        [
+            (["train-selector", "--epochs", "0"], "epochs"),
+            (["train-selector", "--epochs", "-1"], "epochs"),
+            (["train-selector", "--batch-size", "0"], "batch_size"),
+            (["train-selector", "--dimension", "0"], "dimension"),
+            (["train-selector", "--decay", "-1"], "decay"),
+            (["train-selector", "--l2", "nan"], "l2"),
+            (["train-selector", "--learning-rate", "nan"], "learning_rate"),
+            (["train-selector", "--learning-rate", "0"], "learning_rate"),
+            (["induce", "--sample", "-1"], "sample"),
+            (["induce", "--sample", "0"], "sample"),
+            (["induce", "--batch-size", "0"], "batch_size"),
+            (["induce", "--max-patterns", "0"], "max_patterns"),
+            (["evaluate", "--map-k", "0"], "map_k"),
+            (["evaluate", "--recall-k", "0"], "recall_k"),
+            (["evaluate", "--ndcg-k", "0"], "ndcg_k"),
+            (["evaluate", "--binarize-at", "0"], "binarize_at"),
+        ],
+    )
+    def test_stage_setting_out_of_range_is_2_before_any_input_is_read(
+        self, files, capsys, monkeypatch, argv, setting
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input file was read")
+
+        for module, reader in [
+            (cli, "read_corpus_tsv"),
+            (cli, "load_index"),
+            (induction, "ingest_pairs"),
+            (evaluation, "parse_run"),
+            (evaluation, "parse_qrels"),
+        ]:
+            monkeypatch.setattr(module, reader, no_read)
+        out = files["dir"] / "out"
+        labels = files["dir"] / "labels.tsv"
+        labels.write_text("p1\t0\np2\t4\n", encoding="utf-8")
+        inputs = {
+            "train-selector": ["--corpus", str(files["corpus"]), "--pairs", str(files["pairs"])],
+            "induce": ["--pairs", str(files["pairs"])],
+            "evaluate": ["--run", str(files["dir"] / "a.run"), "--qrels", str(files["qrels"])],
+        }[argv[0]]
+        if argv[0] == "train-selector":
+            inputs += ["--labels", str(labels), "--loss-csv", str(out / "loss.csv")]
+        if argv[0] == "induce":
+            inputs += ["--mock-script", str(_mock(files["dir"], "x"))]
+        output = ["--csv", str(out)] if argv[0] == "evaluate" else ["--out", str(out)]
+        code = main([*argv, *inputs, *output])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err and setting in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_malformed_model_is_3(self, files, capsys):
         model_path = files["dir"] / "model.npz"
         save_model(SelectorModel.zeros(10, FeatureConfig(dimension=16), "seed-1"), model_path)
@@ -739,3 +794,208 @@ class TestSinglePath:
         )
         result = run_pipeline(config)
         assert read_reformulation_log(log_path) == read_reformulation_log(result.log_path)
+
+
+_GATEWAY_UNSET = {
+    "base_url": None,
+    "api_key": None,
+    "model": None,
+    "mock_script": None,
+    "max_retries": None,
+    "max_in_flight": None,
+}
+
+# (minimal argv, its parsed settings, the args hash its artifacts embed). A
+# setting or hash that moves changes what every artifact of the subcommand says.
+PARSED_SETTINGS = [
+    (
+        ["index", "--corpus", "c.tsv", "--out", "i.json"],
+        {"command": "index", "corpus": "c.tsv", "out": "i.json", "k1": 0.9, "b": 0.4},
+        "ddb9ee3fc1a6",
+    ),
+    (
+        ["retrieve", "--index", "i.json", "--queries", "q.tsv", "--out", "r.run"],
+        {
+            "command": "retrieve",
+            "corpus": None,
+            "index": "i.json",
+            "k1": 0.9,
+            "b": 0.4,
+            "queries": "q.tsv",
+            "k_eval": 1000,
+            "tag": None,
+            "out": "r.run",
+        },
+        "e9f6ffc65898",
+    ),
+    (
+        ["baseline", "--corpus", "c.tsv", "--method", "rm3", "--queries", "q.tsv", "--out", "o"],
+        {
+            "command": "baseline",
+            "corpus": "c.tsv",
+            "index": None,
+            "k1": 0.9,
+            "b": 0.4,
+            "mode": "rm3",
+            "queries": "q.tsv",
+            "k_eval": 1000,
+            "fb_docs": 10,
+            "fb_terms": 10,
+            "orig_weight": 0.5,
+            "alpha": 1.0,
+            "beta": 0.75,
+            "tag": None,
+            "out": "o",
+        },
+        "96a6dcc485a6",
+    ),
+    (
+        ["induce", "--pairs", "p.tsv", "--out", "l.json"],
+        {
+            "command": "induce",
+            "pairs": "p.tsv",
+            "out": "l.json",
+            "batch_size": 50,
+            "max_patterns": 16,
+            "sample": None,
+            "seed": 0,
+            "existing": None,
+            "transcript": None,
+            "source_dataset": "",
+            **_GATEWAY_UNSET,
+        },
+        "4389cceff86a",
+    ),
+    (
+        ["label", "--pairs", "p.tsv", "--library", "l.json", "--out", "lb.tsv"],
+        {
+            "command": "label",
+            "pairs": "p.tsv",
+            "library": "l.json",
+            "out": "lb.tsv",
+            **_GATEWAY_UNSET,
+        },
+        "0100826ffca0",
+    ),
+    (
+        [
+            "train-selector",
+            "--corpus",
+            "c.tsv",
+            "--pairs",
+            "p.tsv",
+            "--labels",
+            "lb.tsv",
+            "--out",
+            "m.npz",
+        ],
+        {
+            "command": "train-selector",
+            "corpus": "c.tsv",
+            "index": None,
+            "k1": 0.9,
+            "b": 0.4,
+            "pairs": "p.tsv",
+            "labels": "lb.tsv",
+            "library": None,
+            "k_context": 3,
+            "epochs": 20,
+            "learning_rate": 0.1,
+            "decay": 0.001,
+            "l2": 1e-05,
+            "batch_size": 32,
+            "dimension": 262144,
+            "seed": 0,
+            "out": "m.npz",
+            "loss_csv": None,
+        },
+        "5562ddbc947e",
+    ),
+    (
+        ["reformulate", "--corpus", "c.tsv", "--queries", "q.tsv", "--out", "r.jsonl"],
+        {
+            "command": "reformulate",
+            "corpus": "c.tsv",
+            "index": None,
+            "k1": 0.9,
+            "b": 0.4,
+            "queries": "q.tsv",
+            "library": None,
+            "selector_model": None,
+            "selector": "model",
+            "select_mode": "argmax",
+            "k_context": 3,
+            "repetition": 1,
+            "seed": 0,
+            "hook_file": None,
+            "out": "r.jsonl",
+            **_GATEWAY_UNSET,
+        },
+        "55b1c9260b81",
+    ),
+    (
+        ["run", "--corpus", "c.tsv", "--queries", "q.tsv"],
+        {
+            "command": "run",
+            "config": None,
+            "corpus": "c.tsv",
+            "queries": "q.tsv",
+            **dict.fromkeys(
+                [
+                    "mode", "qrels", "library", "selector_model", "selector", "select_mode",
+                    "k_context", "k_eval", "repetition", "seed", "hook_file", "k1", "b",
+                    "snippet_tokens", "fb_docs", "fb_terms", "orig_weight", "alpha", "beta",
+                    "binarize_at", "out_dir",
+                ]
+            ),
+            **_GATEWAY_UNSET,
+        },
+        "ca21b6a8c316",
+    ),
+    (
+        ["evaluate", "--run", "r.run", "--qrels", "q.txt"],
+        {
+            "command": "evaluate",
+            "run": "r.run",
+            "qrels": "q.txt",
+            "map_k": 1000,
+            "ndcg_k": 10,
+            "recall_k": 1000,
+            "binarize_at": 2,
+            "csv": None,
+        },
+        "e6ce6ee4c78d",
+    ),
+]
+
+
+class TestParsedSettings:
+    @pytest.mark.parametrize(
+        "argv, settings, digest", PARSED_SETTINGS, ids=[case[0][0] for case in PARSED_SETTINGS]
+    )
+    def test_each_subcommand_parses_to_its_frozen_settings(self, argv, settings, digest):
+        args = cli._build_parser().parse_args(argv)
+        parsed = {k: v for k, v in vars(args).items() if k != "handler"}
+        assert parsed == settings
+        # 1000 == 1000.0, but a float would change what a setting means and hashes to.
+        assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in settings.items()}
+        assert cli._args_hash(args) == digest
+
+    @pytest.mark.parametrize("flag", ["--selector", "--select-mode"])
+    def test_unknown_selector_choice_is_2(self, files, capsys, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main(
+                [
+                    "reformulate",
+                    "--corpus",
+                    str(files["corpus"]),
+                    "--queries",
+                    str(files["queries"]),
+                    flag,
+                    "bogus",
+                    "--out",
+                    str(files["dir"] / "log.jsonl"),
+                ]
+            )
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

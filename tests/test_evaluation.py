@@ -46,6 +46,19 @@ class TestQrelsIO:
             parse_qrels(path)
 
 
+    def test_blank_and_whitespace_only_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 3\n\n  \t \nq1 0 d2 0\n", encoding="utf-8")
+        assert parse_qrels(path) == {"q1": {"d1": 3, "d2": 0}}
+        path.write_text("q1 0 d1 3\n \nq1 d2 0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:3: expected 4 whitespace-separated fields"):
+            parse_qrels(path)
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            parse_qrels(tmp_path / "nope.txt")
+
+
 class TestRunIO:
     def test_write_parse_round_trip(self, tmp_path):
         run = run_from_rankings(
@@ -54,6 +67,11 @@ class TestRunIO:
         path = tmp_path / "run.txt"
         write_run(run, path)
         assert parse_run(path) == run
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "a.run"
+        path.write_text("q1 Q0 d1 1 2.0 t\n   \n\t\nq1 Q0 d2 2 1.0 t\n", encoding="utf-8")
+        assert parse_run(path) == {"q1": Ranking(("d1", "d2"), (2.0, 1.0), "t")}
 
     def test_emission_order_and_precision(self, tmp_path):
         run = run_from_rankings({"q2": [("d1", 1.0)], "q1": [("d2", 0.123456789)]}, tag="t")

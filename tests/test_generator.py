@@ -179,13 +179,30 @@ class TestReformulationLog:
             '{"query_id": "q1"}',
             '{"query_id": "q1", "pattern_id": "nine", "pattern_name": "T", "reformulation": "r",'
             ' "hybrid_query": "q r", "fallback": false}',
+            '{"query_id": "q1", "pattern_id": true, "pattern_name": "T", "reformulation": "r",'
+            ' "hybrid_query": "q r", "fallback": false}',
+            '{"query_id": "q1", "pattern_id": 9.5, "pattern_name": "T", "reformulation": "r",'
+            ' "hybrid_query": "q r", "fallback": false}',
+            '{"query_id": "q1", "pattern_id": 9, "pattern_name": "T", "reformulation": "r",'
+            ' "hybrid_query": "q r", "fallback": "false"}',
+            '{"query_id": "q1", "pattern_id": 9, "pattern_name": "T", "reformulation": "r",'
+            ' "hybrid_query": "q r", "fallback": 0}',
             "3",
             "[1]",
         ],
-        ids=["missing-fields", "bad-pattern-id", "number", "list"],
+        ids=[
+            "missing-fields",
+            "bad-pattern-id",
+            "boolean-pattern-id",
+            "fractional-pattern-id",
+            "string-fallback",
+            "integer-fallback",
+            "number",
+            "list",
+        ],
     )
     def test_malformed_record_is_a_data_error(self, tmp_path, line):
         path = tmp_path / "log.jsonl"
         path.write_text(f'{{"config_hash": "beef99"}}\n{line}\n', encoding="utf-8")
-        with pytest.raises(DataError, match=":2"):
+        with pytest.raises(DataError, match=f"{path}:2"):
             read_reformulation_log(path)

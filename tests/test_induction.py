@@ -274,6 +274,28 @@ class TestLibraryIO:
             )
 
 
+    def test_duplicate_names_enforced_as_an_answer_resolves_them(self):
+        with pytest.raises(DataError, match="duplicate pattern names"):
+            PatternLibrary(
+                patterns=(
+                    ReformulationPattern(0, "Add Year.", "d", "r"),
+                    ReformulationPattern(1, "add year", "d", "r"),
+                ),
+                version="v",
+            )
+
+    @pytest.mark.parametrize("answer", ["Add Year.", "add year", '"Add Year"', "Add Year. "])
+    def test_name_ending_in_a_period_resolves(self, answer):
+        library = PatternLibrary(
+            patterns=(
+                ReformulationPattern(0, "Other", "d", "r"),
+                ReformulationPattern(1, "Add Year.", "d", "r"),
+            ),
+            version="v",
+        )
+        assert library.resolve_name(answer) == 1
+
+
 class TestLabelsIO:
     def test_round_trip(self, tmp_path):
         from patternqr.induction import PatternLabel
