@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError, MockMissError, ProtocolError, TransportError
+from .index import atomic_write
 
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_TEMPERATURE = 1.0
@@ -137,8 +138,8 @@ class MockScript:
         return cls(entries=dict(entries), fallback=fallback)
 
     def save(self, path: str | Path) -> None:
-        payload = {"entries": self.entries, "fallback": self.fallback}
-        Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        text = json.dumps({"entries": self.entries, "fallback": self.fallback}, indent=2)
+        atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 class MockBackend:

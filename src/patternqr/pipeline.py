@@ -110,12 +110,13 @@ class PipelineConfig:
                 )
             if self.selector == "model" and not self.selector_model:
                 raise ConfigError("selector='model' requires a selector model file")
-        check_ranges(vars(self))
+        check_ranges({**vars(self), **vars(self.gateway)})
 
 
 _COUNTS = (
     "repetition", "k_context", "k_eval", "fb_docs", "fb_terms", "snippet_tokens", "binarize_at",
     "epochs", "batch_size", "dimension", "max_patterns", "sample", "map_k", "ndcg_k", "recall_k",
+    "max_retries", "max_in_flight",
 )
 
 

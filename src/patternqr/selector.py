@@ -107,12 +107,6 @@ def featurize(query: str, context: RetrievalContext, config: FeatureConfig) -> F
         idx = int.from_bytes(h.digest(), "little") % config.dimension
         counts[idx] = counts.get(idx, 0.0) + n
 
-    if not counts:
-        return FeatureVector(
-            indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0, dtype=np.float64),
-            dimension=config.dimension,
-        )
     indices = np.array(sorted(counts), dtype=np.int64)
     values = np.array([counts[i] for i in indices], dtype=np.float64)
     return FeatureVector(indices=indices, values=values, dimension=config.dimension)
@@ -139,28 +133,33 @@ class SelectorModel:
         )
 
 
-def _softmax(
-    weights: np.ndarray, bias: np.ndarray, fv: FeatureVector
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One vector's pattern logits, shifted by their max, with their softmax and log-partition."""
-    logits = weights[:, fv.indices] @ fv.values + bias if fv.indices.size else bias.copy()
-    shifted = logits - logits.max()
+def _softmax_rows(
+    weights_t: np.ndarray, bias: np.ndarray, vectors: list[FeatureVector]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each vector's pattern logits as one row, shifted by the row's max, with the
+    row-wise softmax and log-partition. `weights_t` is C-ordered, one row per
+    feature: `take(indices, axis=0).T` is the F-ordered (M, k) block that
+    `weights[:, indices]` gives, so each row is the same gemv on the same numbers."""
+    logits = np.zeros((len(vectors), bias.size))
+    for row, fv in zip(logits, vectors):
+        row[:] = weights_t.take(fv.indices, axis=0).T @ fv.values
+    logits += bias
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    z = exp.sum()
-    return shifted, exp / z, np.log(z)
+    z = exp.sum(axis=1, keepdims=True)
+    return shifted, exp / z, np.log(z[:, 0])
 
 
 def _cross_entropy(
-    weights: np.ndarray, bias: np.ndarray, vectors: list[FeatureVector], labels: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
-    """Summed cross-entropy of the labels, and each vector's softmax minus its label's one-hot."""
+    weights_t: np.ndarray, bias: np.ndarray, vectors: list[FeatureVector], labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Summed cross-entropy of the labels, and each row's softmax minus its label's one-hot."""
+    shifted, deltas, log_z = _softmax_rows(weights_t, bias, vectors)
+    rows = np.arange(len(vectors))
     total = 0.0
-    deltas = []
-    for fv, label in zip(vectors, labels):
-        shifted, delta, log_z = _softmax(weights, bias, fv)
-        total -= shifted[label] - log_z
-        delta[label] -= 1.0
-        deltas.append(delta)
+    for term in (shifted[rows, labels] - log_z).tolist():  # summed in example order
+        total -= term
+    deltas[rows, labels] -= 1.0
     return total, deltas
 
 
@@ -170,7 +169,11 @@ def predict_from_vector(model: SelectorModel, fv: FeatureVector) -> PatternDistr
             f"feature vector dimension {fv.dimension} does not match model "
             f"dimension {model.feature_config.dimension}"
         )
-    return PatternDistribution(probs=_softmax(model.weights, model.bias, fv)[1])
+    # `take` on the transposed (M, F) matrix would copy all of it: gather the
+    # vector's own rows instead, and renumber its features to match.
+    local = FeatureVector(np.arange(fv.indices.size), fv.values, fv.indices.size)
+    _, probs, _ = _softmax_rows(model.weights[:, fv.indices].T, model.bias, [local])
+    return PatternDistribution(probs=probs[0])
 
 
 def predict_distribution(
@@ -204,16 +207,13 @@ def loss_and_gradient(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy + l2*||weights||^2 with its exact gradient."""
     n = len(vectors)
-    total, deltas = _cross_entropy(weights, bias, vectors, labels)
+    total, deltas = _cross_entropy(np.ascontiguousarray(weights.T), bias, vectors, labels)
     grad_w = np.zeros_like(weights)
-    grad_b = np.zeros_like(bias)
     for fv, delta in zip(vectors, deltas):
-        if fv.indices.size:
-            grad_w[:, fv.indices] += np.outer(delta, fv.values)
-        grad_b += delta
+        grad_w[:, fv.indices] += np.outer(delta, fv.values)
     loss = total / n + l2 * float((weights**2).sum())
     grad_w = grad_w / n + 2.0 * l2 * weights
-    grad_b /= n
+    grad_b = deltas.sum(axis=0) / n
     return loss, grad_w, grad_b
 
 
@@ -226,30 +226,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
-
-
-def _apply_batch(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    vectors: list[FeatureVector],
-    labels: np.ndarray,
-    eta: float,
-    l2: float,
-) -> None:
-    """One in-place step of theta -= eta * (data gradient + 2*l2*theta).
-
-    The L2 part becomes a single in-place scaling; the data part touches only
-    active feature columns. Deltas are computed before either is applied, so
-    this matches the batch gradient at the pre-update weights exactly.
-    """
-    n = len(vectors)
-    _, deltas = _cross_entropy(weights, bias, vectors, labels)
-    bias_grad = sum(deltas, np.zeros_like(bias))
-    weights *= 1.0 - 2.0 * l2 * eta
-    for fv, delta in zip(vectors, deltas):
-        if fv.indices.size:
-            weights[:, fv.indices] -= (eta / n) * np.outer(delta, fv.values)
-    bias -= (eta / n) * bias_grad
 
 
 def train_selector(
@@ -276,13 +252,15 @@ def train_selector(
     model = SelectorModel.zeros(m, config, library.version)
     # A column no example activates starts at +0.0 and stays exactly +0.0 under
     # the L2 scaling, so the steps run on the active columns alone: every
-    # weight gets the same operations as on the full matrix.
+    # weight gets the same operations as on the full matrix. They are stored
+    # transposed, one contiguous row of M weights per active feature, so a
+    # vector's gather and scatter move whole rows.
     active = np.unique(np.concatenate([fv.indices for fv in vectors]))
     compact = [
         FeatureVector(np.searchsorted(active, fv.indices), fv.values, active.size)
         for fv in vectors
     ]
-    weights = np.zeros((m, active.size), dtype=np.float64)
+    weights_t = np.zeros((active.size, m), dtype=np.float64)
     rng = np.random.default_rng(hyper.seed)
     step = 0
     history: list[float] = []
@@ -291,14 +269,26 @@ def train_selector(
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
             eta = hyper.learning_rate / (1.0 + step * hyper.decay)
+            # theta -= eta * (data gradient + 2*l2*theta), in place. The deltas
+            # come first, so this is the batch gradient at the pre-update weights;
+            # the L2 part is one scaling, and the data part subtracts the
+            # transposed outer product from each active feature's row.
             batch_vectors = [compact[i] for i in batch]
-            _apply_batch(weights, model.bias, batch_vectors, labels[batch], eta, hyper.l2)
+            _, deltas = _cross_entropy(weights_t, model.bias, batch_vectors, labels[batch])
+            weights_t *= 1.0 - 2.0 * hyper.l2 * eta
+            for fv, delta in zip(batch_vectors, deltas):
+                update = fv.values[:, None] * delta
+                update *= eta / len(batch)
+                rows = weights_t.take(fv.indices, axis=0)
+                rows -= update
+                weights_t[fv.indices] = rows
+            model.bias -= (eta / len(batch)) * sum(deltas, np.zeros(m))
             step += 1
         # The data term reads the same weights, in the same order, from the
         # compact matrix. The L2 term sums over the full matrix: a sum over the
         # compact one alone groups the terms differently and can move the last bit.
-        total, _ = _cross_entropy(weights, model.bias, compact, labels)
-        model.weights[:, active] = weights
+        total, _ = _cross_entropy(weights_t, model.bias, compact, labels)
+        model.weights[:, active] = weights_t.T
         flat = model.weights.ravel()
         history.append(total / len(vectors) + hyper.l2 * float(np.dot(flat, flat)))
     return model, history

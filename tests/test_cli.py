@@ -455,6 +455,26 @@ class TestExitCodes:
         assert code == 2
         assert f"{flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--max-in-flight", "--max-retries"])
+    @pytest.mark.parametrize("command", ["induce-missing-pairs", "run-bm25"])
+    def test_gateway_count_below_one_is_2_without_a_gateway(self, files, capsys, flag, command):
+        # Neither command builds a gateway: induce fails first on its missing
+        # pairs file, and a bm25 run makes no LLM call at all.
+        out = files["dir"] / "out"
+        argv = {
+            "induce-missing-pairs": [
+                "induce", "--pairs", str(files["dir"] / "missing.tsv"), "--out", str(out),
+            ],
+            "run-bm25": [
+                "run", "--mode", "bm25", "--corpus", str(files["corpus"]),
+                "--queries", str(files["queries"]), "--out-dir", str(out),
+            ],
+        }[command]
+        code = main([*argv, flag, "0"])
+        assert code == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mode, flag, value",
         [

@@ -217,6 +217,14 @@ class TestMockBackend:
         script.save(path)
         assert MockScript.load(path) == script
 
+    def test_failed_save_leaves_previous_script(self, tmp_path, half_write_text):
+        path = tmp_path / "script.json"
+        path.write_bytes(b'{"entries": {"fp0": "old"}}')
+        with pytest.raises(OSError, match="disk full"):
+            MockScript(entries={"fp1": "new " * 100}, fallback="fb").save(path)
+        assert path.read_bytes() == b'{"entries": {"fp0": "old"}}'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["script.json"]
+
     def test_bad_script_file(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text("not json", encoding="utf-8")

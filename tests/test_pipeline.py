@@ -279,6 +279,12 @@ class TestConfigHandling:
         assert type(getattr(as_int, key)) is float
         assert config_hash(as_int) == config_hash(as_float)
 
+    @pytest.mark.parametrize("field", ["max_retries", "max_in_flight"])
+    def test_gateway_count_below_one_rejected_by_validate(self, workspace, field):
+        config = _config(workspace, "bm25", gateway=GatewayConfig(**{field: 0}))
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            config.validate()
+
     def test_unknown_select_mode_rejected(self, workspace):
         config = _config(workspace, "reformer", selector="prompt", select_mode="bogus")
         with pytest.raises(ConfigError, match="bogus"):

@@ -19,6 +19,7 @@ from patternqr.selector import (
     PromptSelector,
     SelectorModel,
     TrainConfig,
+    _softmax_rows,
     featurize,
     load_model,
     loss_and_gradient,
@@ -256,8 +257,12 @@ class TestTraining:
                 3,
                 TrainConfig(epochs=5, batch_size=7, l2=1e-3, feature_config=SMALL),
             ),
+            # one-row batches
+            (_library(3), 4, 2, TrainConfig(epochs=3, batch_size=1, feature_config=SMALL)),
+            # one batch holding the whole set
+            (_library(4), 6, 2, TrainConfig(epochs=4, batch_size=64, feature_config=SMALL)),
         ],
-        ids=["acceptance-3", "empty-vectors"],
+        ids=["acceptance-3", "empty-vectors", "batch-of-one", "batch-of-all"],
     )
     def test_matches_the_dense_reference(self, library, per_class, empty, hyper):
         data = separable_examples(library, per_class=per_class, seed=1)
@@ -279,6 +284,9 @@ class TestTraining:
         )
         assert np.array_equal(model.weights, weights)
         assert np.array_equal(model.bias, bias)
+        # Bytes as well: array_equal cannot see the sign of a zero.
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
         assert history == expected
 
     def test_label_out_of_range_names_example(self):
@@ -337,6 +345,24 @@ class TestPrediction:
         a = predict_from_vector(model, fv).probs
         b = predict_from_vector(scaled_model, scaled_fv).probs
         assert np.array_equal(np.argsort(a), np.argsort(b))
+
+    def test_matches_the_training_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        model = SelectorModel.zeros(5, SMALL, "v")
+        model.weights[:, :] = rng.normal(scale=2.0, size=model.weights.shape)
+        model.bias[:] = rng.normal(scale=2.0, size=5)
+        vectors = _random_vectors(rng, 9, SMALL.dimension)
+        assert any(fv.indices.size == 0 for fv in vectors)
+        # The trainer's layout: active feature rows, features renumbered to match.
+        active = np.unique(np.concatenate([fv.indices for fv in vectors]))
+        weights_t = np.ascontiguousarray(model.weights[:, active].T)
+        compact = [
+            FeatureVector(np.searchsorted(active, fv.indices), fv.values, active.size)
+            for fv in vectors
+        ]
+        _, rows, _ = _softmax_rows(weights_t, model.bias, compact)
+        for fv, row in zip(vectors, rows):
+            assert predict_from_vector(model, fv).probs.tobytes() == row.tobytes()
 
     def test_dimension_mismatch_rejected(self):
         model = SelectorModel.zeros(3, SMALL, "v")
