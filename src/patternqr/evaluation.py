@@ -96,14 +96,6 @@ def _split_lines(path: str | Path, expected: int):
         yield line_no, fields
 
 
-def run_from_rankings(rankings: dict[str, list[tuple[str, float]]], tag: str) -> Run:
-    """Build a run from per-query (doc_id, score) lists in rank order."""
-    return {
-        query_id: Ranking(tuple(d for d, _ in ranked), tuple(s for _, s in ranked), tag)
-        for query_id, ranked in rankings.items()
-    }
-
-
 def write_run(run: Run, path: str | Path) -> None:
     """Deterministic emission: query_id ascending, rank ascending, scores at 6 decimals."""
     blocks = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import DataError
@@ -164,16 +164,7 @@ class ReformulationRecord:
     fallback: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "query_id": self.query_id,
-                "pattern_id": self.pattern_id,
-                "pattern_name": self.pattern_name,
-                "reformulation": self.reformulation,
-                "hybrid_query": self.hybrid_query,
-                "fallback": self.fallback,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def write_reformulation_log(

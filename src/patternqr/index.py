@@ -8,15 +8,16 @@ internal ordinals).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -140,22 +141,25 @@ class InvertedIndex:
     strictly ascending, with their term frequencies at the same positions of
     `tfs`. Ordinals are assigned in insertion order and never leak into
     results: scoring and tie-breaking depend only on doc_id and corpus
-    statistics.
+    statistics. `term_id` numbers the terms 0, 1, ... in its insertion order. The
+    documents are one int32 term-id `stream`: each document's tokens in text
+    order, one document after another, `doc_lengths` ids each.
     """
 
     def __init__(
         self,
-        terms: list[str],
+        term_id: dict[str, int],
         offsets: np.ndarray,
         ordinals: np.ndarray,
         tfs: np.ndarray,
         doc_ids: list[str],
-        doc_tokens: list[tuple[str, ...]],
+        stream: np.ndarray,
+        doc_lengths: list[int],
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ):
-        self.terms = terms
-        self._term_id = {term: i for i, term in enumerate(terms)}
+        self.terms = list(term_id)
+        self._term_id = term_id
         self.offsets = _frozen(offsets, np.int64)
         # Python ints: per-term lookups (idf in feedback loops) stay cheap.
         self._bounds = self.offsets.tolist()
@@ -166,12 +170,11 @@ class InvertedIndex:
         if len(self._ordinal_of) != len(doc_ids):
             duplicate = next(d for d, n in Counter(doc_ids).items() if n > 1)
             raise DataError(f"duplicate doc_id {duplicate!r}")
-        # Tuples of strings drop out of the garbage collector's tracking, so
-        # a full collection does not walk every token of the corpus.
-        self._doc_tokens = doc_tokens
-        self.doc_lengths = [len(toks) for toks in doc_tokens]
+        self.stream = _frozen(stream, np.int32)
+        self.doc_lengths = doc_lengths
+        self._starts = [0, *accumulate(doc_lengths)]
         self.num_docs = len(doc_ids)
-        total = sum(self.doc_lengths)
+        total = self._starts[-1]
         self.avg_doc_length = total / self.num_docs if self.num_docs > 0 else 0.0
         self.k1 = k1
         self.b = b
@@ -211,10 +214,15 @@ class InvertedIndex:
         return math.log(1.0 + (self.num_docs - df + 0.5) / (df + 0.5))
 
     def term_frequencies(self, ordinal: int) -> Counter[str]:
-        return Counter(self._doc_tokens[ordinal])
+        """The document's term counts, terms in order of first occurrence in it."""
+        return Counter(map(self.terms.__getitem__, self._token_ids(ordinal).tolist()))
 
     def snippet(self, ordinal: int, max_tokens: int = DEFAULT_SNIPPET_TOKENS) -> str:
-        return " ".join(self._doc_tokens[ordinal][:max_tokens])
+        tokens = self._token_ids(ordinal)[:max_tokens].tolist()
+        return " ".join(map(self.terms.__getitem__, tokens))
+
+    def _token_ids(self, ordinal: int) -> np.ndarray:
+        return self.stream[self._starts[ordinal] : self._starts[ordinal + 1]]
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -228,33 +236,32 @@ def build_index(
 ) -> InvertedIndex:
     """Build an inverted index over the collection; rejects duplicate doc_ids.
 
-    Term ids follow first occurrence. One sort of (term id, ordinal) keys
-    over every token groups the postings by term, ordinals ascending, and
-    counts the term frequencies.
+    Each token is looked up once: an unseen term takes the next id, so term
+    ids follow first occurrence, and the ids form the term-id stream. One
+    sort of (term id, ordinal) keys over the stream groups the postings by
+    term, ordinals ascending, and counts the term frequencies.
     """
     doc_ids: list[str] = []
-    doc_tokens: list[tuple[str, ...]] = []
-    # One string object per term: repeated tokens are freed at once, and the
-    # term-id lookups below hit cached hashes and compare by identity.
-    canonical: dict[str, str] = {}
+    lengths: list[int] = []
+    ids: list[int] = []
+    term_id: defaultdict[str, int] = defaultdict(count().__next__)
     for doc in docs:
         doc_ids.append(doc.doc_id)
         tokens = tokenize(doc.text)
-        doc_tokens.append(tuple(map(canonical.setdefault, tokens, tokens)))
+        lengths.append(len(tokens))
+        ids.extend(map(term_id.__getitem__, tokens))
+    # From here on an unknown term raises KeyError, as in a plain dict.
+    term_id.default_factory = None
+    stream = np.fromiter(ids, dtype=np.int32, count=len(ids))
+    del ids  # otherwise alive, 8 bytes a token, through the sort below
     num_docs = len(doc_ids)
-    terms = list(canonical)
-    term_id = {term: i for i, term in enumerate(terms)}
-    lengths = np.fromiter(map(len, doc_tokens), dtype=np.int64, count=num_docs)
-    token_terms = np.fromiter(
-        map(term_id.__getitem__, chain.from_iterable(doc_tokens)),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    token_ordinals = np.repeat(np.arange(num_docs, dtype=np.int64), lengths)
-    keys, tfs = np.unique(token_terms * num_docs + token_ordinals, return_counts=True)
+    keys = stream.astype(np.int64)
+    keys *= num_docs
+    keys += np.repeat(np.arange(num_docs, dtype=np.int64), lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
     posting_terms, ordinals = np.divmod(keys, max(num_docs, 1))
-    offsets = np.searchsorted(posting_terms, np.arange(len(terms) + 1))
-    return InvertedIndex(terms, offsets, ordinals, tfs, doc_ids, doc_tokens, k1=k1, b=b)
+    offsets = np.searchsorted(posting_terms, np.arange(len(term_id) + 1))
+    return InvertedIndex(term_id, offsets, ordinals, tfs, doc_ids, stream, lengths, k1=k1, b=b)
 
 
 def bm25_score(
@@ -368,7 +375,9 @@ def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") ->
     meets them in, so the bytes do not depend on how term ids were assigned.
     """
     terms, offsets, ordinals = index.terms, index.offsets.tolist(), index.ordinals.tolist()
-    pairs = [[o, tf] for o, tf in zip(ordinals, index.tfs.tolist())]
+    words, starts = np.array(terms, dtype=object)[index.stream].tolist(), index._starts
+    # Tuples of ints leave the collector's tracking, so it does not walk them all again.
+    pairs = list(zip(ordinals, index.tfs.tolist()))
     order = sorted(range(len(terms)), key=lambda i: (ordinals[offsets[i]], terms[i]))
     postings = {terms[i]: pairs[offsets[i] : offsets[i + 1]] for i in order}
     payload = {
@@ -377,7 +386,7 @@ def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") ->
         "k1": index.k1,
         "b": index.b,
         "doc_ids": index.doc_ids,
-        "doc_tokens": index._doc_tokens,
+        "doc_tokens": [words[lo:hi] for lo, hi in zip(starts, starts[1:])],
         "postings": postings,
     }
     data = json.dumps(payload)
@@ -386,16 +395,27 @@ def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") ->
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a `patternqr-index-v1` file into the arrays, taking its postings as written."""
+    # The payload holds no reference cycles, but each collection while it is
+    # decoded would walk all its lists again: in all, longer than the decoding.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load index from {path}: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(payload, dict) or payload.get("format") != "patternqr-index-v1":
         raise DataError(f"{path} is not a patternqr index file")
     try:
         postings = payload["postings"]
         doc_ids = payload["doc_ids"]
-        doc_tokens = [tuple(tokens) for tokens in payload["doc_tokens"]]
+        # These raise a TypeError unless each document is a list of hashable tokens.
+        doc_lengths = list(map(list.__len__, payload["doc_tokens"]))
+        term_id = {term: i for i, term in enumerate(postings)}
+        tokens = chain.from_iterable(payload["doc_tokens"])
+        stream = np.fromiter(map(term_id.get, tokens, repeat(-1)), np.int32, sum(doc_lengths))
         lengths = np.fromiter(map(len, postings.values()), dtype=np.int64, count=len(postings))
         pairs = np.fromiter(
             chain.from_iterable(chain.from_iterable(postings.values())),
@@ -403,18 +423,23 @@ def load_index(path: str | Path) -> InvertedIndex:
             count=2 * int(lengths.sum()),
         ).reshape(-1, 2)
         k1, b = payload["k1"], payload["b"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed index file {path}: {exc}") from exc
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     ordinals, tfs = pairs[:, 0], pairs[:, 1]
-    # The kernel relies on in-range ordinals, strictly ascending within each term.
+    # The kernel relies on in-range ordinals, strictly ascending within each
+    # term; a document token that is not a term with postings reads as -1.
     keys = np.repeat(np.arange(len(postings), dtype=np.int64), lengths) * len(doc_ids) + ordinals
-    if len(doc_tokens) != len(doc_ids) or (
-        ordinals.size
-        and (ordinals.min() < 0 or ordinals.max() >= len(doc_ids) or np.any(np.diff(keys) <= 0))
+    if (
+        len(doc_lengths) != len(doc_ids)
+        or (stream.size and stream.min() < 0)
+        or (
+            ordinals.size
+            and (ordinals.min() < 0 or ordinals.max() >= len(doc_ids) or np.any(np.diff(keys) <= 0))
+        )
     ):
         raise DataError(f"malformed index file {path}: postings do not match the documents")
-    return InvertedIndex(list(postings), offsets, ordinals, tfs, doc_ids, doc_tokens, k1=k1, b=b)
+    return InvertedIndex(term_id, offsets, ordinals, tfs, doc_ids, stream, doc_lengths, k1=k1, b=b)
 
 
 def atomic_write(path: Path, write_fn) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -372,11 +372,7 @@ def save_library(library: PatternLibrary, path: str | Path) -> None:
         "format": LIBRARY_FORMAT,
         "version": library.version,
         "config_hash": library.config_hash,
-        "provenance": {
-            "source_dataset": library.provenance.source_dataset,
-            "num_pairs": library.provenance.num_pairs,
-            "induction_model": library.provenance.induction_model,
-        },
+        "provenance": asdict(library.provenance),
         "patterns": [
             {"pattern_id": p.pattern_id, **_pattern_to_payload(p)} for p in library.patterns
         ],

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +46,7 @@ class FeatureConfig:
     hash_seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "ngram_orders": list(self.ngram_orders),
-            "snippet_token_cap": self.snippet_token_cap,
-            "hash_seed": self.hash_seed,
-        }
+        return {**asdict(self), "ngram_orders": list(self.ngram_orders)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":

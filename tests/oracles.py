@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,25 @@ def oracle_tokenize(text: str) -> list[str]:
     if current:
         tokens.append("".join(current))
     return tokens
+
+
+def oracle_postings(docs: list[str]) -> dict[str, list[tuple[int, int]]]:
+    """Each term's ascending (ordinal, tf) pairs, terms in order of first
+    occurrence across the documents taken in order."""
+    token_lists = [oracle_tokenize(text) for text in docs]
+    terms: list[str] = []
+    for tokens in token_lists:
+        for token in tokens:
+            if token not in terms:
+                terms.append(token)
+    postings = {}
+    for term in terms:
+        postings[term] = [
+            (ordinal, tokens.count(term))
+            for ordinal, tokens in enumerate(token_lists)
+            if term in tokens
+        ]
+    return postings
 
 
 def oracle_featurize(
@@ -89,6 +109,22 @@ def oracle_rank(scores: dict[str, float], k: int) -> list[tuple[str, float]]:
     positive = [(doc_id, s) for doc_id, s in scores.items() if s > 0.0]
     positive.sort(key=lambda pair: (-pair[1], pair[0]))
     return positive[:k]
+
+
+class Ranking(NamedTuple):
+    """One query's ranking: the fields of patternqr's run type, built without it."""
+
+    doc_ids: tuple[str, ...]
+    scores: tuple[float, ...]
+    tag: str
+
+
+def run_from_rankings(rankings: dict[str, list[tuple[str, float]]], tag: str) -> dict:
+    """A run (query id -> Ranking) from per-query (doc_id, score) lists in rank order."""
+    return {
+        query_id: Ranking(tuple(d for d, _ in ranked), tuple(s for _, s in ranked), tag)
+        for query_id, ranked in rankings.items()
+    }
 
 
 def oracle_run_text(run: dict[str, tuple]) -> str:

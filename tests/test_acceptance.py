@@ -20,13 +20,13 @@ from oracles import (
     oracle_ndcg,
     oracle_rank,
     oracle_recall,
+    run_from_rankings,
 )
 from patternqr.evaluation import (
     average_precision_at_k,
     evaluate_run,
     ndcg_at_k,
     parse_run,
-    run_from_rankings,
 )
 from patternqr.feedback import rm3_expand
 from patternqr.gateway import GatewayConfig, MockScript, fingerprint

@@ -399,6 +399,18 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_index_whose_documents_name_a_term_without_postings_is_3(self, files, capsys):
+        index_path = files["dir"] / "index.json"
+        assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
+        payload = json.loads(index_path.read_text(encoding="utf-8"))
+        payload["doc_tokens"][0].append("unposted")
+        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        out = files["dir"] / "r.run"
+        argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "postings do not match the documents" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"
         save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_average_precision, oracle_ndcg, oracle_recall, oracle_run_text
+from oracles import (
+    oracle_average_precision,
+    oracle_ndcg,
+    oracle_recall,
+    oracle_run_text,
+    run_from_rankings,
+)
 from patternqr.errors import DataError
 from patternqr.evaluation import (
     QueryMetrics,
@@ -16,7 +22,6 @@ from patternqr.evaluation import (
     parse_run,
     recall_at_k,
     render_report_table,
-    run_from_rankings,
     write_report_csv,
     write_run,
 )

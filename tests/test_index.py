@@ -1,5 +1,9 @@
 import json
 import random
+import tempfile
+from collections import Counter
+from itertools import accumulate
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_bm25_all, oracle_rank, oracle_tokenize
+from oracles import oracle_bm25_all, oracle_postings, oracle_rank, oracle_tokenize
 from patternqr import index as index_module
 from patternqr.errors import DataError
 from patternqr.index import (
@@ -308,6 +312,67 @@ class TestOracleEquivalence:
         ]
 
 
+# Corpora with empty documents, repeated tokens and non-ASCII text (including
+# the Kelvin sign, whose lowercase form is ASCII, and underscores between tokens).
+_CORPORA = st.lists(
+    st.one_of(
+        st.just(""),
+        st.text(max_size=40),
+        st.lists(st.sampled_from(["a", "B", "b", "é", "ΣΑ", "x_1", "İ", "\u212a", "7", "a.a"]))
+        .map(" ".join),
+    ),
+    max_size=8,
+)
+
+
+def _words(index):
+    return [index.terms[i] for i in index.stream.tolist()]
+
+
+class TestTermIdStream:
+    @given(_CORPORA)
+    def test_matches_the_postings_oracle(self, texts):
+        index = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
+        expected = oracle_postings(texts)
+        pairs = [pair for term in expected for pair in expected[term]]
+        assert index.terms == list(expected)
+        assert index.offsets.tolist() == [0, *accumulate(map(len, expected.values()))]
+        assert index.ordinals.tolist() == [ordinal for ordinal, _ in pairs]
+        assert index.tfs.tolist() == [tf for _, tf in pairs]
+        assert index.doc_lengths == [len(oracle_tokenize(text)) for text in texts]
+        assert _words(index) == [token for text in texts for token in oracle_tokenize(text)]
+        for i, text in enumerate(texts):
+            tokens = tokenize(text)
+            assert list(index.term_frequencies(i).items()) == list(Counter(tokens).items())
+            for k in (0, 1, 64):
+                assert index.snippet(i, k) == " ".join(tokens[:k])
+
+    @given(_CORPORA)
+    def test_save_and_load_keep_postings_and_documents(self, texts):
+        built = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.json"
+            save_index(built, path)
+            loaded = load_index(path)
+            save_index(loaded, path)
+            reloaded = load_index(path)
+        # A loaded index numbers its terms in file order, so compare by term.
+        assert sorted(loaded.terms) == sorted(built.terms)
+        for term in built.terms:
+            for got, want in zip(loaded.postings(term), built.postings(term)):
+                assert np.array_equal(got, want)
+        assert loaded.doc_ids == built.doc_ids
+        assert loaded.doc_lengths == built.doc_lengths
+        assert _words(loaded) == _words(built)
+        for i in range(built.num_docs):
+            assert list(loaded.term_frequencies(i).items()) == list(
+                built.term_frequencies(i).items()
+            )
+        assert reloaded.terms == loaded.terms
+        for name in ("offsets", "ordinals", "tfs", "stream"):
+            assert np.array_equal(getattr(reloaded, name), getattr(loaded, name))
+
+
 class TestTsvIO:
     def test_corpus_round_trip(self, tmp_path):
         path = tmp_path / "corpus.tsv"
@@ -395,8 +460,9 @@ class TestIndexFileFormat:
             {"cat": [[2, 1]]},
             {"cat": [[-1, 1]]},
             {"cat": "zero"},
+            ["cat", "sat", "dog"],
         ],
-        ids=["unsorted", "repeated", "out-of-range", "negative", "not-a-list"],
+        ids=["unsorted", "repeated", "out-of-range", "negative", "not-a-list", "not-an-object"],
     )
     def test_load_rejects_malformed_postings(self, tiny_index, tmp_path, postings):
         path = tmp_path / "index.json"
@@ -404,4 +470,34 @@ class TestIndexFileFormat:
         payload = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps({**payload, "postings": postings}), encoding="utf-8")
         with pytest.raises(DataError, match="malformed"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "doc_tokens",
+        [
+            [["cat", "sat"], "dog"],
+            [["cat", "sat"], {"dog": 1, "sat": 2}],
+            [["cat", "sat"], ["dog", "sat", 1]],
+            [["cat", "sat"], ["dog", ["sat"]]],
+            [["cat", "sat"], 3],
+        ],
+        ids=["string", "object", "number-token", "list-token", "number"],
+    )
+    def test_load_rejects_documents_that_are_not_lists_of_terms(
+        self, tiny_index, tmp_path, doc_tokens
+    ):
+        path = tmp_path / "index.json"
+        save_index(tiny_index, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**payload, "doc_tokens": doc_tokens}), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed index file"):
+            load_index(path)
+
+    def test_load_rejects_a_document_term_without_postings(self, tiny_index, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(tiny_index, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["doc_tokens"][1].append("bird")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed index file .*: postings do not match"):
             load_index(path)
