@@ -71,7 +71,7 @@ def build_generation_prompt(
     if pattern.examples:
         example = pattern.examples[0]
         lines.append(f'Example: "{example.query}" -> "{example.reformulation}"')
-    passages = list(extra_context or []) + [e.snippet for e in context.entries]
+    passages = list(extra_context or []) + list(context.snippets)
     if passages:
         lines.append("")
         lines.append("Top retrieved passages:")

@@ -14,11 +14,11 @@ import math
 import os
 import re
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain, count, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,74 +64,47 @@ class Document:
             raise DataError("document doc_id must be non-empty")
 
 
-class ContextEntry:
-    """One ranked document of a RetrievalContext, with its snippet."""
-
-    __slots__ = ("doc_id", "score", "_snippet")
-
-    def __init__(self, doc_id: str, score: float, snippet: str):
-        self.doc_id = doc_id
-        self.score = score
-        self._snippet = snippet
-
-    @property
-    def snippet(self) -> str:
-        return self._snippet
-
-    def __eq__(self, other):
-        if not isinstance(other, ContextEntry):
-            return NotImplemented
-        return (self.doc_id, self.score, self.snippet) == (other.doc_id, other.score, other.snippet)
-
-    def __repr__(self) -> str:
-        return f"ContextEntry({self.doc_id!r}, {self.score!r}, {self.snippet!r})"
+class RankedDoc(NamedTuple):
+    doc_id: str
+    score: float
 
 
-class _RetrievedEntry(ContextEntry):
-    """An entry of retrieve_topk: its snippet is cut from the index when first read."""
-
-    __slots__ = ("_ordinal", "_cut")
-
-    def __init__(self, doc_id: str, score: float, ordinal: int, cut: Callable[[int], str]):
-        self.doc_id = doc_id
-        self.score = score
-        self._snippet = None
-        self._ordinal = ordinal
-        self._cut = cut
-
-    @property
-    def snippet(self) -> str:
-        if self._snippet is None:
-            self._snippet = self._cut(self._ordinal)
-        return self._snippet
-
-
+@dataclass(frozen=True)
 class RetrievalContext:
-    """Ranked top-k documents for one query: `doc_ids` and `scores` in rank order, and
-    `entries` pairing them with snippets (built when first read, for retrieve_topk)."""
+    """Ranked top-k documents for one query: `doc_ids`, `scores` and their
+    `snippets`, aligned and in rank order, at most `k` of each."""
 
-    def __init__(self, query_id: str, entries: Iterable[ContextEntry], k: int):
-        self._entries = tuple(entries)
-        if len(self._entries) > k:
-            raise DataError(f"context holds {len(self._entries)} entries but k={k}")
-        self.query_id, self.k = query_id, k
-        self.doc_ids = [e.doc_id for e in self._entries]
-        self.scores = [e.score for e in self._entries]
+    query_id: str
+    doc_ids: Sequence[str]
+    scores: Sequence[float]
+    k: int
+    snippets: Sequence[str]
 
-    @classmethod
-    def _retrieved(cls, query_id, doc_ids, scores, k, ordinals, cut) -> RetrievalContext:
-        context = cls.__new__(cls)
-        context.query_id, context.doc_ids, context.scores, context.k = query_id, doc_ids, scores, k
-        context._entries, context._ordinals, context._cut = None, ordinals, cut
-        return context
+    def __post_init__(self):
+        if not len(self.doc_ids) == len(self.scores) == len(self.snippets) <= self.k:
+            raise DataError(
+                f"context of {len(self.doc_ids)} doc_ids, {len(self.scores)} scores and "
+                f"{len(self.snippets)} snippets with k={self.k}"
+            )
 
     @property
-    def entries(self) -> tuple[ContextEntry, ...]:
-        if self._entries is None:
-            self._entries = tuple(
-                map(_RetrievedEntry, self.doc_ids, self.scores, self._ordinals, repeat(self._cut))
-            )
-        return self._entries
+    def entries(self) -> tuple[RankedDoc, ...]:
+        """The (doc_id, score) pairs in rank order. Only the benchmark harness reads
+        these; once it reads `doc_ids` and `scores` instead, this goes."""
+        return tuple(map(RankedDoc, self.doc_ids, self.scores))
+
+
+class _Snippets(Sequence):
+    """The snippets of ranked documents, each cut from the index when read."""
+
+    def __init__(self, index: InvertedIndex, ordinals: list[int], max_tokens: int):
+        self._index, self._ordinals, self._max_tokens = index, ordinals, max_tokens
+
+    def __len__(self) -> int:
+        return len(self._ordinals)
+
+    def __getitem__(self, i: int) -> str:
+        return self._index.snippet(self._ordinals[i], self._max_tokens)
 
 
 class InvertedIndex:
@@ -294,13 +267,13 @@ def retrieve_topk(
     query_id: str = "",
     snippet_tokens: int = DEFAULT_SNIPPET_TOKENS,
 ) -> RetrievalContext:
-    """Top-k retrieval: exactly min(k, #docs with positive score) ranked entries.
+    """Top-k retrieval: exactly min(k, #docs with positive score) ranked documents.
 
     Sorted by score descending, ties broken by ascending doc_id. Accumulation
     walks query terms in sorted order, and every document receives the same
     floating-point operations in the same order as bm25_score performs, so
     scores are bit-identical to it and across document insertion orders.
-    Entries and their snippets are built when read.
+    Each snippet is cut when it is read.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
@@ -324,10 +297,8 @@ def retrieve_topk(
     order = np.lexsort((index._doc_id_rank[hits], -hit_scores))[:k]
     ordinals = hits[order].tolist()
     doc_ids = list(map(index.doc_ids.__getitem__, ordinals))
-    cut = partial(index.snippet, max_tokens=snippet_tokens)
-    return RetrievalContext._retrieved(
-        query_id, doc_ids, hit_scores[order].tolist(), k, ordinals, cut
-    )
+    snippets = _Snippets(index, ordinals, snippet_tokens)
+    return RetrievalContext(query_id, doc_ids, hit_scores[order].tolist(), k, snippets)
 
 
 def read_corpus_tsv(path: str | Path) -> list[Document]:
@@ -411,6 +382,8 @@ def load_index(path: str | Path) -> InvertedIndex:
     try:
         postings = payload["postings"]
         doc_ids = payload["doc_ids"]
+        if not isinstance(doc_ids, list) or not all(isinstance(d, str) and d for d in doc_ids):
+            raise ValueError("doc_ids must be a list of non-empty strings")
         # These raise a TypeError unless each document is a list of hashable tokens.
         doc_lengths = list(map(list.__len__, payload["doc_tokens"]))
         term_id = {term: i for i, term in enumerate(postings)}

@@ -90,8 +90,8 @@ def featurize(query: str, context: RetrievalContext, config: FeatureConfig) -> F
             )
 
     add("q", tokenize(query))
-    for entry in context.entries:
-        add("d", tokenize(entry.snippet)[: config.snippet_token_cap])
+    for snippet in context.snippets:
+        add("d", tokenize(snippet)[: config.snippet_token_cap])
 
     # Each distinct key is hashed once; keys that share a bucket add their counts.
     salted = hashlib.blake2b(digest_size=8, salt=config.hash_seed.to_bytes(8, "little"))
@@ -390,7 +390,8 @@ class ModelSelector:
 
 
 class PromptSelector:
-    """LLM-prompted selection: show the pattern menu, parse one name."""
+    """LLM-prompted selection: show the pattern menu, parse one name. A one-pattern
+    library needs no call."""
 
     def __init__(self, gateway: Gateway, library: PatternLibrary):
         self.gateway = gateway
@@ -398,8 +399,8 @@ class PromptSelector:
 
     def _request(self, query: str, context: RetrievalContext) -> ChatRequest:
         parts = [f"Patterns:\n{self.library.menu}", f"Query: {query}"]
-        if context.entries:
-            snippets = "\n".join(f"- {e.snippet}" for e in context.entries)
+        if context.snippets:
+            snippets = "\n".join(f"- {s}" for s in context.snippets)
             parts.append(f"Top retrieved passages:\n{snippets}")
         parts.append(
             "Which pattern should guide the reformulation? Answer with the pattern name only."
@@ -419,5 +420,7 @@ class PromptSelector:
         mode: str = "argmax",
         seed: int | None = None,
     ) -> int:
+        if len(self.library) == 1:
+            return 0
         suffix = f" Answer with exactly one of: {', '.join(self.library.names)}."
         return ask(self.gateway, self._request(query, context), self.library.resolve_name, suffix)

@@ -32,7 +32,6 @@ from patternqr.feedback import rm3_expand
 from patternqr.gateway import GatewayConfig, MockScript, fingerprint
 from patternqr.generator import build_generation_prompt
 from patternqr.index import (
-    ContextEntry,
     Document,
     RetrievalContext,
     build_index,
@@ -100,8 +99,8 @@ def test_bm25_oracle_equivalence():
         expected = oracle_rank(oracle_bm25_all(docs, query_term_weights(query)), k)
 
         assert got.doc_ids == [d for d, _ in expected], "ranking mismatch"
-        for entry, (_, score) in zip(got.entries, expected):
-            assert abs(entry.score - score) <= 1e-9, "score mismatch beyond 1e-9"
+        for got_score, (_, score) in zip(got.scores, expected):
+            assert abs(got_score - score) <= 1e-9, "score mismatch beyond 1e-9"
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget is 5s"
 
@@ -155,11 +154,7 @@ def _separable_examples(num_classes, per_class, seed):
     for label in range(num_classes):
         for _ in range(per_class):
             noise = " ".join(rng.choice(vocab) for _ in range(4))
-            context = RetrievalContext(
-                query_id="q",
-                entries=(ContextEntry("d", 1.0, f"ctx{label} filler text"),),
-                k=1,
-            )
+            context = RetrievalContext("q", ["d"], [1.0], 1, (f"ctx{label} filler text",))
             examples.append((f"key{label} {noise}", context, label))
     order = rng.permutation(len(examples))
     return [examples[i] for i in order]

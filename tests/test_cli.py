@@ -411,6 +411,20 @@ class TestExitCodes:
         assert "postings do not match the documents" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc_ids", [5, [1, 2, 3], ["", "d2", "d3"]], ids=["number", "numbers", "empty-id"]
+    )
+    def test_index_with_malformed_doc_ids_is_3(self, files, capsys, doc_ids):
+        index_path = files["dir"] / "index.json"
+        assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
+        payload = json.loads(index_path.read_text(encoding="utf-8"))
+        index_path.write_text(json.dumps({**payload, "doc_ids": doc_ids}), encoding="utf-8")
+        out = files["dir"] / "r.run"
+        argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "doc_ids must be a list of non-empty strings" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"
         save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
@@ -788,17 +802,24 @@ class TestSinglePath:
         )
         assert _ranked_lines(out) == _ranked_lines(run_pipeline(config).run_path)
 
+    @pytest.mark.parametrize("source", ["corpus", "index"])
     @pytest.mark.parametrize("select_mode", ["argmax", "sample"])
-    def test_reformulations_match_run_pipeline(self, files, select_mode):
+    def test_reformulations_match_run_pipeline(self, files, select_mode, source):
         model_path = files["dir"] / "model.npz"
         save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
-        mock = _mock(files["dir"], "a rewritten query")
+        # Each rewrite carries its generation prompt's hash, so the logs match
+        # only if the prompts, snippets included, match.
+        mock = _mock(files["dir"], "a rewritten query {fingerprint}")
+        source_path = files["corpus"]
+        if source == "index":
+            source_path = files["dir"] / "index.json"
+            assert main(["index", "--corpus", str(files["corpus"]), "--out", str(source_path)]) == 0
         log_path = files["dir"] / "log.jsonl"
         code = main(
             [
                 "reformulate",
-                "--corpus",
-                str(files["corpus"]),
+                f"--{source}",
+                str(source_path),
                 "--queries",
                 str(files["queries"]),
                 "--selector-model",

@@ -29,7 +29,7 @@ from patternqr.gateway import (
     request_to_wire,
     reask,
 )
-from patternqr.index import ContextEntry, RetrievalContext
+from patternqr.index import RetrievalContext
 from patternqr.induction import TrainingPair, induce_patterns, label_pair
 from patternqr.selector import PromptSelector
 
@@ -110,7 +110,7 @@ class TestReask:
     @pytest.mark.parametrize("site", sorted(REASK_FINGERPRINTS))
     def test_reask_fingerprints_are_frozen(self, site, seed_library):
         pair = TrainingPair("p1", "cheap flights", "low cost airline tickets")
-        context = RetrievalContext("q1", (ContextEntry("d1", 1.5, "wage info passage"),), 3)
+        context = RetrievalContext("q1", ["d1"], [1.5], 3, ("wage info passage",))
         ask = {
             "consolidate": lambda gateway: induce_patterns([pair], gateway),
             "label": lambda gateway: label_pair(pair, seed_library, gateway),

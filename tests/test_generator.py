@@ -13,7 +13,7 @@ from patternqr.generator import (
     read_reformulation_log,
     write_reformulation_log,
 )
-from patternqr.index import ContextEntry, RetrievalContext, retrieve_topk
+from patternqr.index import RetrievalContext, retrieve_topk
 from patternqr.induction import PatternExample, ReformulationPattern
 
 PATTERN = ReformulationPattern(
@@ -25,14 +25,16 @@ PATTERN = ReformulationPattern(
 )
 
 CONTEXT = RetrievalContext(
-    query_id="q1",
-    entries=(
-        ContextEntry("d1", 2.0, "first snippet text"),
-        ContextEntry("d2", 1.0, "second snippet text"),
-    ),
-    k=3,
+    "q1", ["d1", "d2"], [2.0, 1.0], 3, ("first snippet text", "second snippet text")
 )
-EMPTY_CONTEXT = RetrievalContext(query_id="q1", entries=(), k=3)
+EMPTY_CONTEXT = RetrievalContext("q1", [], [], 3, ())
+
+# Fingerprints of generation prompts, as first computed; mock scripts key on them.
+GENERATION_FINGERPRINTS = {
+    "context": "33c1d5809915779a685bfceae8ac8bd812660c2ba689c810be3bc43bff71603d",
+    "empty-context": "86b95000c13d4c8c913e2d5b93025914c59c59c60d64e4a5b9f03b3738bf4ba0",
+    "extra-context": "c58068194c48fd02924a988051c564a7d1213cfdd23fa4cbd475ff6f68066f11",
+}
 
 
 class TestBuildGenerationPrompt:
@@ -75,6 +77,18 @@ class TestBuildGenerationPrompt:
             "q text", EMPTY_CONTEXT, PATTERN, model="m", extra_context=["pseudo passage"]
         )
         assert "pseudo passage" in request.messages[-1].content
+
+    @pytest.mark.parametrize("case", sorted(GENERATION_FINGERPRINTS))
+    def test_prompt_fingerprints_are_frozen(self, case):
+        context, extra = {
+            "context": (CONTEXT, None),
+            "empty-context": (EMPTY_CONTEXT, None),
+            "extra-context": (CONTEXT, ["pseudo passage from hook"]),
+        }[case]
+        request = build_generation_prompt(
+            "average nurse salary", context, PATTERN, model="m", extra_context=extra
+        )
+        assert fingerprint(request) == GENERATION_FINGERPRINTS[case]
 
 
 class TestCleanGeneration:
@@ -152,8 +166,8 @@ class TestComposeHybrid:
         plain = retrieve_topk(tiny_index, "sat", 10)
         doubled = retrieve_topk(tiny_index, hybrid.text, 10)
         assert doubled.doc_ids == plain.doc_ids
-        for single, double in zip(plain.entries, doubled.entries):
-            assert double.score == pytest.approx(2 * single.score, rel=1e-12)
+        for single, double in zip(plain.scores, doubled.scores):
+            assert double == pytest.approx(2 * single, rel=1e-12)
 
     def test_original_tokens_kept_in_order(self):
         hybrid = compose_hybrid("alpha beta gamma", "delta", 2)

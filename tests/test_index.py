@@ -12,10 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import oracle_bm25_all, oracle_postings, oracle_rank, oracle_tokenize
-from patternqr import index as index_module
 from patternqr.errors import DataError
 from patternqr.index import (
-    ContextEntry,
     Document,
     RetrievalContext,
     bm25_score,
@@ -141,10 +139,10 @@ class TestRetrieveTopk:
     def test_k10_returns_both_ranked(self, tiny_index):
         ctx = retrieve_topk(tiny_index, "sat", 10)
         assert ctx.doc_ids == ["d2", "d1"]
-        assert ctx.entries[0].score == pytest.approx(SCORE_D2, abs=1e-12)
+        assert ctx.scores[0] == pytest.approx(SCORE_D2, abs=1e-12)
 
     def test_no_match_is_empty(self, tiny_index):
-        assert retrieve_topk(tiny_index, "zebra", 10).entries == ()
+        assert retrieve_topk(tiny_index, "zebra", 10).doc_ids == []
 
     def test_k_zero_rejected(self, tiny_index):
         with pytest.raises(DataError):
@@ -153,27 +151,27 @@ class TestRetrieveTopk:
     def test_snippet_truncation(self):
         index = build_index([Document("d1", "w " * 100)])
         ctx = retrieve_topk(index, "w", 1, snippet_tokens=5)
-        assert ctx.entries[0].snippet == "w w w w w"
+        assert ctx.snippets[0] == "w w w w w"
 
     def test_snippet_rejoins_with_single_spaces(self):
         index = build_index([Document("d1", "The  cat--sat!")])
         ctx = retrieve_topk(index, "cat", 1)
-        assert ctx.entries[0].snippet == "the cat sat"
+        assert ctx.snippets[0] == "the cat sat"
 
     def test_tie_break_ascending_doc_id(self):
         docs = [Document(d, "same text here") for d in ("dz", "da", "dm")]
         index = build_index(docs)
         ctx = retrieve_topk(index, "same", 10)
         assert ctx.doc_ids == ["da", "dm", "dz"]
-        assert ctx.entries[0].score == ctx.entries[2].score
+        assert ctx.scores[0] == ctx.scores[2]
 
     def test_empty_corpus_is_empty(self):
-        assert retrieve_topk(build_index([]), "sat", 5).entries == ()
+        assert retrieve_topk(build_index([]), "sat", 5).doc_ids == []
 
     def test_empty_document_is_never_retrieved(self):
         index = build_index([Document("d1", ""), Document("d2", "sat")])
         assert retrieve_topk(index, "sat", 5).doc_ids == ["d2"]
-        assert retrieve_topk(build_index([Document("d1", "")]), "sat", 5).entries == ()
+        assert retrieve_topk(build_index([Document("d1", "")]), "sat", 5).doc_ids == []
 
     @pytest.mark.parametrize(
         "query",
@@ -181,13 +179,14 @@ class TestRetrieveTopk:
         ids=["empty", "unknown-only", "unknown-mapping", "all-zero-weights", "negative-only"],
     )
     def test_queries_without_a_positive_score_are_empty(self, tiny_index, query):
-        assert retrieve_topk(tiny_index, query, 5).entries == ()
+        ctx = retrieve_topk(tiny_index, query, 5)
+        assert (ctx.doc_ids, ctx.scores, len(ctx.snippets)) == ([], [], 0)
 
     def test_negative_weight_in_a_mapping(self, tiny_index):
         weights = MappingProxyType({"cat": 1.0, "sat": -0.5})
         docs = {"d1": "cat sat", "d2": "dog sat sat"}
         ctx = retrieve_topk(tiny_index, weights, 5)
-        assert [(e.doc_id, e.score) for e in ctx.entries] == oracle_rank(
+        assert list(zip(ctx.doc_ids, ctx.scores)) == oracle_rank(
             oracle_bm25_all(docs, dict(weights)), 5
         )
 
@@ -208,35 +207,33 @@ class TestRetrieveTopk:
         monkeypatch.setattr(index, "snippet", snippet)
         ctx = retrieve_topk(index, "common", 1000, snippet_tokens=1)
         assert built == []
-        first = ctx.entries[0]
-        assert first.snippet == "w0"
-        assert first.snippet == "w0"
+        assert len(ctx.snippets) == 20
+        assert built == []
+        assert ctx.snippets[0] == "w0"
         assert built == [index.ordinal("d0")]
+        assert list(ctx.snippets)[:3] == ["w0", "w1", "w10"]
+        assert ctx.snippets[-1] == "w9"
 
-    def test_entries_are_built_on_first_read_from_the_columns(self, monkeypatch):
-        made = []
-        original = index_module._RetrievedEntry
-
-        def counting(*args):
-            made.append(args[0])
-            return original(*args)
-
-        monkeypatch.setattr(index_module, "_RetrievedEntry", counting)
+    def test_entries_pair_the_doc_ids_with_the_scores(self):
         index = build_index([Document(f"d{i}", f"w{i} common " * i) for i in range(1, 6)])
         ctx = retrieve_topk(index, "common", 3)
-        assert made == []
         assert ctx.doc_ids == ["d5", "d4", "d3"]
-        assert [(e.doc_id, e.score) for e in ctx.entries] == list(zip(ctx.doc_ids, ctx.scores))
-        assert ctx.entries is ctx.entries
-        assert made == ctx.doc_ids
+        assert ctx.entries == tuple(zip(ctx.doc_ids, ctx.scores))
+        assert (ctx.entries[0].doc_id, ctx.entries[0].score) == ("d5", ctx.scores[0])
 
-    def test_context_from_entries_has_the_same_columns(self):
-        entries = (ContextEntry("a", 2.0, "x y"), ContextEntry("b", 1.0, "z"))
-        ctx = RetrievalContext("q", entries, 3)
-        assert (ctx.query_id, ctx.k, ctx.entries) == ("q", 3, entries)
-        assert (ctx.doc_ids, ctx.scores) == (["a", "b"], [2.0, 1.0])
+    def test_context_columns_must_align_within_k(self):
+        ctx = RetrievalContext("q", ["a", "b"], [2.0, 1.0], 3, ("x y", "z"))
+        assert (ctx.query_id, ctx.doc_ids, ctx.scores, ctx.k) == ("q", ["a", "b"], [2.0, 1.0], 3)
+        assert list(ctx.snippets) == ["x y", "z"]
         with pytest.raises(DataError, match="k=1"):
-            RetrievalContext("q", entries, 1)
+            RetrievalContext("q", ["a", "b"], [2.0, 1.0], 1, ("x y", "z"))
+        for doc_ids, scores, snippets in [
+            (["a"], [2.0, 1.0], ("x y", "z")),
+            (["a", "b"], [2.0], ("x y", "z")),
+            (["a", "b"], [2.0, 1.0], ("x y",)),
+        ]:
+            with pytest.raises(DataError, match="context of"):
+                RetrievalContext("q", doc_ids, scores, 3, snippets)
 
 
 def _random_corpus(rng: random.Random):
@@ -259,8 +256,8 @@ class TestOracleEquivalence:
             got = retrieve_topk(index, query, k)
             expected = oracle_rank(oracle_bm25_all(docs, query_term_weights(query)), k)
             assert got.doc_ids == [d for d, _ in expected]
-            for entry, (_, score) in zip(got.entries, expected):
-                assert entry.score == pytest.approx(score, abs=1e-9)
+            for got_score, (_, score) in zip(got.scores, expected):
+                assert got_score == pytest.approx(score, abs=1e-9)
 
     def test_insertion_order_does_not_change_results(self):
         rng = random.Random(7)
@@ -270,9 +267,7 @@ class TestOracleEquivalence:
         rng.shuffle(shuffled)
         a = retrieve_topk(build_index(items), query, 20)
         b = retrieve_topk(build_index(shuffled), query, 20)
-        assert [(e.doc_id, e.score) for e in a.entries] == [
-            (e.doc_id, e.score) for e in b.entries
-        ]
+        assert (a.doc_ids, a.scores) == (b.doc_ids, b.scores)
 
     def test_scores_are_bit_identical_to_the_oracle(self):
         rng = random.Random(31)
@@ -292,7 +287,7 @@ class TestOracleEquivalence:
             straddled += bool(tied)
             for k in {1, rng.randint(1, 60), len(docs) + 5, *tied[:3]}:
                 got = retrieve_topk(index, weights, k)
-                assert [(e.doc_id, e.score) for e in got.entries] == full[:k]
+                assert list(zip(got.doc_ids, got.scores)) == full[:k]
             for doc_id, score in scores.items():
                 assert bm25_score(index, weights, index.ordinal(doc_id)) == score
         assert straddled >= 10
@@ -307,9 +302,7 @@ class TestOracleEquivalence:
         k = data.draw(st.integers(1, 25))
         a = retrieve_topk(build_index(docs), query, k)
         b = retrieve_topk(build_index(shuffled), query, k)
-        assert [(e.doc_id, e.score) for e in a.entries] == [
-            (e.doc_id, e.score) for e in b.entries
-        ]
+        assert (a.doc_ids, a.scores) == (b.doc_ids, b.scores)
 
 
 # Corpora with empty documents, repeated tokens and non-ASCII text (including
@@ -404,9 +397,7 @@ class TestIndexPersistence:
         loaded = load_index(path)
         a = retrieve_topk(tiny_index, "sat", 10)
         b = retrieve_topk(loaded, "sat", 10)
-        assert [(e.doc_id, e.score, e.snippet) for e in a.entries] == [
-            (e.doc_id, e.score, e.snippet) for e in b.entries
-        ]
+        assert (a.doc_ids, a.scores, list(a.snippets)) == (b.doc_ids, b.scores, list(b.snippets))
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "not_index.json"
@@ -491,6 +482,21 @@ class TestIndexFileFormat:
         payload = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps({**payload, "doc_tokens": doc_tokens}), encoding="utf-8")
         with pytest.raises(DataError, match="malformed index file"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "doc_ids",
+        [5, "d1d2", [1, 2], ["", "d2"], [None, "d2"]],
+        ids=["number", "string", "numbers", "empty-id", "null-id"],
+    )
+    def test_load_rejects_doc_ids_that_are_not_non_empty_strings(
+        self, tiny_index, tmp_path, doc_ids
+    ):
+        path = tmp_path / "index.json"
+        save_index(tiny_index, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**payload, "doc_ids": doc_ids}), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed index file .*: doc_ids must be"):
             load_index(path)
 
     def test_load_rejects_a_document_term_without_postings(self, tiny_index, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import oracle_featurize, oracle_train_dense
 from patternqr.errors import ConfigError, DataError
 from patternqr.gateway import Gateway, MockBackend, MockScript
-from patternqr.index import ContextEntry, RetrievalContext
+from patternqr.index import RetrievalContext
 from patternqr.induction import PatternLibrary, ReformulationPattern, default_library
 from patternqr.selector import (
     FeatureConfig,
@@ -33,13 +33,12 @@ from patternqr.selector import (
 
 
 def _context(snippets, query_id="q"):
-    entries = tuple(
-        ContextEntry(f"d{i}", 1.0 - 0.1 * i, snippet) for i, snippet in enumerate(snippets)
-    )
-    return RetrievalContext(query_id=query_id, entries=entries, k=max(len(entries), 1))
+    doc_ids = [f"d{i}" for i in range(len(snippets))]
+    scores = [1.0 - 0.1 * i for i in range(len(snippets))]
+    return RetrievalContext(query_id, doc_ids, scores, max(len(snippets), 1), tuple(snippets))
 
 
-EMPTY_CONTEXT = RetrievalContext(query_id="q", entries=(), k=0)
+EMPTY_CONTEXT = RetrievalContext("q", [], [], 0, ())
 SMALL = FeatureConfig(dimension=2**10)
 
 
@@ -606,6 +605,20 @@ class TestSelectorInterfaces:
         picked = PromptSelector(gateway, seed_library).choose("minimum wage", EMPTY_CONTEXT)
         assert picked == seed_library.resolve_name("Clarify Intent")
         assert len(sent) == 1
+
+    def test_prompt_selector_with_one_pattern_makes_no_call(self):
+        sent = []
+
+        class Backend(MockBackend):
+            def send(self, request):
+                sent.append(request)
+                return super().send(request)
+
+        gateway = Gateway(Backend(MockScript(fallback="Nonsense")), model="m")
+        chooser = PromptSelector(gateway, _library(1))
+        assert chooser.choose("minimum wage", _context(["wage info passage"])) == 0
+        assert chooser.choose("minimum wage", EMPTY_CONTEXT, mode="sample", seed=3) == 0
+        assert sent == []
 
     def test_prompt_selector_bad_name_twice_errors(self, seed_library, mock_gateway_factory):
         gateway = mock_gateway_factory(fallback="Nonsense")
