@@ -14,7 +14,6 @@ error, 4 gateway error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import typing
@@ -32,7 +31,7 @@ from .index import (
     retrieve_topk,
     save_index,
 )
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, settings_hash
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_index_source(p)
     p.add_argument("--queries", required=True)
     _add_field_flags(p, PipelineConfig, "k_eval", flag="--k")
-    p.add_argument("--tag", default=None, help="run tag (default: bm25-<args hash>)")
+    p.add_argument("--tag", default=None, help="run tag (default: bm25-<settings digest>)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_retrieve)
 
@@ -211,29 +210,29 @@ def _gateway_config(args) -> GatewayConfig:
 
 
 def _load_index_source(args):
-    """Load the subcommand's index file, or build an index from its corpus."""
-    if getattr(args, "index", None):
-        return load_index(args.index)
-    return build_index(read_corpus_tsv(args.corpus), k1=args.k1, b=args.b)
-
-
-def _args_hash(args) -> str:
-    """Digest of the effective subcommand parameters, embedded in artifacts."""
-    payload = {k: v for k, v in vars(args).items() if k not in ("handler", "command")}
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    """Load the subcommand's index file, or build an index from its corpus. A loaded
+    index must have the --k1 and --b given, as they name the ranking in its digest."""
+    if not getattr(args, "index", None):
+        return build_index(read_corpus_tsv(args.corpus), k1=args.k1, b=args.b)
+    index = load_index(args.index)
+    if (index.k1, index.b) != (args.k1, args.b):
+        raise ConfigError(
+            f"index {args.index} has k1={index.k1} and b={index.b}, not k1={args.k1} and "
+            f"b={args.b}: pass --k1 {index.k1} --b {index.b}, or index the corpus again"
+        )
+    return index
 
 
 def _cmd_index(args) -> None:
     index = _load_index_source(args)
-    save_index(index, args.out, config_hash=_args_hash(args))
+    save_index(index, args.out, config_hash=settings_hash(vars(args)))
     print(f"indexed {index.num_docs} documents -> {args.out}")
 
 
 def _cmd_retrieve(args) -> None:
     """`retrieve` ranks with bm25, `baseline` with its --method."""
     config = PipelineConfig(**_field_values(args, PipelineConfig))
-    tag = args.tag if args.tag else f"{config.mode}-{_args_hash(args)}"
+    tag = args.tag if args.tag else f"{config.mode}-{settings_hash(vars(args))}"
     run, _ = pipeline.rank_queries(
         config, _load_index_source(args), read_queries_tsv(args.queries), tag
     )
@@ -255,11 +254,10 @@ def _cmd_induce(args) -> None:
         max_patterns=args.max_patterns,
         transcript_path=args.transcript,
     )
-    if args.source_dataset:
-        library = replace(
-            library, provenance=replace(library.provenance, source_dataset=args.source_dataset)
-        )
-    library = replace(library, config_hash=_args_hash(args))
+    provenance = replace(
+        library.provenance, source_dataset=args.source_dataset or library.provenance.source_dataset
+    )
+    library = replace(library, provenance=provenance, config_hash=settings_hash(vars(args)))
     induction.save_library(library, args.out)
     print(f"induced {len(library)} patterns -> {args.out}")
 
@@ -292,7 +290,7 @@ def _cmd_train_selector(args) -> None:
         feature_config=selector.FeatureConfig(dimension=args.dimension),
     )
     model, history = selector.train_selector(examples, library, hyper)
-    digest = _args_hash(args)
+    digest = settings_hash(vars(args))
     selector.save_model(model, args.out, config_hash=digest)
     if args.loss_csv:
         selector.write_loss_curve(history, args.loss_csv, config_hash=digest)
@@ -308,7 +306,7 @@ def _cmd_reformulate(args) -> None:
     records = pipeline.reformulate_queries(
         config, _load_index_source(args), read_queries_tsv(args.queries)
     )
-    generator.write_reformulation_log(records, args.out, config_hash=_args_hash(args))
+    generator.write_reformulation_log(records, args.out, config_hash=settings_hash(vars(args)))
     print(f"reformulated {len(records)} queries -> {args.out}")
 
 
@@ -344,7 +342,7 @@ def _cmd_evaluate(args) -> None:
     )
     print(evaluation.render_report_table(report))
     if args.csv:
-        evaluation.write_report_csv(report, args.csv, config_hash=_args_hash(args))
+        evaluation.write_report_csv(report, args.csv, config_hash=settings_hash(vars(args)))
 
 
 if __name__ == "__main__":

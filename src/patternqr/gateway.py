@@ -267,6 +267,10 @@ class Gateway:
         jitter_seed: int | None = None,
         sleep=time.sleep,
     ):
+        # A semaphore of 0 blocks every call forever; 0 retries never sends.
+        for name, count in (("max_retries", max_retries), ("max_in_flight", max_in_flight)):
+            if count < 1:
+                raise ConfigError(f"gateway {name} must be >= 1, got {count}")
         self.backend = backend
         self.model = model
         self.max_retries = max_retries
@@ -320,10 +324,6 @@ class GatewayConfig:
         )
 
     def build(self, jitter_seed: int | None = None) -> Gateway:
-        # A semaphore of 0 blocks every call forever; 0 retries never sends.
-        for name in ("max_retries", "max_in_flight"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"gateway {name} must be >= 1, got {getattr(self, name)}")
         if self.mock_script:
             backend = MockBackend(MockScript.load(self.mock_script))
         elif self.base_url:

@@ -2,7 +2,7 @@
 the rewrite, compose the hybrid query, retrieve again, evaluate.
 
 Every artifact a run produces (run file, reformulation log, metrics CSV)
-embeds the hash of the producing configuration, and a fixed seed makes the
+embeds the digest of the settings that decide it, and a fixed seed makes the
 whole run bit-reproducible against a mock gateway.
 """
 
@@ -118,6 +118,8 @@ _COUNTS = (
     "epochs", "batch_size", "dimension", "max_patterns", "sample", "map_k", "ndcg_k", "recall_k",
     "max_retries", "max_in_flight",
 )
+_UNHASHED = {"out", "out_dir", "csv", "loss_csv", "transcript", "tag", "api_key",
+             "max_in_flight", "max_retries", "handler", "command"}
 
 
 def check_ranges(settings: Mapping[str, object]) -> None:
@@ -137,10 +139,18 @@ def check_ranges(settings: Mapping[str, object]) -> None:
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
 
 
-def config_hash(config: PipelineConfig) -> str:
-    """Stable 12-hex-digit digest of the full configuration."""
-    canonical = json.dumps(asdict(config), sort_keys=True)
+def settings_hash(settings: Mapping) -> str:
+    """Stable 12-hex-digit digest of `settings` for every artifact, without the names in
+    `_UNHASHED` at any depth: where output goes, what changes no artifact byte, CLI plumbing."""
+    def kept(mapping):
+        return {k: kept(v) if isinstance(v, Mapping) else v
+                for k, v in mapping.items() if k not in _UNHASHED}
+    canonical = json.dumps(kept(settings), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+def config_hash(config: PipelineConfig) -> str:
+    return settings_hash(asdict(config))
 
 
 @dataclass(frozen=True)
@@ -179,6 +189,8 @@ def load_hook_passages(path: str | Path) -> dict[str, str]:
 
 def _build_selector(config: PipelineConfig, library: PatternLibrary, gateway: Gateway):
     if config.selector == "prompt":
+        if config.select_mode == "sample":
+            raise ConfigError("select_mode 'sample' needs selector 'model': a prompt cannot sample")
         return PromptSelector(gateway, library)
     if not config.selector_model:
         raise ConfigError("selector='model' requires a selector model file")
@@ -318,7 +330,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute one experiment; returns paths of the emitted artifacts and the report."""
     config.validate()
     digest = config_hash(config)
-    tag = f"{config.mode}-{digest}"
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_path = out_dir / f"{config.mode}.run"
@@ -331,7 +342,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     reformer = config.mode in REFORMER_MODES
     stage = "reformulate" if reformer else "retrieve"
-    run, records = _stage(stage, rank_queries, config, index, queries, tag)
+    run, records = _stage(stage, rank_queries, config, index, queries, f"{config.mode}-{digest}")
     write_run(run, run_path)
     emitted_log = None
     if reformer:

@@ -425,6 +425,62 @@ class TestExitCodes:
         assert "doc_ids must be a list of non-empty strings" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--k1", "5"], ["--b", "1.0"]], ids=["k1", "b"])
+    def test_index_with_other_k1_or_b_is_2(self, files, capsys, flags):
+        index_path = files["dir"] / "index.json"
+        assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
+        out = files["dir"] / "r.run"
+        argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
+        assert main([*argv, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "k1=0.9 and b=0.4" in err
+        assert not out.exists()
+
+    def test_index_ranks_with_the_k1_and_b_it_was_built_with(self, files, capsys):
+        flags = ["--k1", "1.5", "--b", "0.9"]
+        index_path = files["dir"] / "index.json"
+        argv = ["index", "--corpus", str(files["corpus"]), *flags, "--out", str(index_path)]
+        assert main(argv) == 0
+        runs = {}
+        for source, path in (("corpus", files["corpus"]), ("index", index_path)):
+            runs[source] = files["dir"] / f"{source}.run"
+            argv = ["retrieve", f"--{source}", str(path), "--queries", str(files["queries"])]
+            assert main([*argv, *flags, "--out", str(runs[source])]) == 0
+        assert _ranked_lines(runs["index"]) == _ranked_lines(runs["corpus"])
+        # Without the flags, the defaults would name values the ranking did not use.
+        assert main([*argv, "--out", str(files["dir"] / "default.run")]) == 2
+        assert "pass --k1 1.5 --b 0.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "reformulate"])
+    def test_prompt_selector_cannot_sample_is_2(self, files, capsys, monkeypatch, command):
+        def no_call(self, request):
+            raise AssertionError("a gateway call was made")
+
+        monkeypatch.setattr(Gateway, "complete", no_call)
+        mock = _mock(files["dir"], "Clarify Intent")
+        out = files["dir"] / "out"
+        argv = [
+            command,
+            "--corpus",
+            str(files["corpus"]),
+            "--queries",
+            str(files["queries"]),
+            "--selector",
+            "prompt",
+            "--select-mode",
+            "sample",
+            "--mock-script",
+            str(mock),
+        ]
+        if command == "run":
+            argv += ["--mode", "reformer", "--out-dir", str(out)]
+        else:
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "select_mode 'sample' needs selector 'model'" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"
         save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
@@ -761,8 +817,56 @@ class TestExitCodes:
         assert code == 3
 
 
+# Each artifact-writing subcommand's arguments, its output paths under {out} and named {name}.
+OUTPUT_PATH_ARGV = {
+    "index": ["--corpus", "{corpus}", "--out", "{out}/{name}.json"],
+    "retrieve": ["--corpus", "{corpus}", "--queries", "{queries}", "--out", "{out}/{name}.run"],
+    "baseline": ["--method", "rm3", "--corpus", "{corpus}", "--queries", "{queries}",
+                 "--out", "{out}/{name}.run"],
+    "induce": ["--pairs", "{pairs}", "--mock-script", "{consolidate}", "--out",
+               "{out}/{name}.json", "--transcript", "{out}/{name}.jsonl"],
+    "label": ["--pairs", "{pairs}", "--library", "{library}", "--mock-script", "{pick}",
+              "--out", "{out}/{name}.tsv"],
+    "train-selector": ["--corpus", "{corpus}", "--pairs", "{pairs}", "--labels", "{labels}",
+                       "--epochs", "2", "--dimension", "1024", "--out", "{out}/{name}.npz",
+                       "--loss-csv", "{out}/{name}.csv"],
+    "reformulate": ["--corpus", "{corpus}", "--queries", "{queries}", "--selector", "prompt",
+                    "--mock-script", "{pick}", "--out", "{out}/{name}.jsonl"],
+    "run": ["--mode", "reformer", "--selector", "prompt", "--corpus", "{corpus}", "--queries",
+            "{queries}", "--qrels", "{qrels}", "--mock-script", "{pick}", "--out-dir", "{out}"],
+    "evaluate": ["--run", "{run}", "--qrels", "{qrels}", "--csv", "{out}/{name}.csv"],
+}
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", OUTPUT_PATH_ARGV)
+    def test_output_paths_change_no_artifact_byte(self, files, command):
+        inputs = {
+            **files,
+            "consolidate": files["dir"] / "consolidate.json",
+            "pick": files["dir"] / "pick.json",
+            "library": files["dir"] / "library.json",
+            "labels": files["dir"] / "labels.tsv",
+            "run": files["dir"] / "in.run",
+        }
+        MockScript(fallback=consolidation_payload(SEED_PATTERN_NAMES)).save(inputs["consolidate"])
+        MockScript(fallback="Clarify Intent").save(inputs["pick"])
+        save_library(default_library(), inputs["library"])
+        inputs["labels"].write_text("p1\t0\np2\t4\n", encoding="utf-8")
+        inputs["run"].write_text("q1 Q0 d2 1 2.0 t\nq2 Q0 d3 1 1.0 t\n", encoding="utf-8")
+        written = []
+        for name in ("first", "second"):
+            out = files["dir"] / name
+            out.mkdir()
+            argv = [arg.format(out=out, name=name, **inputs) for arg in OUTPUT_PATH_ARGV[command]]
+            assert main([command, *argv]) == 0
+            written.append({p.name.replace(name, "*"): p.read_bytes() for p in out.iterdir()})
+        assert written[0]
+        assert written[0] == written[1]
+
+
 def _ranked_lines(path):
-    """Run-file lines without the tag, which embeds a per-command hash."""
+    """Run-file lines without the tag, which embeds the subcommand's settings digest."""
     return [line.split()[:-1] for line in path.read_text(encoding="utf-8").splitlines()]
 
 
@@ -858,13 +962,13 @@ _GATEWAY_UNSET = {
     "max_in_flight": None,
 }
 
-# (minimal argv, its parsed settings, the args hash its artifacts embed). A
-# setting or hash that moves changes what every artifact of the subcommand says.
+# (minimal argv, its parsed settings, the settings digest its artifacts embed). A
+# setting or digest that moves changes what every artifact of the subcommand says.
 PARSED_SETTINGS = [
     (
         ["index", "--corpus", "c.tsv", "--out", "i.json"],
         {"command": "index", "corpus": "c.tsv", "out": "i.json", "k1": 0.9, "b": 0.4},
-        "ddb9ee3fc1a6",
+        "ce8473bf5b40",
     ),
     (
         ["retrieve", "--index", "i.json", "--queries", "q.tsv", "--out", "r.run"],
@@ -879,7 +983,7 @@ PARSED_SETTINGS = [
             "tag": None,
             "out": "r.run",
         },
-        "e9f6ffc65898",
+        "512052231998",
     ),
     (
         ["baseline", "--corpus", "c.tsv", "--method", "rm3", "--queries", "q.tsv", "--out", "o"],
@@ -900,7 +1004,7 @@ PARSED_SETTINGS = [
             "tag": None,
             "out": "o",
         },
-        "96a6dcc485a6",
+        "2f3fbc878795",
     ),
     (
         ["induce", "--pairs", "p.tsv", "--out", "l.json"],
@@ -917,7 +1021,7 @@ PARSED_SETTINGS = [
             "source_dataset": "",
             **_GATEWAY_UNSET,
         },
-        "4389cceff86a",
+        "10835c7af999",
     ),
     (
         ["label", "--pairs", "p.tsv", "--library", "l.json", "--out", "lb.tsv"],
@@ -928,7 +1032,7 @@ PARSED_SETTINGS = [
             "out": "lb.tsv",
             **_GATEWAY_UNSET,
         },
-        "0100826ffca0",
+        "6d62f1141337",
     ),
     (
         [
@@ -962,7 +1066,7 @@ PARSED_SETTINGS = [
             "out": "m.npz",
             "loss_csv": None,
         },
-        "5562ddbc947e",
+        "58415759e526",
     ),
     (
         ["reformulate", "--corpus", "c.tsv", "--queries", "q.tsv", "--out", "r.jsonl"],
@@ -984,7 +1088,7 @@ PARSED_SETTINGS = [
             "out": "r.jsonl",
             **_GATEWAY_UNSET,
         },
-        "55b1c9260b81",
+        "9beeec4f3bfa",
     ),
     (
         ["run", "--corpus", "c.tsv", "--queries", "q.tsv"],
@@ -1003,7 +1107,7 @@ PARSED_SETTINGS = [
             ),
             **_GATEWAY_UNSET,
         },
-        "ca21b6a8c316",
+        "2852aaf165b9",
     ),
     (
         ["evaluate", "--run", "r.run", "--qrels", "q.txt"],
@@ -1017,7 +1121,7 @@ PARSED_SETTINGS = [
             "binarize_at": 2,
             "csv": None,
         },
-        "e6ce6ee4c78d",
+        "afb41296326b",
     ),
 ]
 
@@ -1032,7 +1136,7 @@ class TestParsedSettings:
         assert parsed == settings
         # 1000 == 1000.0, but a float would change what a setting means and hashes to.
         assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in settings.items()}
-        assert cli._args_hash(args) == digest
+        assert pipeline.settings_hash(vars(args)) == digest
 
     @pytest.mark.parametrize("flag", ["--selector", "--select-mode"])
     def test_unknown_selector_choice_is_2(self, files, capsys, flag):

@@ -516,6 +516,12 @@ class TestGatewayConfig:
         with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
             config.build()
 
+    @pytest.mark.parametrize("field", ["max_retries", "max_in_flight"])
+    def test_gateway_rejects_counts_below_one(self, field):
+        # In-flight 0 would block the first call forever; 0 retries would never send.
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1, got 0"):
+            Gateway(MockBackend(MockScript(fallback="x")), "m", **{field: 0})
+
     def test_unconfigured_rejected(self):
         with pytest.raises(ConfigError):
             GatewayConfig().build()

@@ -2,10 +2,14 @@ import json
 import sys
 import threading
 import time
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from patternqr import pipeline
 from patternqr.errors import ConfigError, GatewayError
@@ -142,6 +146,26 @@ class TestReformerMode:
         assert second.log_path.read_bytes() == log_bytes
         assert second.report_path.read_bytes() == report_bytes
 
+    def test_unhashed_settings_change_no_artifact_byte(self, workspace):
+        mock = _mock_script_for(workspace, lambda q: f"{q} rewritten with detail")
+        artifacts = []
+        for out_dir, api_key, max_retries, max_in_flight in (
+            ("out1", None, 1, 1),
+            ("out2", "secret", 5, 3),
+        ):
+            gateway = GatewayConfig(
+                mock_script=str(mock),
+                model="mock-model",
+                api_key=api_key,
+                max_retries=max_retries,
+                max_in_flight=max_in_flight,
+            )
+            out_dir = str(workspace / out_dir)
+            result = run_pipeline(_config(workspace, "reformer", gateway=gateway, out_dir=out_dir))
+            paths = (result.run_path, result.log_path, result.report_path)
+            artifacts.append([path.read_bytes() for path in paths])
+        assert artifacts[0] == artifacts[1]
+
     def test_identity_reformulation_matches_bm25_ranking(self, workspace):
         mock = _mock_script_for(workspace, lambda q: q)
         reformer = run_pipeline(_config(workspace, "reformer", mock))
@@ -220,6 +244,21 @@ class TestHookMode:
             run_pipeline(_config(workspace, "reformer+hook"))
 
 
+# Where the artifacts go, and settings that change none of their bytes.
+UNHASHED_FIELDS = {"out_dir", "api_key", "max_in_flight", "max_retries"}
+
+
+def _values_of(hint):
+    """Values of a config field's type: str, int, float, or any of them or None."""
+    kinds = {
+        str: st.text(),
+        int: st.integers(),
+        float: st.floats(allow_nan=False),
+        type(None): st.none(),
+    }
+    return st.one_of(*(kinds[kind] for kind in typing.get_args(hint) or (hint,)))
+
+
 class TestConfigHandling:
     def test_unknown_mode_rejected(self, workspace):
         with pytest.raises(ConfigError):
@@ -241,6 +280,23 @@ class TestConfigHandling:
         c = _config(workspace, "bm25", seed=8)
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [("pipeline", name) for name in typing.get_type_hints(PipelineConfig) if name != "gateway"]
+        + [("gateway", name) for name in typing.get_type_hints(GatewayConfig)],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_hash_covers_exactly_the_settings_that_decide_the_result(self, owner, name, data):
+        base = PipelineConfig(corpus="c.tsv", queries="q.tsv")
+        target = base if owner == "pipeline" else base.gateway
+        value = data.draw(_values_of(typing.get_type_hints(type(target))[name]))
+        assume(value != getattr(target, name))
+        changed = replace(target, **{name: value})
+        if owner == "gateway":
+            changed = replace(base, gateway=changed)
+        assert (config_hash(changed) == config_hash(base)) == (name in UNHASHED_FIELDS)
 
     def test_config_from_dict_round_trip(self, workspace):
         payload = {
@@ -383,10 +439,9 @@ class TestConcurrentReformulation:
                     **overrides,
                 )
                 result = run_pipeline(config)
-                # The config hash covers every field, max_in_flight included.
                 artifacts.append(
                     [
-                        path.read_text(encoding="utf-8").replace(result.config_hash, "HASH")
+                        path.read_bytes()
                         for path in (result.run_path, result.log_path, result.report_path)
                     ]
                 )
