@@ -267,7 +267,7 @@ def _cmd_label(args) -> None:
     library = induction.load_library(args.library)
     gateway = _gateway_config(args).build()
     labels = induction.label_pairs(pairs, library, gateway)
-    induction.save_labels(labels, args.out)
+    induction.save_labels(labels, args.out, config_hash=settings_hash(vars(args)))
     print(f"labeled {len(labels)} pairs -> {args.out}")
 
 

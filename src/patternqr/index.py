@@ -8,15 +8,15 @@ internal ordinals).
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
 import re
+import zipfile
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,6 +27,7 @@ from .errors import DataError
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 DEFAULT_SNIPPET_TOKENS = 64
+INDEX_FORMAT = "patternqr-index-v2"
 
 # Maximal runs of Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -115,24 +116,32 @@ class InvertedIndex:
     `tfs`. Ordinals are assigned in insertion order and never leak into
     results: scoring and tie-breaking depend only on doc_id and corpus
     statistics. `term_id` numbers the terms 0, 1, ... in its insertion order. The
-    documents are one int32 term-id `stream`: each document's tokens in text
-    order, one document after another, `doc_lengths` ids each.
+    documents are one int32 term-id `stream` (each document's tokens in text order,
+    `doc_lengths` ids each); the postings are derived from it here, and only here.
     """
 
     def __init__(
         self,
         term_id: dict[str, int],
-        offsets: np.ndarray,
-        ordinals: np.ndarray,
-        tfs: np.ndarray,
-        doc_ids: list[str],
         stream: np.ndarray,
         doc_lengths: list[int],
+        doc_ids: list[str],
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ):
         self.terms = list(term_id)
         self._term_id = term_id
+        self.stream = _frozen(stream, np.int32)
+        self.doc_lengths = doc_lengths
+        self.num_docs = num_docs = len(doc_ids)
+        # One sort of (term id, ordinal) keys over the stream groups the
+        # postings by term, ordinals ascending, and counts the term frequencies.
+        keys = self.stream.astype(np.int64)
+        keys *= num_docs
+        keys += np.repeat(np.arange(num_docs, dtype=np.int64), doc_lengths)
+        keys, tfs = np.unique(keys, return_counts=True)
+        posting_terms, ordinals = np.divmod(keys, max(num_docs, 1))
+        offsets = np.searchsorted(posting_terms, np.arange(len(term_id) + 1))
         self.offsets = _frozen(offsets, np.int64)
         # Python ints: per-term lookups (idf in feedback loops) stay cheap.
         self._bounds = self.offsets.tolist()
@@ -143,10 +152,7 @@ class InvertedIndex:
         if len(self._ordinal_of) != len(doc_ids):
             duplicate = next(d for d, n in Counter(doc_ids).items() if n > 1)
             raise DataError(f"duplicate doc_id {duplicate!r}")
-        self.stream = _frozen(stream, np.int32)
-        self.doc_lengths = doc_lengths
         self._starts = [0, *accumulate(doc_lengths)]
-        self.num_docs = len(doc_ids)
         total = self._starts[-1]
         self.avg_doc_length = total / self.num_docs if self.num_docs > 0 else 0.0
         self.k1 = k1
@@ -210,9 +216,8 @@ def build_index(
     """Build an inverted index over the collection; rejects duplicate doc_ids.
 
     Each token is looked up once: an unseen term takes the next id, so term
-    ids follow first occurrence, and the ids form the term-id stream. One
-    sort of (term id, ordinal) keys over the stream groups the postings by
-    term, ordinals ascending, and counts the term frequencies.
+    ids follow first occurrence, and the ids form the term-id stream that the
+    constructor derives the postings from.
     """
     doc_ids: list[str] = []
     lengths: list[int] = []
@@ -226,15 +231,8 @@ def build_index(
     # From here on an unknown term raises KeyError, as in a plain dict.
     term_id.default_factory = None
     stream = np.fromiter(ids, dtype=np.int32, count=len(ids))
-    del ids  # otherwise alive, 8 bytes a token, through the sort below
-    num_docs = len(doc_ids)
-    keys = stream.astype(np.int64)
-    keys *= num_docs
-    keys += np.repeat(np.arange(num_docs, dtype=np.int64), lengths)
-    keys, tfs = np.unique(keys, return_counts=True)
-    posting_terms, ordinals = np.divmod(keys, max(num_docs, 1))
-    offsets = np.searchsorted(posting_terms, np.arange(len(term_id) + 1))
-    return InvertedIndex(term_id, offsets, ordinals, tfs, doc_ids, stream, lengths, k1=k1, b=b)
+    del ids  # otherwise alive, 8 bytes a token, through the constructor's sort
+    return InvertedIndex(term_id, stream, lengths, doc_ids, k1=k1, b=b)
 
 
 def bm25_score(
@@ -339,80 +337,74 @@ def _tsv_lines(path: str | Path):
 
 
 def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") -> None:
-    """Persist the index as `patternqr-index-v1` JSON, atomically.
+    """Persist the index as a `patternqr-index-v2` .npz file, atomically.
 
-    `config_hash` records the producing configuration. Terms are written in
-    order of (first ordinal, term), the order a document-at-a-time build
-    meets them in, so the bytes do not depend on how term ids were assigned.
+    The file holds the term-id `stream` (int32), `doc_lengths` (int64) and
+    `meta`, the UTF-8 bytes of a JSON object with the format, `config_hash`
+    (the producing configuration), k1, b, the doc ids and the terms in id
+    order. The postings are not stored: `load_index` derives them again.
     """
-    terms, offsets, ordinals = index.terms, index.offsets.tolist(), index.ordinals.tolist()
-    words, starts = np.array(terms, dtype=object)[index.stream].tolist(), index._starts
-    # Tuples of ints leave the collector's tracking, so it does not walk them all again.
-    pairs = list(zip(ordinals, index.tfs.tolist()))
-    order = sorted(range(len(terms)), key=lambda i: (ordinals[offsets[i]], terms[i]))
-    postings = {terms[i]: pairs[offsets[i] : offsets[i + 1]] for i in order}
-    payload = {
-        "format": "patternqr-index-v1",
-        "config_hash": config_hash,
-        "k1": index.k1,
-        "b": index.b,
-        "doc_ids": index.doc_ids,
-        "doc_tokens": [words[lo:hi] for lo, hi in zip(starts, starts[1:])],
-        "postings": postings,
-    }
-    data = json.dumps(payload)
-    atomic_write(Path(path), lambda tmp: tmp.write_text(data, encoding="utf-8"))
+    meta = {"format": INDEX_FORMAT, "config_hash": config_hash, "k1": index.k1, "b": index.b,
+            "doc_ids": index.doc_ids, "terms": index.terms}
+    atomic_savez(
+        Path(path),
+        stream=index.stream,
+        doc_lengths=np.array(index.doc_lengths, dtype=np.int64),
+        meta=np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), np.uint8),
+    )
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read a `patternqr-index-v1` file into the arrays, taking its postings as written."""
-    # The payload holds no reference cycles, but each collection while it is
-    # decoded would walk all its lists again: in all, longer than the decoding.
-    collecting = gc.isenabled()
-    gc.disable()
+    """Read a `patternqr-index-v2` file, check it, and build the index it holds."""
+    meta = None
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as handle:
+            # np.load would try to unpickle a file that is not a zip (.npz) file.
+            if handle.read(4) == b"PK\x03\x04":
+                handle.seek(0)
+                with np.load(handle, allow_pickle=False) as bundle:
+                    meta = json.loads(bundle["meta"].tobytes())
+                    stream, doc_lengths = bundle["stream"], bundle["doc_lengths"]
+    except OSError as exc:
         raise DataError(f"cannot load index from {path}: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
-    if not isinstance(payload, dict) or payload.get("format") != "patternqr-index-v1":
-        raise DataError(f"{path} is not a patternqr index file")
-    try:
-        postings = payload["postings"]
-        doc_ids = payload["doc_ids"]
-        if not isinstance(doc_ids, list) or not all(isinstance(d, str) and d for d in doc_ids):
-            raise ValueError("doc_ids must be a list of non-empty strings")
-        # These raise a TypeError unless each document is a list of hashable tokens.
-        doc_lengths = list(map(list.__len__, payload["doc_tokens"]))
-        term_id = {term: i for i, term in enumerate(postings)}
-        tokens = chain.from_iterable(payload["doc_tokens"])
-        stream = np.fromiter(map(term_id.get, tokens, repeat(-1)), np.int32, sum(doc_lengths))
-        lengths = np.fromiter(map(len, postings.values()), dtype=np.int64, count=len(postings))
-        pairs = np.fromiter(
-            chain.from_iterable(chain.from_iterable(postings.values())),
-            dtype=np.int64,
-            count=2 * int(lengths.sum()),
-        ).reshape(-1, 2)
-        k1, b = payload["k1"], payload["b"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"malformed index file {path}: {exc}") from exc
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    ordinals, tfs = pairs[:, 0], pairs[:, 1]
-    # The kernel relies on in-range ordinals, strictly ascending within each
-    # term; a document token that is not a term with postings reads as -1.
-    keys = np.repeat(np.arange(len(postings), dtype=np.int64), lengths) * len(doc_ids) + ordinals
-    if (
-        len(doc_lengths) != len(doc_ids)
-        or (stream.size and stream.min() < 0)
-        or (
-            ordinals.size
-            and (ordinals.min() < 0 or ordinals.max() >= len(doc_ids) or np.any(np.diff(keys) <= 0))
-        )
-    ):
-        raise DataError(f"malformed index file {path}: postings do not match the documents")
-    return InvertedIndex(term_id, offsets, ordinals, tfs, doc_ids, stream, doc_lengths, k1=k1, b=b)
+    if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
+        raise DataError(f"{path} is not a {INDEX_FORMAT} file: run `patternqr index` again")
+    problem = _index_problem(meta, stream, doc_lengths)
+    if problem:
+        raise DataError(f"malformed index file {path}: {problem}")
+    term_id = {term: i for i, term in enumerate(meta["terms"])}
+    lengths = doc_lengths.tolist()
+    return InvertedIndex(term_id, stream, lengths, meta["doc_ids"], meta["k1"], meta["b"])
+
+
+def _index_problem(meta: dict, stream: np.ndarray, doc_lengths: np.ndarray) -> str | None:
+    """What keeps a v2 file's contents from making an index, or None if nothing does."""
+    k1, b, doc_ids, terms = map(meta.get, ("k1", "b", "doc_ids", "terms"))
+    # `type(...) in` leaves bools out: JSON true is no number here.
+    if type(k1) not in (int, float) or not 0.0 <= k1 < math.inf:
+        return f"k1 must be a finite number >= 0, got {k1!r}"
+    if type(b) not in (int, float) or not 0.0 <= b <= 1.0:
+        return f"b must be a number in [0, 1], got {b!r}"
+    if not _distinct_strings(doc_ids) or not all(doc_ids):
+        return "doc_ids must be a list of distinct non-empty strings"
+    if not _distinct_strings(terms):
+        return "terms must be a list of distinct strings"
+    if not all(a.ndim == 1 and np.issubdtype(a.dtype, np.integer) for a in (stream, doc_lengths)):
+        return "stream and doc_lengths must be 1-D integer arrays"
+    if stream.size and not 0 <= stream.min() <= stream.max() < len(terms):
+        return f"stream ids must lie in [0, {len(terms)})"
+    if len(doc_lengths) != len(doc_ids) or np.any(doc_lengths < 0):
+        return f"doc_lengths must be {len(doc_ids)} counts >= 0, one per doc id"
+    if doc_lengths.sum() != stream.size:
+        return f"doc_lengths sum to {doc_lengths.sum()}, not to the stream's {stream.size} ids"
+    return None
+
+
+def _distinct_strings(values) -> bool:
+    strings = isinstance(values, list) and all(isinstance(value, str) for value in values)
+    return strings and len(set(values)) == len(values)
 
 
 def atomic_write(path: Path, write_fn) -> None:
@@ -424,3 +416,13 @@ def atomic_write(path: Path, write_fn) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_savez(path: Path, **arrays: np.ndarray) -> None:
+    """`np.savez` the arrays to `path` through `atomic_write`."""
+    def write(tmp: Path) -> None:
+        # Through a handle: given a path, numpy appends ".npz" to any other suffix.
+        with open(tmp, "wb") as handle:
+            np.savez(handle, **arrays)
+
+    atomic_write(path, write)

@@ -414,15 +414,18 @@ def default_library() -> PatternLibrary:
     return load_library(Path(__file__).parent / "data" / "default_patterns.json")
 
 
-def save_labels(labels: list[PatternLabel], path: str | Path) -> None:
-    lines = [f"{lb.pair_id}\t{lb.pattern_id}" for lb in labels]
-    text = "\n".join(lines) + ("\n" if lines else "")
+def save_labels(labels: list[PatternLabel], path: str | Path, config_hash: str = "") -> None:
+    lines = [f"# config_hash={config_hash}"] + [f"{lb.pair_id}\t{lb.pattern_id}" for lb in labels]
+    text = "\n".join(lines) + "\n"
     atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def load_labels(path: str | Path) -> list[PatternLabel]:
+    """Read `pair_id<TAB>pattern_id` lines, after an optional `# config_hash=` first line."""
     labels = []
     for line_no, line in _tsv_lines(path):
+        if line_no == 1 and line.startswith("# config_hash=") and "\t" not in line:
+            continue
         fields = line.split("\t")
         if len(fields) != 2:
             raise DataError(f"{path}:{line_no}: expected pair_id<TAB>pattern_id")

@@ -124,8 +124,10 @@ _UNHASHED = {"out", "out_dir", "csv", "loss_csv", "transcript", "tag", "api_key"
 
 def check_ranges(settings: Mapping[str, object]) -> None:
     """Raise a ConfigError for the first numeric setting in `settings` that is out
-    of range, for PipelineConfig and every subcommand; other keys and None values
-    (a `run` flag not given) are skipped."""
+    of range, for PipelineConfig and every subcommand, or for the prompt selector
+    asked to sample; other keys and None values (a `run` flag not given) are skipped."""
+    if settings.get("selector") == "prompt" and settings.get("select_mode") == "sample":
+        raise ConfigError("select_mode 'sample' needs selector 'model': a prompt cannot sample")
     for name, value in settings.items():
         if value is None:
             continue
@@ -189,8 +191,6 @@ def load_hook_passages(path: str | Path) -> dict[str, str]:
 
 def _build_selector(config: PipelineConfig, library: PatternLibrary, gateway: Gateway):
     if config.selector == "prompt":
-        if config.select_mode == "sample":
-            raise ConfigError("select_mode 'sample' needs selector 'model': a prompt cannot sample")
         return PromptSelector(gateway, library)
     if not config.selector_model:
         raise ConfigError("selector='model' requires a selector model file")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .gateway import ChatMessage, ChatRequest, Gateway, ask
-from .index import RetrievalContext, atomic_write, tokenize
+from .index import RetrievalContext, atomic_savez, atomic_write, tokenize
 from .induction import PatternLibrary
 
 DEFAULT_DIMENSION = 2**18
@@ -300,19 +300,13 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
     }
     weights = np.asarray(model.weights, dtype=np.float64)
     columns = np.flatnonzero(weights.view(np.int64).any(axis=0))
-    arrays = {
-        "columns": columns,
-        "weights": weights[:, columns],
-        "bias": model.bias,
-        "meta": np.array(json.dumps(meta)),
-    }
-
-    def write(tmp: Path) -> None:
-        # Through a handle: given a path, numpy appends ".npz" to any other suffix.
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **arrays)
-
-    atomic_write(Path(path), write)
+    atomic_savez(
+        Path(path),
+        columns=columns,
+        weights=weights[:, columns],
+        bias=model.bias,
+        meta=np.array(json.dumps(meta)),
+    )
 
 
 def load_model(path: str | Path) -> SelectorModel:

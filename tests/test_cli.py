@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ def files(tmp_path):
     return paths
 
 
+def _rewrite_index(path, **members):
+    """Save the index file at `path` again with the given members replaced; a dict
+    given as `meta` is merged into the file's meta."""
+    with np.load(path, allow_pickle=False) as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    meta = {**json.loads(arrays["meta"].tobytes()), **members.pop("meta", {})}
+    arrays.update(members, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8))
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
 def _mock(tmp_path, fallback):
     path = tmp_path / "mock.json"
     MockScript(fallback=fallback).save(path)
@@ -49,7 +61,7 @@ def _mock(tmp_path, fallback):
 
 class TestIndexRetrieveEvaluate:
     def test_index_then_retrieve_then_evaluate(self, files, capsys):
-        index_path = files["dir"] / "index.json"
+        index_path = files["dir"] / "index.npz"
         run_path = files["dir"] / "run.txt"
         assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
         assert (
@@ -192,6 +204,8 @@ class TestLlmCommands:
         assert code == 0
         labels = load_labels(out)
         assert len(labels) == 2
+        header = out.read_text(encoding="utf-8").splitlines()[0]
+        assert re.fullmatch(r"# config_hash=[0-9a-f]{12}", header)
 
     def test_train_selector_and_reformulate(self, files):
         labels_path = files["dir"] / "labels.tsv"
@@ -399,35 +413,52 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
-    def test_index_whose_documents_name_a_term_without_postings_is_3(self, files, capsys):
-        index_path = files["dir"] / "index.json"
+    @pytest.mark.parametrize(
+        "members, reason",
+        [
+            ({"stream": np.array([0, 1, 99], dtype=np.int32)}, "stream ids must lie in"),
+            ({"meta": {"doc_ids": 5}}, "doc_ids must be a list"),
+            ({"meta": {"doc_ids": [1, 2, 3]}}, "doc_ids must be a list"),
+            ({"meta": {"doc_ids": ["", "d2", "d3"]}}, "doc_ids must be a list"),
+            ({"meta": {"b": "y"}}, "b must be a number in [0, 1], got 'y'"),
+            ({"meta": {"b": 7.0}}, "b must be a number in [0, 1], got 7.0"),
+            ({"meta": {"k1": -5.0}}, "k1 must be a finite number >= 0, got -5.0"),
+            ({"meta": {"k1": True}}, "k1 must be a finite number >= 0, got True"),
+            ({"doc_lengths": np.array([1, 1], dtype=np.int64)}, "doc_lengths must be"),
+        ],
+        ids=[
+            "unknown-term", "doc-ids-number", "doc-ids-numbers", "doc-id-empty", "b-string",
+            "b-above-one", "k1-negative", "k1-true", "lengths-too-few",
+        ],
+    )
+    def test_malformed_index_file_is_3(self, files, capsys, members, reason):
+        index_path = files["dir"] / "index.npz"
         assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
-        payload = json.loads(index_path.read_text(encoding="utf-8"))
-        payload["doc_tokens"][0].append("unposted")
-        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        _rewrite_index(index_path, **members)
         out = files["dir"] / "r.run"
         argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
         assert main(argv + ["--out", str(out)]) == 3
-        assert "postings do not match the documents" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error: malformed index file" in err and reason in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "doc_ids", [5, [1, 2, 3], ["", "d2", "d3"]], ids=["number", "numbers", "empty-id"]
-    )
-    def test_index_with_malformed_doc_ids_is_3(self, files, capsys, doc_ids):
-        index_path = files["dir"] / "index.json"
-        assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
-        payload = json.loads(index_path.read_text(encoding="utf-8"))
-        index_path.write_text(json.dumps({**payload, "doc_ids": doc_ids}), encoding="utf-8")
+    def test_v1_index_file_is_3(self, files, capsys):
+        index_path = files["dir"] / "index.npz"
+        index_path.write_text(
+            '{"format": "patternqr-index-v1", "k1": 0.9, "b": 0.4, "doc_ids": ["d1"], '
+            '"doc_tokens": [["cat"]], "postings": {"cat": [[0, 1]]}}',
+            encoding="utf-8",
+        )
         out = files["dir"] / "r.run"
         argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
         assert main(argv + ["--out", str(out)]) == 3
-        assert "doc_ids must be a list of non-empty strings" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "is not a patternqr-index-v2 file: run `patternqr index` again" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--k1", "5"], ["--b", "1.0"]], ids=["k1", "b"])
     def test_index_with_other_k1_or_b_is_2(self, files, capsys, flags):
-        index_path = files["dir"] / "index.json"
+        index_path = files["dir"] / "index.npz"
         assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
         out = files["dir"] / "r.run"
         argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
@@ -438,7 +469,7 @@ class TestExitCodes:
 
     def test_index_ranks_with_the_k1_and_b_it_was_built_with(self, files, capsys):
         flags = ["--k1", "1.5", "--b", "0.9"]
-        index_path = files["dir"] / "index.json"
+        index_path = files["dir"] / "index.npz"
         argv = ["index", "--corpus", str(files["corpus"]), *flags, "--out", str(index_path)]
         assert main(argv) == 0
         runs = {}
@@ -479,7 +510,25 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "select_mode 'sample' needs selector 'model'" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    def test_prompt_selector_cannot_sample_before_any_input_is_read(self, files, capsys):
+        # From a config file, as the flags in the test above.
+        out = files["dir"] / "out"
+        config = files["dir"] / "config.json"
+        pair = {"selector": "prompt", "select_mode": "sample"}
+        config.write_text(json.dumps(pair), encoding="utf-8")
+        argv = ["run", "--config", str(config), "--mode", "reformer", "--corpus"]
+        argv += [str(files["corpus"]), "--queries", str(files["queries"]), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "select_mode 'sample'" in capsys.readouterr().err
+        # The output directory is made before the corpus is read.
+        assert not out.exists()
+        # An index file that does not exist is never opened.
+        argv = ["reformulate", "--index", str(files["dir"] / "missing.npz"), "--queries"]
+        argv += [str(files["queries"]), "--selector", "prompt", "--select-mode", "sample"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "select_mode 'sample'" in capsys.readouterr().err
 
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"
@@ -819,7 +868,7 @@ class TestExitCodes:
 
 # Each artifact-writing subcommand's arguments, its output paths under {out} and named {name}.
 OUTPUT_PATH_ARGV = {
-    "index": ["--corpus", "{corpus}", "--out", "{out}/{name}.json"],
+    "index": ["--corpus", "{corpus}", "--out", "{out}/{name}.npz"],
     "retrieve": ["--corpus", "{corpus}", "--queries", "{queries}", "--out", "{out}/{name}.run"],
     "baseline": ["--method", "rm3", "--corpus", "{corpus}", "--queries", "{queries}",
                  "--out", "{out}/{name}.run"],
@@ -916,7 +965,7 @@ class TestSinglePath:
         mock = _mock(files["dir"], "a rewritten query {fingerprint}")
         source_path = files["corpus"]
         if source == "index":
-            source_path = files["dir"] / "index.json"
+            source_path = files["dir"] / "index.npz"
             assert main(["index", "--corpus", str(files["corpus"]), "--out", str(source_path)]) == 0
         log_path = files["dir"] / "log.jsonl"
         code = main(

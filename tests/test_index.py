@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 import tempfile
 from collections import Counter
 from itertools import accumulate
@@ -340,30 +342,20 @@ class TestTermIdStream:
             for k in (0, 1, 64):
                 assert index.snippet(i, k) == " ".join(tokens[:k])
 
-    @given(_CORPORA)
-    def test_save_and_load_keep_postings_and_documents(self, texts):
-        built = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
+    @given(_CORPORA, st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+    def test_save_and_load_keep_postings_and_documents(self, texts, k1, b):
+        built = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)], k1, b)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "index.json"
+            path = Path(tmp) / "index.npz"
             save_index(built, path)
             loaded = load_index(path)
-            save_index(loaded, path)
-            reloaded = load_index(path)
-        # A loaded index numbers its terms in file order, so compare by term.
-        assert sorted(loaded.terms) == sorted(built.terms)
-        for term in built.terms:
-            for got, want in zip(loaded.postings(term), built.postings(term)):
-                assert np.array_equal(got, want)
+        assert loaded.terms == built.terms
+        for name in ("offsets", "ordinals", "tfs", "stream"):
+            assert np.array_equal(getattr(loaded, name), getattr(built, name))
+            assert getattr(loaded, name).dtype == getattr(built, name).dtype
         assert loaded.doc_ids == built.doc_ids
         assert loaded.doc_lengths == built.doc_lengths
-        assert _words(loaded) == _words(built)
-        for i in range(built.num_docs):
-            assert list(loaded.term_frequencies(i).items()) == list(
-                built.term_frequencies(i).items()
-            )
-        assert reloaded.terms == loaded.terms
-        for name in ("offsets", "ordinals", "tfs", "stream"):
-            assert np.array_equal(getattr(reloaded, name), getattr(loaded, name))
+        assert (loaded.k1, loaded.b) == (built.k1, built.b)
 
 
 class TestTsvIO:
@@ -392,7 +384,7 @@ class TestTsvIO:
 
 class TestIndexPersistence:
     def test_save_load_preserves_retrieval(self, tiny_index, tmp_path):
-        path = tmp_path / "index.json"
+        path = tmp_path / "index.npz"
         save_index(tiny_index, path, config_hash="abc123")
         loaded = load_index(path)
         a = retrieve_topk(tiny_index, "sat", 10)
@@ -405,105 +397,236 @@ class TestIndexPersistence:
         with pytest.raises(DataError):
             load_index(path)
 
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot load index from"):
+            load_index(tmp_path / "missing.npz")
 
-# `patternqr-index-v1` files of two corpora, frozen: saved indexes must keep these bytes.
+
+# `patternqr-index-v2` files of two corpora, frozen: each file's `meta` JSON,
+# then its `stream` and `doc_lengths`.
 FROZEN_INDEX_FILES = {
     "tiny": (
         [("d1", "cat sat"), ("d2", "dog sat sat")],
-        '{"format": "patternqr-index-v1", "config_hash": "abc123", "k1": 0.9, "b": 0.4, '
-        '"doc_ids": ["d1", "d2"], "doc_tokens": [["cat", "sat"], ["dog", "sat", "sat"]], '
-        '"postings": {"cat": [[0, 1]], "sat": [[0, 1], [1, 2]], "dog": [[1, 1]]}}',
+        '{"format": "patternqr-index-v2", "config_hash": "abc123", "k1": 0.9, "b": 0.4, '
+        '"doc_ids": ["d1", "d2"], "terms": ["cat", "sat", "dog"]}',
+        [0, 1, 2, 1, 1],
+        [2, 3],
     ),
     "first-ordinal-order": (
         [("z", "zeta alpha zeta"), ("a", "beta alpha"), ("e", "")],
-        '{"format": "patternqr-index-v1", "config_hash": "abc123", "k1": 0.9, "b": 0.4, '
-        '"doc_ids": ["z", "a", "e"], "doc_tokens": [["zeta", "alpha", "zeta"], '
-        '["beta", "alpha"], []], "postings": {"alpha": [[0, 1], [1, 1]], "zeta": [[0, 2]], '
-        '"beta": [[1, 1]]}}',
+        '{"format": "patternqr-index-v2", "config_hash": "abc123", "k1": 0.9, "b": 0.4, '
+        '"doc_ids": ["z", "a", "e"], "terms": ["zeta", "alpha", "beta"]}',
+        [0, 1, 0, 2, 1],
+        [3, 2, 0],
     ),
+}
+
+# The `patternqr-index-v1` JSON file of the "tiny" corpus, as saved before v2.
+V1_TINY_FILE = (
+    '{"format": "patternqr-index-v1", "config_hash": "abc123", "k1": 0.9, "b": 0.4, '
+    '"doc_ids": ["d1", "d2"], "doc_tokens": [["cat", "sat"], ["dog", "sat", "sat"]], '
+    '"postings": {"cat": [[0, 1]], "sat": [[0, 1], [1, 2]], "dog": [[1, 1]]}}'
+)
+
+TINY_META = json.loads(FROZEN_INDEX_FILES["tiny"][1])
+
+
+def _meta_bytes(meta) -> np.ndarray:
+    return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+
+def _write_tiny_v2(path, meta=TINY_META, **members):
+    """A v2 file of the "tiny" corpus with `meta` (JSON-encoded unless it is an
+    array) and the given members replaced; a member given as None is left out."""
+    arrays = {
+        "stream": np.array([0, 1, 2, 1, 1], dtype=np.int32),
+        "doc_lengths": np.array([2, 3], dtype=np.int64),
+        "meta": meta if meta is None or isinstance(meta, np.ndarray) else _meta_bytes(meta),
+        **members,
+    }
+    with open(path, "wb") as handle:
+        np.savez(handle, **{name: a for name, a in arrays.items() if a is not None})
+
+
+def _save_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.arange(3))
+
+
+def _without(key):
+    return {k: v for k, v in TINY_META.items() if k != key}
+
+
+# Each malformed file's replaced members, and a fragment of the reason it is refused.
+MALFORMED_V2 = {
+    "no-stream": ({"stream": None}, "is not a file in the archive"),
+    "no-doc-lengths": ({"doc_lengths": None}, "is not a file in the archive"),
+    "no-meta": ({"meta": None}, "is not a file in the archive"),
+    "meta-not-json": (
+        {"meta": np.frombuffer(b"{not json", dtype=np.uint8)},
+        "Expecting property name",
+    ),
+    "meta-not-utf8": (
+        {"meta": np.frombuffer(b'{"k1": "\xff"}', dtype=np.uint8)},
+        "codec can't decode",
+    ),
+    "no-k1": ({"meta": _without("k1")}, "k1 must be"),
+    "no-b": ({"meta": _without("b")}, "b must be"),
+    "no-doc-ids": ({"meta": _without("doc_ids")}, "doc_ids must be"),
+    "no-terms": ({"meta": _without("terms")}, "terms must be"),
+    "k1-string": ({"meta": {**TINY_META, "k1": "0.9"}}, "k1 must be a finite"),
+    "k1-negative": ({"meta": {**TINY_META, "k1": -5.0}}, "k1 must be a finite"),
+    "k1-infinite": ({"meta": {**TINY_META, "k1": math.inf}}, "k1 must be a finite"),
+    "k1-nan": ({"meta": {**TINY_META, "k1": math.nan}}, "k1 must be a finite"),
+    "k1-true": ({"meta": {**TINY_META, "k1": True}}, "k1 must be a finite"),
+    "b-string": ({"meta": {**TINY_META, "b": "y"}}, "b must be a number in"),
+    "b-above-one": ({"meta": {**TINY_META, "b": 7.0}}, "b must be a number in"),
+    "b-negative": ({"meta": {**TINY_META, "b": -0.1}}, "b must be a number in"),
+    "b-false": ({"meta": {**TINY_META, "b": False}}, "b must be a number in"),
+    "b-null": ({"meta": {**TINY_META, "b": None}}, "b must be a number in"),
+    "doc-ids-number": ({"meta": {**TINY_META, "doc_ids": 5}}, "doc_ids must be a list"),
+    "doc-ids-string": ({"meta": {**TINY_META, "doc_ids": "d1d2"}}, "doc_ids must be a list"),
+    "doc-ids-numbers": ({"meta": {**TINY_META, "doc_ids": [1, 2]}}, "doc_ids must be a list"),
+    "doc-id-empty": ({"meta": {**TINY_META, "doc_ids": ["", "d2"]}}, "doc_ids must be a list"),
+    "doc-id-null": ({"meta": {**TINY_META, "doc_ids": [None, "d2"]}}, "doc_ids must be a list"),
+    "doc-ids-repeated": (
+        {"meta": {**TINY_META, "doc_ids": ["d1", "d1"]}},
+        "doc_ids must be a list",
+    ),
+    "terms-repeated": (
+        {"meta": {**TINY_META, "terms": ["cat", "sat", "cat"]}},
+        "terms must be a list",
+    ),
+    "terms-number": ({"meta": {**TINY_META, "terms": ["cat", 1, "dog"]}}, "terms must be a list"),
+    "terms-string": ({"meta": {**TINY_META, "terms": "cat sat dog"}}, "terms must be a list"),
+    "stream-id-too-large": (
+        {"stream": np.array([0, 1, 3, 1, 1], dtype=np.int32)},
+        "stream ids must lie in",
+    ),
+    "stream-id-negative": (
+        {"stream": np.array([0, -1, 2, 1, 1], dtype=np.int32)},
+        "stream ids must lie in",
+    ),
+    "stream-2d": (
+        {"stream": np.array([[0, 1, 2, 1, 1]], dtype=np.int32)},
+        "must be 1-D integer arrays",
+    ),
+    "stream-float": (
+        {"stream": np.array([0.0, 1.0, 2.0, 1.0, 1.5])},
+        "must be 1-D integer arrays",
+    ),
+    "stream-pickled": (
+        {"stream": np.array(["cat"], dtype=object)},
+        "Object arrays cannot be loaded",
+    ),
+    "lengths-negative": (
+        {"doc_lengths": np.array([-1, 6], dtype=np.int64)},
+        "doc_lengths must be 2 counts",
+    ),
+    "lengths-too-few": (
+        {"doc_lengths": np.array([5], dtype=np.int64)},
+        "doc_lengths must be 2 counts",
+    ),
+    "lengths-too-many": (
+        {"doc_lengths": np.array([2, 3, 0], dtype=np.int64)},
+        "doc_lengths must be 2 counts",
+    ),
+    "lengths-wrong-sum": (
+        {"doc_lengths": np.array([2, 2], dtype=np.int64)},
+        "doc_lengths sum to 4, not to the stream's 5 ids",
+    ),
+    "lengths-float": ({"doc_lengths": np.array([2.0, 3.0])}, "must be 1-D integer arrays"),
 }
 
 
 class TestIndexFileFormat:
     @pytest.mark.parametrize("name", sorted(FROZEN_INDEX_FILES))
-    def test_saved_bytes_are_frozen(self, name, tmp_path):
-        docs, expected = FROZEN_INDEX_FILES[name]
-        path = tmp_path / "index.json"
+    def test_saved_file_is_frozen(self, name, tmp_path):
+        docs, meta, stream, doc_lengths = FROZEN_INDEX_FILES[name]
+        path = tmp_path / "index.npz"
         save_index(build_index([Document(d, t) for d, t in docs]), path, config_hash="abc123")
-        assert path.read_text(encoding="utf-8") == expected
-        resaved = tmp_path / "resaved.json"
-        save_index(load_index(path), resaved, config_hash="abc123")
-        assert resaved.read_text(encoding="utf-8") == expected
+        with np.load(path, allow_pickle=False) as bundle:
+            assert bundle.files == ["stream", "doc_lengths", "meta"]
+            assert (bundle["meta"].dtype, bundle["meta"].tobytes().decode("utf-8")) == (
+                np.uint8,
+                meta,
+            )
+            assert (bundle["stream"].dtype, bundle["stream"].tolist()) == (np.int32, stream)
+            assert (bundle["doc_lengths"].dtype, bundle["doc_lengths"].tolist()) == (
+                np.int64,
+                doc_lengths,
+            )
 
-    def test_failed_write_leaves_no_partial_file(self, tiny_index, tmp_path, half_write_text):
-        path = tmp_path / "index.json"
+    @pytest.mark.parametrize("name", sorted(FROZEN_INDEX_FILES))
+    def test_saves_and_resaves_are_byte_identical(self, name, tmp_path):
+        docs = FROZEN_INDEX_FILES[name][0]
+        index = build_index([Document(d, t) for d, t in docs])
+        for file_name in ("a.npz", "b.npz"):
+            save_index(index, tmp_path / file_name, config_hash="abc123")
+        save_index(load_index(tmp_path / "a.npz"), tmp_path / "c.npz", config_hash="abc123")
+        saved = [(tmp_path / f).read_bytes() for f in ("a.npz", "b.npz", "c.npz")]
+        assert saved[0] == saved[1] == saved[2]
+
+    def test_non_ascii_terms_are_stored_as_utf8(self, tmp_path):
+        path = tmp_path / "index.npz"
+        save_index(build_index([Document("d\u00e9", "caf\u00e9 \u03a3\u0391")]), path)
+        with np.load(path) as bundle:
+            meta = bundle["meta"].tobytes()
+        assert "café".encode("utf-8") in meta and b"\\u" not in meta
+        assert load_index(path).terms == ["café", "σα"]
+
+    def test_failed_write_leaves_no_partial_file(self, tiny_index, tmp_path, monkeypatch):
+        path = tmp_path / "index.npz"
         path.write_bytes(b"previous index")
+
+        def write_half_then_fail(handle, **arrays):
+            handle.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", write_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
             save_index(tiny_index, path)
         assert path.read_bytes() == b"previous index"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.npz"]
 
-    @pytest.mark.parametrize(
-        "postings",
-        [
-            {"cat": [[0, 1]], "sat": [[1, 2], [0, 1]]},
-            {"cat": [[0, 1], [0, 1]]},
-            {"cat": [[2, 1]]},
-            {"cat": [[-1, 1]]},
-            {"cat": "zero"},
-            ["cat", "sat", "dog"],
-        ],
-        ids=["unsorted", "repeated", "out-of-range", "negative", "not-a-list", "not-an-object"],
-    )
-    def test_load_rejects_malformed_postings(self, tiny_index, tmp_path, postings):
-        path = tmp_path / "index.json"
-        save_index(tiny_index, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**payload, "postings": postings}), encoding="utf-8")
-        with pytest.raises(DataError, match="malformed"):
+    def test_the_malformed_cases_start_from_a_valid_file(self, tiny_index, tmp_path):
+        _write_tiny_v2(tmp_path / "index.npz")
+        loaded = load_index(tmp_path / "index.npz")
+        assert loaded.terms == tiny_index.terms and loaded.doc_ids == tiny_index.doc_ids
+        assert np.array_equal(loaded.ordinals, tiny_index.ordinals)
+
+    @pytest.mark.parametrize("members, reason", MALFORMED_V2.values(), ids=MALFORMED_V2.keys())
+    def test_load_rejects_a_malformed_v2_file(self, tmp_path, members, reason):
+        path = tmp_path / "index.npz"
+        _write_tiny_v2(path, **members)
+        with pytest.raises(DataError, match=f"malformed index file .*: .*{re.escape(reason)}"):
             load_index(path)
 
     @pytest.mark.parametrize(
-        "doc_tokens",
-        [
-            [["cat", "sat"], "dog"],
-            [["cat", "sat"], {"dog": 1, "sat": 2}],
-            [["cat", "sat"], ["dog", "sat", 1]],
-            [["cat", "sat"], ["dog", ["sat"]]],
-            [["cat", "sat"], 3],
-        ],
-        ids=["string", "object", "number-token", "list-token", "number"],
+        "damage",
+        [lambda data: b"PK\x03\x04 not a zip", lambda data: data[: len(data) // 2]],
+        ids=["zip-magic-only", "truncated"],
     )
-    def test_load_rejects_documents_that_are_not_lists_of_terms(
-        self, tiny_index, tmp_path, doc_tokens
-    ):
-        path = tmp_path / "index.json"
+    def test_load_rejects_a_bad_zip(self, tiny_index, tmp_path, damage):
+        path = tmp_path / "index.npz"
         save_index(tiny_index, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**payload, "doc_tokens": doc_tokens}), encoding="utf-8")
+        path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(DataError, match="malformed index file"):
             load_index(path)
 
     @pytest.mark.parametrize(
-        "doc_ids",
-        [5, "d1d2", [1, 2], ["", "d2"], [None, "d2"]],
-        ids=["number", "string", "numbers", "empty-id", "null-id"],
+        "write",
+        [
+            lambda path: path.write_text(V1_TINY_FILE, encoding="utf-8"),
+            lambda path: path.write_text("{}", encoding="utf-8"),
+            _save_npy,
+            lambda path: _write_tiny_v2(path, meta={**TINY_META, "format": "patternqr-index-v1"}),
+            lambda path: _write_tiny_v2(path, meta=["patternqr-index-v2"]),
+        ],
+        ids=["v1-json", "json-object", "npy", "v1-format-in-meta", "meta-not-an-object"],
     )
-    def test_load_rejects_doc_ids_that_are_not_non_empty_strings(
-        self, tiny_index, tmp_path, doc_ids
-    ):
+    def test_load_asks_for_a_new_index_for_other_files(self, tmp_path, write):
         path = tmp_path / "index.json"
-        save_index(tiny_index, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**payload, "doc_ids": doc_ids}), encoding="utf-8")
-        with pytest.raises(DataError, match="malformed index file .*: doc_ids must be"):
-            load_index(path)
-
-    def test_load_rejects_a_document_term_without_postings(self, tiny_index, tmp_path):
-        path = tmp_path / "index.json"
-        save_index(tiny_index, path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["doc_tokens"][1].append("bird")
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(DataError, match="malformed index file .*: postings do not match"):
+        write(path)
+        with pytest.raises(DataError, match="index-v2 file: run `patternqr index` again"):
             load_index(path)

@@ -315,6 +315,34 @@ class TestLabelsIO:
         assert path.read_bytes() == b"p0\t1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.tsv"]
 
+    def test_header_carries_the_settings_digest(self, tmp_path):
+        from patternqr.induction import PatternLabel
+
+        path = tmp_path / "labels.tsv"
+        save_labels([PatternLabel("p1", 3)], path, config_hash="abc123")
+        assert path.read_text(encoding="utf-8") == "# config_hash=abc123\np1\t3\n"
+        assert load_labels(path) == [PatternLabel("p1", 3)]
+
+    @pytest.mark.parametrize(
+        "text, pair_ids",
+        [
+            ("p1\t3\np2\t0\n", ["p1", "p2"]),
+            ("#p1\t3\np2\t0\n", ["#p1", "p2"]),
+            ("# config_hash=p1\t3\n", ["# config_hash=p1"]),
+        ],
+        ids=["no-header", "hash-pair-id", "header-like-pair"],
+    )
+    def test_only_a_first_header_line_without_a_tab_is_skipped(self, tmp_path, text, pair_ids):
+        path = tmp_path / "labels.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert [lb.pair_id for lb in load_labels(path)] == pair_ids
+
+    def test_a_header_after_the_first_line_is_an_error(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("p1\t3\n# config_hash=abc\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":2"):
+            load_labels(path)
+
     def test_bad_pattern_id_reports_line(self, tmp_path):
         path = tmp_path / "labels.tsv"
         path.write_text("p1\t3\np2\tnope\n", encoding="utf-8")
