@@ -25,8 +25,8 @@ from .errors import ConfigError, DataError, GatewayError
 from .gateway import GatewayConfig
 from .index import (
     build_index,
+    iter_corpus_tsv,
     load_index,
-    read_corpus_tsv,
     read_queries_tsv,
     retrieve_topk,
     save_index,
@@ -213,7 +213,7 @@ def _load_index_source(args):
     """Load the subcommand's index file, or build an index from its corpus. A loaded
     index must have the --k1 and --b given, as they name the ranking in its digest."""
     if not getattr(args, "index", None):
-        return build_index(read_corpus_tsv(args.corpus), k1=args.k1, b=args.b)
+        return build_index(iter_corpus_tsv(args.corpus), k1=args.k1, b=args.b)
     index = load_index(args.index)
     if (index.k1, index.b) != (args.k1, args.b):
         raise ConfigError(

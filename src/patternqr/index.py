@@ -14,7 +14,7 @@ import os
 import re
 import zipfile
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, count
 from pathlib import Path
@@ -28,6 +28,9 @@ DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 DEFAULT_SNIPPET_TOKENS = 64
 INDEX_FORMAT = "patternqr-index-v2"
+# Term ids are interned into int32 arrays of about this many ids each, so no
+# Python list (8 bytes an id) ever holds the whole stream.
+_CHUNK_IDS = 1 << 16
 
 # Maximal runs of Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -55,7 +58,7 @@ def query_term_weights(query: str) -> dict[str, float]:
     return {term: float(count) for term, count in Counter(tokenize(query)).items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     doc_id: str
     text: str
@@ -134,19 +137,33 @@ class InvertedIndex:
         self.stream = _frozen(stream, np.int32)
         self.doc_lengths = doc_lengths
         self.num_docs = num_docs = len(doc_ids)
-        # One sort of (term id, ordinal) keys over the stream groups the
-        # postings by term, ordinals ascending, and counts the term frequencies.
+        # One in-place sort of (term id, ordinal) keys over the stream groups the
+        # postings by term, ordinals ascending; each run of equal keys is one
+        # posting, and its length is the term frequency. Each temporary goes as
+        # soon as it is used: beside the stream, the peak is the int64 keys, their
+        # run mask and the keys of the postings, 9 bytes a token plus 8 a posting.
         keys = self.stream.astype(np.int64)
         keys *= num_docs
-        keys += np.repeat(np.arange(num_docs, dtype=np.int64), doc_lengths)
-        keys, tfs = np.unique(keys, return_counts=True)
-        posting_terms, ordinals = np.divmod(keys, max(num_docs, 1))
-        offsets = np.searchsorted(posting_terms, np.arange(len(term_id) + 1))
-        self.offsets = _frozen(offsets, np.int64)
+        keys += np.repeat(np.arange(num_docs, dtype=np.int32), doc_lengths)
+        keys.sort()
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        starts = np.flatnonzero(first)
+        del first
+        tfs = np.empty(starts.size, dtype=np.int32)
+        np.subtract(starts[1:], starts[:-1], out=tfs[:-1], casting="unsafe")
+        tfs[-1:] = self.stream.size - starts[-1:]
+        del starts
+        self.tfs = _frozen(tfs, np.int32)
+        bounds = np.arange(len(term_id) + 1, dtype=np.int64) * num_docs
+        self.offsets = _frozen(np.searchsorted(keys, bounds), np.int64)
         # Python ints: per-term lookups (idf in feedback loops) stay cheap.
         self._bounds = self.offsets.tolist()
-        self.ordinals = _frozen(ordinals, np.int32)
-        self.tfs = _frozen(tfs, np.int32)
+        keys %= max(num_docs, 1)
+        self.ordinals = _frozen(keys, np.int32)
+        del keys
         self.doc_ids = doc_ids
         self._ordinal_of = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         if len(self._ordinal_of) != len(doc_ids):
@@ -217,10 +234,12 @@ def build_index(
 
     Each token is looked up once: an unseen term takes the next id, so term
     ids follow first occurrence, and the ids form the term-id stream that the
-    constructor derives the postings from.
+    constructor derives the postings from. `docs` is read once, so a lazy
+    source such as `iter_corpus_tsv` keeps no document's text beyond its turn.
     """
     doc_ids: list[str] = []
     lengths: list[int] = []
+    chunks: list[np.ndarray] = []
     ids: list[int] = []
     term_id: defaultdict[str, int] = defaultdict(count().__next__)
     for doc in docs:
@@ -228,10 +247,15 @@ def build_index(
         tokens = tokenize(doc.text)
         lengths.append(len(tokens))
         ids.extend(map(term_id.__getitem__, tokens))
+        if len(ids) >= _CHUNK_IDS:
+            chunks.append(np.fromiter(ids, dtype=np.int32, count=len(ids)))
+            ids.clear()
+    chunks.append(np.fromiter(ids, dtype=np.int32, count=len(ids)))
+    del ids
     # From here on an unknown term raises KeyError, as in a plain dict.
     term_id.default_factory = None
-    stream = np.fromiter(ids, dtype=np.int32, count=len(ids))
-    del ids  # otherwise alive, 8 bytes a token, through the constructor's sort
+    stream = np.concatenate(chunks)
+    del chunks  # otherwise alive, a second copy of the stream, through the sort
     return InvertedIndex(term_id, stream, lengths, doc_ids, k1=k1, b=b)
 
 
@@ -299,17 +323,22 @@ def retrieve_topk(
     return RetrievalContext(query_id, doc_ids, hit_scores[order].tolist(), k, snippets)
 
 
-def read_corpus_tsv(path: str | Path) -> list[Document]:
-    """Corpus ingestion: one `doc_id<TAB>text` document per line, UTF-8, no header."""
-    docs = []
+def iter_corpus_tsv(path: str | Path) -> Iterator[Document]:
+    """Corpus ingestion: one `doc_id<TAB>text` document per line, UTF-8, no header.
+
+    The file is opened at the first `next` and read one line at a time."""
     for line_no, line in _tsv_lines(path):
         doc_id, sep, text = line.partition("\t")
         if not sep:
             raise DataError(f"{path}:{line_no}: expected doc_id<TAB>text")
         if not doc_id:
             raise DataError(f"{path}:{line_no}: empty doc_id")
-        docs.append(Document(doc_id=doc_id, text=text))
-    return docs
+        yield Document(doc_id=doc_id, text=text)
+
+
+def read_corpus_tsv(path: str | Path) -> list[Document]:
+    """Every document of a corpus TSV file, as `iter_corpus_tsv` yields them."""
+    return list(iter_corpus_tsv(path))
 
 
 def read_queries_tsv(path: str | Path) -> list[tuple[str, str]]:
@@ -323,17 +352,21 @@ def read_queries_tsv(path: str | Path) -> list[tuple[str, str]]:
     return queries
 
 
-def _tsv_lines(path: str | Path):
-    """(line number, line) for each non-empty line of a UTF-8 file; an unreadable
-    file is a DataError."""
+def _tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-empty line of a UTF-8 file, read one line
+    at a time. Only "\n" ends a line (U+0085, U+2028 and the like are text), and
+    one "\r" before it is dropped. An unreadable or non-UTF-8 file is a DataError."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.removesuffix("\n").removesuffix("\r")
+                if line:
+                    yield line_no, line
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        if line == "":
-            continue
-        yield line_no, line
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason}, byte {byte:#04x})") from exc
 
 
 def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") -> None:
@@ -356,19 +389,14 @@ def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") ->
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a `patternqr-index-v2` file, check it, and build the index it holds."""
+    arrays = load_npz(path, "index", ("stream", "doc_lengths", "meta"))
     meta = None
-    try:
-        with open(path, "rb") as handle:
-            # np.load would try to unpickle a file that is not a zip (.npz) file.
-            if handle.read(4) == b"PK\x03\x04":
-                handle.seek(0)
-                with np.load(handle, allow_pickle=False) as bundle:
-                    meta = json.loads(bundle["meta"].tobytes())
-                    stream, doc_lengths = bundle["stream"], bundle["doc_lengths"]
-    except OSError as exc:
-        raise DataError(f"cannot load index from {path}: {exc}") from exc
-    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise DataError(f"malformed index file {path}: {exc}") from exc
+    if arrays is not None:
+        try:
+            meta = json.loads(arrays["meta"].tobytes())
+        except ValueError as exc:
+            raise DataError(f"malformed index file {path}: {exc}") from exc
+        stream, doc_lengths = arrays["stream"], arrays["doc_lengths"]
     if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
         raise DataError(f"{path} is not a {INDEX_FORMAT} file: run `patternqr index` again")
     problem = _index_problem(meta, stream, doc_lengths)
@@ -416,6 +444,29 @@ def atomic_write(path: Path, write_fn) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def load_npz(path: str | Path, what: str, members: Sequence[str]) -> dict[str, np.ndarray] | None:
+    """Every array of the `.npz` file at `path`, which must hold `members`; None if
+    the file is no zip archive. Nothing is unpickled. A file that cannot be read
+    or is a broken archive is a DataError naming `what` it should hold."""
+    try:
+        with open(path, "rb") as handle:
+            # np.load would try to unpickle a file that is not a zip (.npz) file.
+            if handle.read(4) != b"PK\x03\x04":
+                return None
+            handle.seek(0)
+            with np.load(handle, allow_pickle=False) as bundle:
+                missing = [name for name in members if name not in bundle.files]
+                if missing:
+                    raise DataError(
+                        f"malformed {what} file {path}: {missing[0]} is not a file in the archive"
+                    )
+                return {name: bundle[name] for name in bundle.files}
+    except OSError as exc:
+        raise DataError(f"cannot load {what} from {path}: {exc}") from exc
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def atomic_savez(path: Path, **arrays: np.ndarray) -> None:

@@ -43,7 +43,7 @@ from .index import (
     DEFAULT_SNIPPET_TOKENS,
     InvertedIndex,
     build_index,
-    read_corpus_tsv,
+    iter_corpus_tsv,
     read_queries_tsv,
     retrieve_topk,
 )
@@ -336,8 +336,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     log_path = out_dir / f"{config.mode}.reformulations.jsonl"
     report_path = out_dir / f"{config.mode}.metrics.csv"
 
-    docs = _stage("load-corpus", read_corpus_tsv, config.corpus)
-    index = _stage("build-index", build_index, docs, config.k1, config.b)
+    index = _stage("build-index", build_index, iter_corpus_tsv(config.corpus), config.k1, config.b)
     queries = _stage("load-queries", read_queries_tsv, config.queries)
 
     reformer = config.mode in REFORMER_MODES

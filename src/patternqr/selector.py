@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .gateway import ChatMessage, ChatRequest, Gateway, ask
-from .index import RetrievalContext, atomic_savez, atomic_write, tokenize
+from .index import RetrievalContext, atomic_savez, atomic_write, load_npz, tokenize
 from .induction import PatternLibrary
 
 DEFAULT_DIMENSION = 2**18
@@ -310,19 +310,15 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
 
 
 def load_model(path: str | Path) -> SelectorModel:
+    arrays = load_npz(path, "selector model", ("meta", "weights", "bias"))
     try:
-        with np.load(path, allow_pickle=False) as bundle:
-            meta = json.loads(str(bundle["meta"]))
-            if not isinstance(meta, dict) or meta.get("format") not in (
-                MODEL_FORMAT,
-                MODEL_FORMAT_V1,
-            ):
-                raise DataError(f"{path} is not a patternqr selector model")
-            columns = bundle["columns"] if meta["format"] == MODEL_FORMAT else None
-            stored = bundle["weights"]
-            bias = bundle["bias"]
-    except (OSError, KeyError, ValueError) as exc:
+        meta = None if arrays is None else json.loads(str(arrays["meta"]))
+        if not isinstance(meta, dict) or meta.get("format") not in (MODEL_FORMAT, MODEL_FORMAT_V1):
+            raise DataError(f"{path} is not a patternqr selector model")
+        columns = arrays["columns"] if meta["format"] == MODEL_FORMAT else None
+    except (KeyError, ValueError) as exc:
         raise DataError(f"cannot load selector model from {path}: {exc}") from exc
+    stored, bias = arrays["weights"], arrays["bias"]
     try:
         feature_config = FeatureConfig.from_dict(meta["feature_config"])
         library_version = meta["library_version"]

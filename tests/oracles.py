@@ -47,6 +47,27 @@ def oracle_postings(docs: list[str]) -> dict[str, list[tuple[int, int]]]:
     return postings
 
 
+def oracle_index_arrays(docs: list[str]) -> dict:
+    """An index's `terms`, `stream`, `offsets`, `ordinals` and `tfs`, derived the
+    way the build did before it sorted in place: terms numbered in order of first
+    occurrence, then one `np.unique` over the (term id, ordinal) keys of the stream."""
+    token_lists = [oracle_tokenize(text) for text in docs]
+    term_id: dict[str, int] = {}
+    stream = [term_id.setdefault(token, len(term_id)) for tokens in token_lists for token in tokens]
+    num_docs = len(docs)
+    keys = np.array(stream, dtype=np.int64) * num_docs + np.repeat(
+        np.arange(num_docs, dtype=np.int64), [len(tokens) for tokens in token_lists]
+    )
+    keys, tfs = np.unique(keys, return_counts=True)
+    posting_terms, ordinals = np.divmod(keys, max(num_docs, 1))
+    return {
+        "terms": list(term_id),
+        "stream": np.array(stream, dtype=np.int32),
+        "offsets": np.searchsorted(posting_terms, np.arange(len(term_id) + 1)).astype(np.int64),
+        "ordinals": ordinals.astype(np.int32),
+        "tfs": tfs.astype(np.int32),
+    }
+
 def oracle_featurize(
     query: str,
     snippets: list[str],

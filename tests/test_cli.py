@@ -10,6 +10,7 @@ from patternqr.cli import main
 from patternqr.evaluation import parse_run
 from patternqr.gateway import Gateway, GatewayConfig, MockScript
 from patternqr.generator import read_reformulation_log
+from patternqr.index import load_index
 from patternqr.induction import (
     LIBRARY_FORMAT,
     default_library,
@@ -442,6 +443,30 @@ class TestExitCodes:
         assert "data error: malformed index file" in err and reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["index", "--out", "{dir}/index.npz"], ["run", "--mode", "bm25", "--out-dir", "{dir}/out"]],
+        ids=["index", "run"],
+    )
+    def test_non_utf8_corpus_is_3_and_writes_nothing(self, files, capsys, argv):
+        files["corpus"].write_bytes(b"d1\tcat sat\nd2\tcaf\xff\n")
+        before = sorted(files["dir"].iterdir())
+        argv = [arg.format(dir=files["dir"]) for arg in argv]
+        extra = ["--queries", str(files["queries"])] if argv[0] == "run" else []
+        assert main([*argv, "--corpus", str(files["corpus"]), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "data error: " in err and f"{files['corpus']}: not UTF-8" in err
+        after = [p for p in sorted(files["dir"].iterdir()) if p.name != "out"]
+        assert after == before
+        assert not list(files["dir"].glob("out/*"))
+
+    def test_next_line_character_stays_inside_a_document(self, files):
+        files["corpus"].write_text("d1\tcat\nd2\tbaz\u0085d3\tqux\n", encoding="utf-8")
+        index_path = files["dir"] / "index.npz"
+        assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
+        assert load_index(index_path).doc_ids == ["d1", "d2"]
+
     def test_v1_index_file_is_3(self, files, capsys):
         index_path = files["dir"] / "index.npz"
         index_path.write_text(
@@ -627,7 +652,7 @@ class TestExitCodes:
         def no_read(path):
             raise AssertionError("the corpus was read")
 
-        monkeypatch.setattr(pipeline, "read_corpus_tsv", no_read)
+        monkeypatch.setattr(pipeline, "iter_corpus_tsv", no_read)
         code = main(
             [
                 "run",
@@ -676,8 +701,8 @@ class TestExitCodes:
         def no_read(path):
             raise AssertionError("the corpus was read")
 
-        monkeypatch.setattr(pipeline, "read_corpus_tsv", no_read)
-        monkeypatch.setattr(cli, "read_corpus_tsv", no_read)
+        monkeypatch.setattr(pipeline, "iter_corpus_tsv", no_read)
+        monkeypatch.setattr(cli, "iter_corpus_tsv", no_read)
         out = files["dir"] / "out"
         extra = {
             "retrieve": ["--queries", str(files["queries"]), "--out", str(out)],
@@ -723,7 +748,7 @@ class TestExitCodes:
             raise AssertionError("an input file was read")
 
         for module, reader in [
-            (cli, "read_corpus_tsv"),
+            (cli, "iter_corpus_tsv"),
             (cli, "load_index"),
             (induction, "ingest_pairs"),
             (evaluation, "parse_run"),

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 from pathlib import Path
@@ -13,13 +14,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_bm25_all, oracle_postings, oracle_rank, oracle_tokenize
+from oracles import (
+    oracle_bm25_all,
+    oracle_index_arrays,
+    oracle_postings,
+    oracle_rank,
+    oracle_tokenize,
+)
 from patternqr.errors import DataError
 from patternqr.index import (
     Document,
     RetrievalContext,
     bm25_score,
+    _CHUNK_IDS,
     build_index,
+    iter_corpus_tsv,
     load_index,
     query_term_weights,
     read_corpus_tsv,
@@ -358,6 +367,63 @@ class TestTermIdStream:
         assert (loaded.k1, loaded.b) == (built.k1, built.b)
 
 
+def _assert_index_arrays(index, expected):
+    assert index.terms == expected["terms"]
+    for name in ("stream", "offsets", "ordinals", "tfs"):
+        got, want = getattr(index, name), expected[name]
+        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist()), name
+
+
+class TestInPlaceBuild:
+    """The build sorts its (term, ordinal) keys in place; its arrays, built and
+    loaded, must equal those of the `np.unique` derivation it replaced."""
+
+    def _check(self, texts):
+        built = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
+        expected = oracle_index_arrays(texts)
+        _assert_index_arrays(built, expected)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.npz"
+            save_index(built, path)
+            _assert_index_arrays(load_index(path), expected)
+
+    @given(_CORPORA)
+    def test_arrays_equal_the_unique_reference(self, texts):
+        self._check(texts)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [[], [""], ["", "", ""], ["", "caf\u00e9 \u03a3\u0391", ""], ["b a", "", "a a b"]],
+        ids=["no-documents", "one-empty", "all-empty", "non-ascii", "empty-inside"],
+    )
+    def test_edge_corpora_equal_the_unique_reference(self, texts):
+        self._check(texts)
+
+    def test_a_corpus_longer_than_one_interning_chunk(self):
+        rng = random.Random(11)
+        vocabulary = [f"w{i}" for i in range(3000)] + ["caf\u00e9", "\u03c3\u03b1", "x_y"]
+        texts = [" ".join(rng.choices(vocabulary, k=rng.randrange(0, 130))) for _ in range(2500)]
+        texts[1000] = ""
+        assert sum(len(tokenize(text)) for text in texts) > 2 * _CHUNK_IDS
+        self._check(texts)
+
+    def test_build_peak_memory_per_token_is_bounded(self):
+        # Traced peak of build_index's own allocations per token, on a Zipf-like
+        # corpus: about 20 B, with the sort's int64 keys, their run mask and the
+        # keys of the postings beside the stream and the per-document objects.
+        # The np.unique derivation after a Python list of every id took 35 B.
+        rng = np.random.default_rng(7)
+        ranks = np.minimum(rng.zipf(1.3, size=(3000, 60)), 5000)
+        docs = [Document(f"d{i}", " ".join(f"w{r}" for r in row)) for i, row in enumerate(ranks)]
+        tracemalloc.start()
+        try:
+            index = build_index(docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / index.stream.size < 24
+
+
 class TestTsvIO:
     def test_corpus_round_trip(self, tmp_path):
         path = tmp_path / "corpus.tsv"
@@ -380,6 +446,48 @@ class TestTsvIO:
         path = tmp_path / "queries.tsv"
         path.write_text("q1\twhat is bm25\n", encoding="utf-8")
         assert read_queries_tsv(path) == [("q1", "what is bm25")]
+
+    def test_corpus_is_read_one_document_at_a_time(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("d1\tcat\nbroken line\n", encoding="utf-8")
+        docs = iter_corpus_tsv(path)
+        assert next(docs) == Document("d1", "cat")
+        with pytest.raises(DataError, match=":2"):
+            next(docs)
+
+    @pytest.mark.parametrize("reader", [read_corpus_tsv, read_queries_tsv])
+    def test_non_utf8_file_is_a_data_error_naming_it(self, tmp_path, reader):
+        path = tmp_path / "input.tsv"
+        path.write_bytes(b"d1\tcat\nd2\tcaf\xff sat\n")
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: not UTF-8") as raised:
+            reader(path)
+        assert "\n" not in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["baz\u0085d3\tqux", "foo\u2028bar", "a\u2029b\vc\fd\x1ce\x1df\x1eg", "a\rb"],
+        ids=["next-line", "line-separator", "other-breaks", "inner-cr"],
+    )
+    def test_only_a_newline_ends_a_line(self, tmp_path, text):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"d1\tcat\nd2\t{text}\n", encoding="utf-8")
+        assert read_corpus_tsv(path) == [Document("d1", "cat"), Document("d2", text)]
+
+    def test_one_trailing_carriage_return_is_dropped(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"d1\tcat sat\r\nd2\tdog\r\r\n\r\nd3\tend\r")
+        assert read_corpus_tsv(path) == [
+            Document("d1", "cat sat"),
+            Document("d2", "dog\r"),
+            Document("d3", "end"),
+        ]
+
+    @given(st.text().filter(lambda t: "\t" not in t and "\n" not in t and not t.endswith("\r")))
+    def test_any_text_without_tab_or_newline_is_one_document(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.tsv"
+            path.write_bytes(f"d1\t{text}\n".encode("utf-8"))
+            assert read_corpus_tsv(path) == [Document("d1", text)]
 
 
 class TestIndexPersistence:

@@ -64,6 +64,20 @@ class TestIngestPairs:
         with pytest.raises(DataError):
             ingest_pairs(path)
 
+    def test_crlf_file_gives_the_prompts_of_the_lf_file(self, tmp_path, seed_library):
+        lines = ["p1\tcheap flights\tlow cost airline tickets", "p2\tjaguar speed\tjaguar animal"]
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        crlf.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        prompts = {
+            path.name: [
+                fingerprint(render_label_prompt(pair, seed_library, model="m"))
+                for pair in ingest_pairs(path)
+            ]
+            for path in (lf, crlf)
+        }
+        assert len(prompts["lf.tsv"]) == 2 and prompts["lf.tsv"] == prompts["crlf.tsv"]
+
     def test_sampling_is_seeded(self):
         a = sample_pairs(PAIRS, 2, seed=7)
         b = sample_pairs(PAIRS, 2, seed=7)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -405,6 +406,11 @@ def _meta_without(key):
 MODEL_META_V2 = {**MODEL_META, "format": "patternqr-selector-v2"}
 
 
+def _save_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.zeros(3))
+
+
 def _write_raw_model(path, weights, bias, meta, **extra):
     with open(path, "wb") as handle:
         np.savez(handle, weights=weights, bias=bias, meta=np.array(json.dumps(meta)), **extra)
@@ -513,6 +519,22 @@ class TestModelPersistence:
         path = tmp_path / "model.npz"
         np.savez(path, x=np.zeros(3))
         with pytest.raises(DataError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            _save_npy,
+            lambda path: path.write_bytes(b"PK\x03\x04 not a zip"),
+            lambda path: path.write_bytes(path.read_bytes()[:100]),
+        ],
+        ids=["npy", "zip-magic-only", "truncated"],
+    )
+    def test_load_rejects_files_that_are_not_npz_archives(self, tmp_path, write):
+        path = tmp_path / "model.npz"
+        save_model(SelectorModel.zeros(3, SMALL, "v1"), path)
+        write(path)
+        with pytest.raises(DataError, match=re.escape(str(path))):
             load_model(path)
 
     @pytest.mark.parametrize(
