@@ -17,8 +17,7 @@ process, its growth over the interpreter with its imports loaded, and that
 growth in bytes per token. `save` reports the growth of the peak that
 `save_index` adds after the build. The last line projects each step's
 growth to the 8.8M passages of the MS MARCO passage collection, linearly in
-the number of tokens at the largest size's rate, for passages of
---passage-tokens tokens.
+the number of tokens at the largest size's rate, for passages of 56 tokens.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ import gen  # noqa: E402  (bench/gen.py)
 from patternqr.index import build_index, iter_corpus_tsv, load_index, save_index  # noqa: E402
 
 MSMARCO_PASSAGES = 8_841_823
+MSMARCO_TOKENS_PER_PASSAGE = 56
+SEED = 0
 BLOCK_DOCS = 10_000
 
 
@@ -52,10 +53,10 @@ def peak_rss_mb() -> float:
     raise RuntimeError("no VmHWM in /proc/self/status")
 
 
-def write_corpus(path: Path, num_docs: int, seed: int) -> None:
+def write_corpus(path: Path, num_docs: int) -> None:
     """Write `num_docs` Zipf documents, a block at a time."""
     words = [gen.word(rank) for rank in range(gen.VOCAB_SIZE)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         for start in range(0, num_docs, BLOCK_DOCS):
             ranks = gen.zipf_docs(rng, min(BLOCK_DOCS, num_docs - start)).tolist()
@@ -100,8 +101,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--docs", type=int, nargs="+", default=[200_000, 1_000_000])
     parser.add_argument("--dir", type=Path, required=True, help="where corpora and indexes go")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--passage-tokens", type=float, default=56.0)
     parser.add_argument("--step", choices=["build", "load"], help=argparse.SUPPRESS)
     parser.add_argument("--corpus", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--index", type=Path, help=argparse.SUPPRESS)
@@ -114,10 +113,10 @@ def main(argv=None) -> int:
     args.dir.mkdir(parents=True, exist_ok=True)
     last: dict[str, dict] = {}
     for num_docs in args.docs:
-        corpus = args.dir / f"corpus-{num_docs}-seed{args.seed}.tsv"
-        index_path = args.dir / f"index-{num_docs}-seed{args.seed}.npz"
+        corpus = args.dir / f"corpus-{num_docs}.tsv"
+        index_path = args.dir / f"index-{num_docs}.npz"
         if not corpus.exists():
-            write_corpus(corpus, num_docs, args.seed)
+            write_corpus(corpus, num_docs)
         for step in ("build", "load"):
             cmd = [sys.executable, __file__, "--step", step, "--corpus", str(corpus)]
             child = subprocess.run(
@@ -129,7 +128,7 @@ def main(argv=None) -> int:
                 record["corpus_mb"] = round(corpus.stat().st_size / 2**20, 1)
                 print(json.dumps(record), flush=True)
                 last[record["step"]] = record
-    tokens = MSMARCO_PASSAGES * args.passage_tokens
+    tokens = MSMARCO_PASSAGES * MSMARCO_TOKENS_PER_PASSAGE
     projection = {
         step: round(record["bytes_per_token"] * tokens / 2**30, 1) for step, record in last.items()
     }

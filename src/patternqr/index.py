@@ -28,9 +28,6 @@ DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 DEFAULT_SNIPPET_TOKENS = 64
 INDEX_FORMAT = "patternqr-index-v2"
-# Term ids are interned into int32 arrays of about this many ids each, so no
-# Python list (8 bytes an id) ever holds the whole stream.
-_CHUNK_IDS = 1 << 16
 
 # Maximal runs of Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -239,23 +236,19 @@ def build_index(
     """
     doc_ids: list[str] = []
     lengths: list[int] = []
-    chunks: list[np.ndarray] = []
-    ids: list[int] = []
     term_id: defaultdict[str, int] = defaultdict(count().__next__)
-    for doc in docs:
-        doc_ids.append(doc.doc_id)
-        tokens = tokenize(doc.text)
-        lengths.append(len(tokens))
-        ids.extend(map(term_id.__getitem__, tokens))
-        if len(ids) >= _CHUNK_IDS:
-            chunks.append(np.fromiter(ids, dtype=np.int32, count=len(ids)))
-            ids.clear()
-    chunks.append(np.fromiter(ids, dtype=np.int32, count=len(ids)))
-    del ids
+
+    def ids() -> Iterator[int]:
+        for doc in docs:
+            doc_ids.append(doc.doc_id)
+            tokens = tokenize(doc.text)
+            lengths.append(len(tokens))
+            yield from map(term_id.__getitem__, tokens)
+
+    # Straight into an int32 array: no Python list (8 bytes an id) of the stream.
+    stream = np.fromiter(ids(), dtype=np.int32)
     # From here on an unknown term raises KeyError, as in a plain dict.
     term_id.default_factory = None
-    stream = np.concatenate(chunks)
-    del chunks  # otherwise alive, a second copy of the stream, through the sort
     return InvertedIndex(term_id, stream, lengths, doc_ids, k1=k1, b=b)
 
 
@@ -354,8 +347,9 @@ def read_queries_tsv(path: str | Path) -> list[tuple[str, str]]:
 
 def _tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line) for each non-empty line of a UTF-8 file, read one line
-    at a time. Only "\n" ends a line (U+0085, U+2028 and the like are text), and
-    one "\r" before it is dropped. An unreadable or non-UTF-8 file is a DataError."""
+    at a time. Only "\n" ends a line (U+0085, U+2028 and the like are text); one
+    "\r" at the end of every line, the last included, is dropped, and any other
+    "\r" is text. An unreadable or non-UTF-8 file is a DataError."""
     try:
         with open(path, encoding="utf-8", newline="\n") as handle:
             for line_no, line in enumerate(handle, start=1):
@@ -446,10 +440,13 @@ def atomic_write(path: Path, write_fn) -> None:
         raise
 
 
-def load_npz(path: str | Path, what: str, members: Sequence[str]) -> dict[str, np.ndarray] | None:
-    """Every array of the `.npz` file at `path`, which must hold `members`; None if
-    the file is no zip archive. Nothing is unpickled. A file that cannot be read
-    or is a broken archive is a DataError naming `what` it should hold."""
+def load_npz(
+    path: str | Path, what: str, members: Sequence[str], optional: Sequence[str] = ()
+) -> dict[str, np.ndarray] | None:
+    """The `members` of the `.npz` file at `path`, and those of `optional` it holds;
+    None if the file is no zip archive. No other member is read, and nothing is
+    unpickled. A file that cannot be read or is a broken archive is a DataError
+    naming `what` it should hold."""
     try:
         with open(path, "rb") as handle:
             # np.load would try to unpickle a file that is not a zip (.npz) file.
@@ -462,7 +459,8 @@ def load_npz(path: str | Path, what: str, members: Sequence[str]) -> dict[str, n
                     raise DataError(
                         f"malformed {what} file {path}: {missing[0]} is not a file in the archive"
                     )
-                return {name: bundle[name] for name in bundle.files}
+                wanted = [*members, *(name for name in optional if name in bundle.files)]
+                return {name: bundle[name] for name in wanted}
     except OSError as exc:
         raise DataError(f"cannot load {what} from {path}: {exc}") from exc
     except (ValueError, zipfile.BadZipFile) as exc:

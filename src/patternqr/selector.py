@@ -310,7 +310,7 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
 
 
 def load_model(path: str | Path) -> SelectorModel:
-    arrays = load_npz(path, "selector model", ("meta", "weights", "bias"))
+    arrays = load_npz(path, "selector model", ("meta", "weights", "bias"), optional=("columns",))
     try:
         meta = None if arrays is None else json.loads(str(arrays["meta"]))
         if not isinstance(meta, dict) or meta.get("format") not in (MODEL_FORMAT, MODEL_FORMAT_V1):

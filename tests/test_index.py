@@ -26,7 +26,6 @@ from patternqr.index import (
     Document,
     RetrievalContext,
     bm25_score,
-    _CHUNK_IDS,
     build_index,
     iter_corpus_tsv,
     load_index,
@@ -399,12 +398,11 @@ class TestInPlaceBuild:
     def test_edge_corpora_equal_the_unique_reference(self, texts):
         self._check(texts)
 
-    def test_a_corpus_longer_than_one_interning_chunk(self):
+    def test_a_long_corpus_with_many_terms(self):
         rng = random.Random(11)
         vocabulary = [f"w{i}" for i in range(3000)] + ["caf\u00e9", "\u03c3\u03b1", "x_y"]
         texts = [" ".join(rng.choices(vocabulary, k=rng.randrange(0, 130))) for _ in range(2500)]
         texts[1000] = ""
-        assert sum(len(tokenize(text)) for text in texts) > 2 * _CHUNK_IDS
         self._check(texts)
 
     def test_build_peak_memory_per_token_is_bounded(self):
@@ -738,3 +736,17 @@ class TestIndexFileFormat:
         write(path)
         with pytest.raises(DataError, match="index-v2 file: run `patternqr index` again"):
             load_index(path)
+
+    def test_load_reads_no_member_beyond_the_index(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.npz"
+        save_index(build_index([Document("d1", "cat sat"), Document("d2", "dog")]), path)
+        with np.load(path, allow_pickle=False) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        np.savez(path, **arrays, big=np.zeros(9))
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(
+            np.lib.npyio.NpzFile, "__getitem__", lambda self, key: read.append(key) or getitem(self, key)
+        )
+        assert load_index(path).doc_ids == ["d1", "d2"]
+        assert sorted(read) == ["doc_lengths", "meta", "stream"]

@@ -508,6 +508,20 @@ class TestModelPersistence:
         with pytest.raises(DataError):
             load_model(path)
 
+    @pytest.mark.parametrize("meta", [MODEL_META, MODEL_META_V2], ids=["v1", "v2"])
+    def test_load_reads_no_member_beyond_the_model(self, tmp_path, monkeypatch, meta):
+        path = tmp_path / "model.npz"
+        columns = {"columns": [1, 2]} if meta is MODEL_META_V2 else {}
+        width = 2 if columns else 2**10
+        _write_raw_model(path, np.ones((3, width)), np.zeros(3), meta, **columns, big=np.zeros(9))
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(
+            np.lib.npyio.NpzFile, "__getitem__", lambda self, key: read.append(key) or getitem(self, key)
+        )
+        load_model(path)
+        assert sorted(read) == sorted(["meta", "weights", "bias", *columns])
+
     def test_save_writes_exactly_the_given_path(self, tmp_path):
         model = SelectorModel.zeros(3, SMALL, "v1")
         path = tmp_path / "model.bin"
