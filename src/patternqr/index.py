@@ -16,13 +16,13 @@ import zipfile
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, count
+from itertools import count
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
@@ -166,8 +166,10 @@ class InvertedIndex:
         if len(self._ordinal_of) != len(doc_ids):
             duplicate = next(d for d, n in Counter(doc_ids).items() if n > 1)
             raise DataError(f"duplicate doc_id {duplicate!r}")
-        self._starts = [0, *accumulate(doc_lengths)]
-        total = self._starts[-1]
+        # Each document's first position in the stream, and one past its end.
+        self._starts = np.zeros(num_docs + 1, dtype=np.int64)
+        np.cumsum(doc_lengths, out=self._starts[1:])
+        total = int(self._starts[-1])
         self.avg_doc_length = total / self.num_docs if self.num_docs > 0 else 0.0
         self.k1 = k1
         self.b = b
@@ -429,14 +431,22 @@ def _distinct_strings(values) -> bool:
     return strings and len(set(values)) == len(values)
 
 
+# The OS errors that say the output path itself cannot be written.
+_UNWRITABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+
 def atomic_write(path: Path, write_fn) -> None:
-    """Write via a temp file and rename, so an aborted write leaves no partial file."""
+    """Write via a temp file and rename, so an aborted write leaves no partial file.
+    A path that cannot be written (its directory is missing, or it is a directory)
+    is a ConfigError naming it."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         write_fn(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, _UNWRITABLE):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

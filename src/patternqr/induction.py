@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-from .errors import DataError, GatewayError
+from .errors import ConfigError, DataError, GatewayError
 from .gateway import ChatMessage, ChatRequest, ChatResponse, Gateway, ask, request_to_wire
 from .index import _tsv_lines, atomic_write
 
@@ -270,7 +270,10 @@ class Transcript:
         self.gateway = gateway
         self.model = gateway.model
         self.path = Path(path)
-        self.path.write_text("", encoding="utf-8")
+        try:
+            self.path.write_text("", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.path}: {exc.strerror or exc}") from exc
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         response = self.gateway.complete(request)

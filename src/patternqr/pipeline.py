@@ -331,7 +331,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     config.validate()
     digest = config_hash(config)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror or exc}") from exc
     run_path = out_dir / f"{config.mode}.run"
     log_path = out_dir / f"{config.mode}.reformulations.jsonl"
     report_path = out_dir / f"{config.mode}.metrics.csv"

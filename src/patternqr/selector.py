@@ -109,10 +109,19 @@ def featurize(query: str, context: RetrievalContext, config: FeatureConfig) -> F
 
 @dataclass
 class SelectorModel:
-    weights: np.ndarray  # (M, F)
+    """Multinomial logistic regression over hashed features.
+
+    `weights[:, j]` holds the weights of feature `columns[j]` (ascending ids);
+    every feature outside `columns` has +0.0 weights. `columns=None` means every
+    feature, with `weights` the full (M, F) matrix, as `zeros` builds it.
+    `train_selector` and `load_model` keep only the columns a model file stores.
+    """
+
+    weights: np.ndarray  # (M, len(columns)), or (M, F) when columns is None
     bias: np.ndarray  # (M,)
     feature_config: FeatureConfig
     library_version: str
+    columns: np.ndarray | None = None
 
     @property
     def num_patterns(self) -> int:
@@ -126,6 +135,19 @@ class SelectorModel:
             feature_config=feature_config,
             library_version=library_version,
         )
+
+
+def _feature_rows(model: SelectorModel, indices: np.ndarray) -> np.ndarray:
+    """The (k, M) block `weights[:, indices].T` of the model's full matrix: a zero
+    row for a feature outside its `columns`."""
+    if model.columns is None:
+        return model.weights[:, indices].T
+    positions = np.searchsorted(model.columns, indices)
+    known = positions < model.columns.size
+    known[known] = model.columns[positions[known]] == indices[known]
+    rows = np.zeros((indices.size, model.num_patterns), dtype=np.float64)
+    rows[known] = model.weights[:, positions[known]].T
+    return rows
 
 
 def _softmax_rows(
@@ -164,10 +186,9 @@ def predict_from_vector(model: SelectorModel, fv: FeatureVector) -> PatternDistr
             f"feature vector dimension {fv.dimension} does not match model "
             f"dimension {model.feature_config.dimension}"
         )
-    # `take` on the transposed (M, F) matrix would copy all of it: gather the
-    # vector's own rows instead, and renumber its features to match.
+    # Gather the vector's own rows, and renumber its features to match.
     local = FeatureVector(np.arange(fv.indices.size), fv.values, fv.indices.size)
-    _, probs, _ = _softmax_rows(model.weights[:, fv.indices].T, model.bias, [local])
+    _, probs, _ = _softmax_rows(_feature_rows(model, fv.indices), model.bias, [local])
     return PatternDistribution(probs=probs[0])
 
 
@@ -244,7 +265,6 @@ def train_selector(
     vectors = [featurize(q, ctx, config) for q, ctx, _ in examples]
     labels = np.array([lbl for _, _, lbl in examples], dtype=np.int64)
 
-    model = SelectorModel.zeros(m, config, library.version)
     # A column no example activates starts at +0.0 and stays exactly +0.0 under
     # the L2 scaling, so the steps run on the active columns alone: every
     # weight gets the same operations as on the full matrix. They are stored
@@ -256,6 +276,12 @@ def train_selector(
         for fv in vectors
     ]
     weights_t = np.zeros((active.size, m), dtype=np.float64)
+    bias = np.zeros(m, dtype=np.float64)
+    # The loss history's L2 term is one dot product over the full (M, F) matrix:
+    # a sum over the active columns alone groups the terms differently and can
+    # move the last bit. This scratch holds that matrix for the epochs only.
+    dense = np.zeros((m, config.dimension), dtype=np.float64)
+    flat = dense.ravel()
     rng = np.random.default_rng(hyper.seed)
     step = 0
     history: list[float] = []
@@ -269,7 +295,7 @@ def train_selector(
             # the L2 part is one scaling, and the data part subtracts the
             # transposed outer product from each active feature's row.
             batch_vectors = [compact[i] for i in batch]
-            _, deltas = _cross_entropy(weights_t, model.bias, batch_vectors, labels[batch])
+            _, deltas = _cross_entropy(weights_t, bias, batch_vectors, labels[batch])
             weights_t *= 1.0 - 2.0 * hyper.l2 * eta
             for fv, delta in zip(batch_vectors, deltas):
                 update = fv.values[:, None] * delta
@@ -277,21 +303,21 @@ def train_selector(
                 rows = weights_t.take(fv.indices, axis=0)
                 rows -= update
                 weights_t[fv.indices] = rows
-            model.bias -= (eta / len(batch)) * sum(deltas, np.zeros(m))
+            bias -= (eta / len(batch)) * sum(deltas, np.zeros(m))
             step += 1
-        # The data term reads the same weights, in the same order, from the
-        # compact matrix. The L2 term sums over the full matrix: a sum over the
-        # compact one alone groups the terms differently and can move the last bit.
-        total, _ = _cross_entropy(weights_t, model.bias, compact, labels)
-        model.weights[:, active] = weights_t.T
-        flat = model.weights.ravel()
+        total, _ = _cross_entropy(weights_t, bias, compact, labels)
+        dense[:, active] = weights_t.T
         history.append(total / len(vectors) + hyper.l2 * float(np.dot(flat, flat)))
-    return model, history
+    del dense, flat
+    # Keep the columns `save_model` keeps: those with any nonzero bit.
+    kept = weights_t.view(np.int64).any(axis=1)
+    weights = np.ascontiguousarray(weights_t[kept].T)
+    return SelectorModel(weights, bias, config, library.version, columns=active[kept]), history
 
 
 def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") -> None:
     """Store the columns that hold any nonzero bit (-0.0 and NaN included) and
-    their weights; the other columns are +0.0 and `load_model` restores them."""
+    their weights; every other column is +0.0."""
     meta = {
         "format": MODEL_FORMAT,
         "config_hash": config_hash,
@@ -299,17 +325,19 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
         "library_version": model.library_version,
     }
     weights = np.asarray(model.weights, dtype=np.float64)
-    columns = np.flatnonzero(weights.view(np.int64).any(axis=0))
+    kept = weights.view(np.int64).any(axis=0)
     atomic_savez(
         Path(path),
-        columns=columns,
-        weights=weights[:, columns],
+        columns=np.flatnonzero(kept) if model.columns is None else model.columns[kept],
+        weights=weights[:, kept],
         bias=model.bias,
         meta=np.array(json.dumps(meta)),
     )
 
 
 def load_model(path: str | Path) -> SelectorModel:
+    """Read a v2 file as it is stored, its columns and their weights; a dense v1
+    file gives a model of every column."""
     arrays = load_npz(path, "selector model", ("meta", "weights", "bias"), optional=("columns",))
     try:
         meta = None if arrays is None else json.loads(str(arrays["meta"]))
@@ -325,21 +353,19 @@ def load_model(path: str | Path) -> SelectorModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed selector model meta: {exc!r}") from exc
     dimension = feature_config.dimension
-    if columns is None:
-        columns = np.arange(dimension)
-    if columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer):
-        raise DataError(f"{path}: columns must be a 1-D integer array, got {columns.dtype}")
-    if columns.size and (
-        columns[0] < 0 or columns[-1] >= dimension or np.any(columns[1:] <= columns[:-1])
+    listed = np.arange(dimension) if columns is None else columns
+    if listed.ndim != 1 or not np.issubdtype(listed.dtype, np.integer):
+        raise DataError(f"{path}: columns must be a 1-D integer array, got {listed.dtype}")
+    if listed.size and (
+        listed[0] < 0 or listed[-1] >= dimension or np.any(listed[1:] <= listed[:-1])
     ):
         raise DataError(f"{path}: columns must ascend strictly within [0, {dimension})")
-    if stored.ndim != 2 or stored.shape[1] != columns.size:
-        raise DataError(f"{path}: weights {stored.shape} lack {columns.size} columns")
+    if stored.ndim != 2 or stored.shape[1] != listed.size:
+        raise DataError(f"{path}: weights {stored.shape} lack {listed.size} columns")
     if bias.shape != stored.shape[:1]:
         raise DataError(f"{path}: bias {bias.shape} does not fit weights {stored.shape}")
-    weights = np.zeros((stored.shape[0], dimension), dtype=np.float64)
-    weights[:, columns] = stored
-    return SelectorModel(weights, bias, feature_config, library_version)
+    weights = np.ascontiguousarray(stored, dtype=np.float64)
+    return SelectorModel(weights, bias, feature_config, library_version, columns=columns)
 
 
 def write_loss_curve(history: list[float], path: str | Path, config_hash: str = "") -> None:

@@ -200,6 +200,16 @@ def oracle_recall(
     return sum(1 for d in ranked[:k] if d in relevant) / len(relevant)
 
 
+def dense_weights(model) -> np.ndarray:
+    """A selector model's full (M, F) weight matrix: its `weights` scattered into
+    zeros at its `columns`, or `weights` itself when `columns` is None."""
+    if model.columns is None:
+        return model.weights
+    dense = np.zeros((model.weights.shape[0], model.feature_config.dimension))
+    dense[:, model.columns] = model.weights
+    return dense
+
+
 def oracle_train_dense(
     vectors: list[tuple[np.ndarray, np.ndarray]],
     labels: np.ndarray,

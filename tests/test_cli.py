@@ -461,6 +461,35 @@ class TestExitCodes:
         assert after == before
         assert not list(files["dir"].glob("out/*"))
 
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["index", "--corpus", "{corpus}", "--out", "{dir}/missing/index.npz"],
+             "{dir}/missing/index.npz"),
+            (["index", "--corpus", "{corpus}", "--out", "{dir}/taken"], "{dir}/taken"),
+            (["run", "--mode", "bm25", "--corpus", "{corpus}", "--queries", "{queries}",
+              "--out-dir", "{queries}"], "{queries}"),
+            (["induce", "--pairs", "{pairs}", "--mock-script", "{mock}", "--out",
+              "{dir}/library.json", "--transcript", "{dir}/missing/t.jsonl"],
+             "{dir}/missing/t.jsonl"),
+        ],
+        ids=[
+            "index-missing-directory",
+            "index-out-is-a-directory",
+            "run-out-dir-is-a-file",
+            "induce-transcript-missing-directory",
+        ],
+    )
+    def test_unwritable_output_is_2_and_leaves_nothing(self, files, capsys, argv, target):
+        (files["dir"] / "taken").mkdir()
+        names = {**files, "mock": _mock(files["dir"], consolidation_payload(SEED_PATTERN_NAMES))}
+        before = sorted(files["dir"].rglob("*"))
+        assert main([arg.format(**names) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: ") and target.format(**names) in err
+        assert sorted(files["dir"].rglob("*")) == before
+
     def test_next_line_character_stays_inside_a_document(self, files):
         files["corpus"].write_text("d1\tcat\nd2\tbaz\u0085d3\tqux\n", encoding="utf-8")
         index_path = files["dir"] / "index.npz"

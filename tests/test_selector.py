@@ -1,13 +1,14 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_featurize, oracle_train_dense
+from oracles import dense_weights, oracle_featurize, oracle_train_dense
 from patternqr.errors import ConfigError, DataError
 from patternqr.gateway import Gateway, MockBackend, MockScript
 from patternqr.index import RetrievalContext
@@ -241,7 +242,7 @@ class TestTraining:
         assert np.any(grad_w != 0.0) and np.all(grad_b != 0.0)
         # Relative to the largest entry: the batch sums in shuffled order, so
         # entries that cancel to zero in one order may leave ~1e-18 in the other.
-        for trained, grad in ((model.weights, grad_w), (model.bias, grad_b)):
+        for trained, grad in ((dense_weights(model), grad_w), (model.bias, grad_b)):
             expected = -hyper.learning_rate * grad
             assert np.abs(trained - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -282,10 +283,11 @@ class TestTraining:
             hyper.batch_size,
             hyper.seed,
         )
-        assert np.array_equal(model.weights, weights)
+        trained = dense_weights(model)
+        assert np.array_equal(trained, weights)
         assert np.array_equal(model.bias, bias)
         # Bytes as well: array_equal cannot see the sign of a zero.
-        assert model.weights.tobytes() == weights.tobytes()
+        assert trained.tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
         assert history == expected
 
@@ -363,6 +365,27 @@ class TestPrediction:
         _, rows, _ = _softmax_rows(weights_t, model.bias, compact)
         for fv, row in zip(vectors, rows):
             assert predict_from_vector(model, fv).probs.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("size", [0, 1, 40], ids=["no-columns", "one-column", "40-columns"])
+    def test_compact_model_predicts_as_its_dense_copy(self, size):
+        rng = np.random.default_rng(size)
+        columns = np.sort(rng.choice(np.arange(1, SMALL.dimension - 1), size, replace=False))
+        compact = SelectorModel(
+            rng.normal(size=(4, size)), rng.normal(size=4), SMALL, "v", columns=columns
+        )
+        dense = SelectorModel(dense_weights(compact), compact.bias, SMALL, "v")
+        outside = np.setdiff1d(np.arange(SMALL.dimension), columns)
+        vectors = [
+            columns[::2],  # inside only
+            np.union1d(columns[1::3], outside[::97]),  # partly outside
+            outside[[0, 5, -1]],  # outside only, at both ends of the range
+            np.array([0, SMALL.dimension - 1]),  # below and above every column
+            np.array([], dtype=np.int64),
+        ]
+        for indices in vectors:
+            fv = FeatureVector(indices, rng.uniform(0.5, 3.0, size=indices.size), SMALL.dimension)
+            a = predict_from_vector(compact, fv).probs
+            assert a.tobytes() == predict_from_vector(dense, fv).probs.tobytes()
 
     def test_dimension_mismatch_rejected(self):
         model = SelectorModel.zeros(3, SMALL, "v")
@@ -454,10 +477,38 @@ class TestModelPersistence:
         model = _model(kind)
         save_model(model, tmp_path / "model.npz")
         loaded = load_model(tmp_path / "model.npz")
-        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert dense_weights(loaded).tobytes() == dense_weights(model).tobytes()
         assert loaded.bias.tobytes() == model.bias.tobytes()
         assert loaded.feature_config == model.feature_config
         assert loaded.library_version == model.library_version
+
+    def test_trained_model_reloads_as_it_was_trained(self, tmp_path):
+        model = _model("trained")
+        assert model.columns.size < SMALL.dimension
+        assert model.weights.shape == (3, model.columns.size)
+        save_model(model, tmp_path / "model.npz")
+        loaded = load_model(tmp_path / "model.npz")
+        for name in ("columns", "weights", "bias"):
+            assert getattr(loaded, name).dtype == getattr(model, name).dtype
+            assert getattr(loaded, name).shape == getattr(model, name).shape
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+
+    def test_load_and_predict_allocate_no_full_matrix(self, tmp_path):
+        config = FeatureConfig()  # 2^18 features
+        rng = np.random.default_rng(9)
+        columns = np.sort(rng.choice(config.dimension, 50, replace=False))
+        meta = {**MODEL_META_V2, "feature_config": config.to_dict()}
+        path = tmp_path / "model.npz"
+        _write_raw_model(path, rng.normal(size=(10, 50)), np.zeros(10), meta, columns=columns)
+        context = _context(["a passage about wages and the law", "another passage"])
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            predict_distribution(model, "minimum wage by state", context)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * config.dimension * 8 / 20
 
     def test_file_holds_only_columns_with_a_nonzero_bit(self, tmp_path):
         model = _model("signed-zero-and-nan")
@@ -501,7 +552,7 @@ class TestModelPersistence:
     def test_load_rejects_malformed_columns(self, tmp_path, columns, width):
         good = tmp_path / "good.npz"
         _write_raw_model(good, np.ones((3, 2)), np.zeros(3), MODEL_META_V2, columns=[1, 2])
-        assert load_model(good).weights[:, 1:3].tolist() == [[1.0, 1.0]] * 3
+        assert dense_weights(load_model(good))[:, 1:3].tolist() == [[1.0, 1.0]] * 3
         extra = {} if columns is None else {"columns": columns}
         path = tmp_path / "model.npz"
         _write_raw_model(path, np.ones((3, width)), np.zeros(3), MODEL_META_V2, **extra)
@@ -527,7 +578,7 @@ class TestModelPersistence:
         path = tmp_path / "model.bin"
         save_model(model, path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-        assert np.array_equal(load_model(path).weights, model.weights)
+        assert np.array_equal(dense_weights(load_model(path)), model.weights)
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "model.npz"
