@@ -8,6 +8,7 @@ internal ordinals).
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -431,21 +432,24 @@ def _distinct_strings(values) -> bool:
     return strings and len(set(values)) == len(values)
 
 
-# The OS errors that say the output path itself cannot be written.
-_UNWRITABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+# The OS errors that say an output path itself cannot be written. Every writer
+# maps these, and only these, to a ConfigError; any other (a full disk) passes.
+UNWRITABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
 def atomic_write(path: Path, write_fn) -> None:
     """Write via a temp file and rename, so an aborted write leaves no partial file.
     A path that cannot be written (its directory is missing, or it is a directory)
-    is a ConfigError naming it."""
+    is a ConfigError naming it; a directory is found before anything is written."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         write_fn(tmp)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
-        if isinstance(exc, _UNWRITABLE):
+        if isinstance(exc, UNWRITABLE):
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, GatewayError
 from .gateway import ChatMessage, ChatRequest, ChatResponse, Gateway, ask, request_to_wire
-from .index import _tsv_lines, atomic_write
+from .index import UNWRITABLE, _tsv_lines, atomic_write
 
 DEFAULT_BATCH_SIZE = 50
 DEFAULT_MAX_PATTERNS = 16
@@ -272,7 +272,7 @@ class Transcript:
         self.path = Path(path)
         try:
             self.path.write_text("", encoding="utf-8")
-        except OSError as exc:
+        except UNWRITABLE as exc:
             raise ConfigError(f"cannot write {self.path}: {exc.strerror or exc}") from exc
 
     def complete(self, request: ChatRequest) -> ChatResponse:

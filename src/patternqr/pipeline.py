@@ -41,6 +41,7 @@ from .index import (
     DEFAULT_B,
     DEFAULT_K1,
     DEFAULT_SNIPPET_TOKENS,
+    UNWRITABLE,
     InvertedIndex,
     build_index,
     iter_corpus_tsv,
@@ -333,7 +334,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (*UNWRITABLE, FileExistsError) as exc:  # FileExistsError: a file is there
         raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror or exc}") from exc
     run_path = out_dir / f"{config.mode}.run"
     log_path = out_dir / f"{config.mode}.reformulations.jsonl"

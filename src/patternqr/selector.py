@@ -113,15 +113,20 @@ class SelectorModel:
 
     `weights[:, j]` holds the weights of feature `columns[j]` (ascending ids);
     every feature outside `columns` has +0.0 weights. `columns=None` means every
-    feature, with `weights` the full (M, F) matrix, as `zeros` builds it.
-    `train_selector` and `load_model` keep only the columns a model file stores.
+    feature, with `weights` the full (M, F) matrix, as `zeros` builds it; it is
+    stored as `arange(F)`. `train_selector` and `load_model` keep only the
+    columns a model file stores.
     """
 
-    weights: np.ndarray  # (M, len(columns)), or (M, F) when columns is None
+    weights: np.ndarray  # (M, len(columns))
     bias: np.ndarray  # (M,)
     feature_config: FeatureConfig
     library_version: str
     columns: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.columns is None:
+            self.columns = np.arange(self.weights.shape[1])
 
     @property
     def num_patterns(self) -> int:
@@ -140,8 +145,6 @@ class SelectorModel:
 def _feature_rows(model: SelectorModel, indices: np.ndarray) -> np.ndarray:
     """The (k, M) block `weights[:, indices].T` of the model's full matrix: a zero
     row for a feature outside its `columns`."""
-    if model.columns is None:
-        return model.weights[:, indices].T
     positions = np.searchsorted(model.columns, indices)
     known = positions < model.columns.size
     known[known] = model.columns[positions[known]] == indices[known]
@@ -328,7 +331,7 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
     kept = weights.view(np.int64).any(axis=0)
     atomic_savez(
         Path(path),
-        columns=np.flatnonzero(kept) if model.columns is None else model.columns[kept],
+        columns=model.columns[kept],
         weights=weights[:, kept],
         bias=model.bias,
         meta=np.array(json.dumps(meta)),
@@ -353,15 +356,16 @@ def load_model(path: str | Path) -> SelectorModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed selector model meta: {exc!r}") from exc
     dimension = feature_config.dimension
-    listed = np.arange(dimension) if columns is None else columns
-    if listed.ndim != 1 or not np.issubdtype(listed.dtype, np.integer):
-        raise DataError(f"{path}: columns must be a 1-D integer array, got {listed.dtype}")
-    if listed.size and (
-        listed[0] < 0 or listed[-1] >= dimension or np.any(listed[1:] <= listed[:-1])
+    if columns is None:
+        columns = np.arange(dimension)
+    if columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer):
+        raise DataError(f"{path}: columns must be a 1-D integer array, got {columns.dtype}")
+    if columns.size and (
+        columns[0] < 0 or columns[-1] >= dimension or np.any(columns[1:] <= columns[:-1])
     ):
         raise DataError(f"{path}: columns must ascend strictly within [0, {dimension})")
-    if stored.ndim != 2 or stored.shape[1] != listed.size:
-        raise DataError(f"{path}: weights {stored.shape} lack {listed.size} columns")
+    if stored.ndim != 2 or stored.shape[1] != columns.size:
+        raise DataError(f"{path}: weights {stored.shape} lack {columns.size} columns")
     if bias.shape != stored.shape[:1]:
         raise DataError(f"{path}: bias {bias.shape} does not fit weights {stored.shape}")
     weights = np.ascontiguousarray(stored, dtype=np.float64)

@@ -202,9 +202,7 @@ def oracle_recall(
 
 def dense_weights(model) -> np.ndarray:
     """A selector model's full (M, F) weight matrix: its `weights` scattered into
-    zeros at its `columns`, or `weights` itself when `columns` is None."""
-    if model.columns is None:
-        return model.weights
+    zeros at its `columns`."""
     dense = np.zeros((model.weights.shape[0], model.feature_config.dimension))
     dense[:, model.columns] = model.weights
     return dense

@@ -1,5 +1,7 @@
+import errno
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -489,6 +491,30 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("config error: ") and target.format(**names) in err
         assert sorted(files["dir"].rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "argv, method",
+        [
+            (["run", "--mode", "bm25", "--corpus", "{corpus}", "--queries", "{queries}",
+              "--out-dir", "{target}"], "mkdir"),
+            (["induce", "--pairs", "{pairs}", "--mock-script", "{mock}", "--out",
+              "{dir}/library.json", "--transcript", "{target}"], "write_text"),
+        ],
+        ids=["run-out-dir", "induce-transcript"],
+    )
+    def test_full_disk_on_an_output_is_not_a_config_error(self, files, monkeypatch, argv, method):
+        names = {**files, "mock": _mock(files["dir"], consolidation_payload(SEED_PATTERN_NAMES))}
+        target = files["dir"] / "target"
+        original = getattr(Path, method)
+
+        def full_disk(self, *args, **kwargs):
+            if self == target:
+                raise OSError(errno.ENOSPC, "No space left on device", str(self))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, full_disk)
+        with pytest.raises(OSError, match="No space left on device"):
+            main([arg.format(**names, target=target) for arg in argv])
 
     def test_next_line_character_stays_inside_a_document(self, files):
         files["corpus"].write_text("d1\tcat\nd2\tbaz\u0085d3\tqux\n", encoding="utf-8")

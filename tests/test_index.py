@@ -21,7 +21,7 @@ from oracles import (
     oracle_rank,
     oracle_tokenize,
 )
-from patternqr.errors import DataError
+from patternqr.errors import ConfigError, DataError
 from patternqr.index import (
     Document,
     RetrievalContext,
@@ -506,6 +506,14 @@ class TestIndexPersistence:
     def test_missing_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot load index from"):
             load_index(tmp_path / "missing.npz")
+
+    def test_save_to_a_directory_writes_nothing(self, tiny_index, tmp_path, monkeypatch):
+        # The directory is found before the archive is written, not at the rename.
+        monkeypatch.setattr(np, "savez", lambda *args, **kwargs: pytest.fail("wrote the archive"))
+        (tmp_path / "index.npz").mkdir()
+        with pytest.raises(ConfigError, match="index.npz: Is a directory"):
+            save_index(tiny_index, tmp_path / "index.npz")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.npz"]
 
 
 # `patternqr-index-v2` files of two corpora, frozen: each file's `meta` JSON,

@@ -374,6 +374,7 @@ class TestPrediction:
             rng.normal(size=(4, size)), rng.normal(size=4), SMALL, "v", columns=columns
         )
         dense = SelectorModel(dense_weights(compact), compact.bias, SMALL, "v")
+        assert np.array_equal(dense.columns, np.arange(SMALL.dimension))
         outside = np.setdiff1d(np.arange(SMALL.dimension), columns)
         vectors = [
             columns[::2],  # inside only
