@@ -2,7 +2,8 @@
 
 Metrics follow the graded-judgment conventions of the deep-learning passage
 benchmarks: nDCG uses exponential gain over full grades, while AP and recall
-binarize at grade >= 2 by default. Means are unweighted over judged queries.
+binarize at grade >= 2 by default. Means are unweighted over every judged
+query, and one the run does not rank scores 0, as in `trec_eval -c`.
 """
 
 from __future__ import annotations
@@ -175,6 +176,7 @@ class MetricsReport:
     mean_recall1k: float
     num_judged: int
     num_unjudged: int
+    num_missing: int
 
 
 def evaluate_run(
@@ -185,20 +187,21 @@ def evaluate_run(
     recall_k: int = DEFAULT_RECALL_K,
     binarize_at: int = DEFAULT_BINARIZE_AT,
 ) -> MetricsReport:
-    """Per-query metrics for judged queries; run-only queries count as unjudged."""
-    judged = sorted(set(run) & set(qrels))
-    if not judged:
+    """Per-query metrics for every judged query. A judged query missing from the
+    run is ranked empty, so it scores 0 and still counts in the means (as
+    `trec_eval -c`); run-only queries count as unjudged."""
+    if not set(run) & set(qrels):
         raise DataError("no query in the run has judgments in the qrels")
     per_query: dict[str, QueryMetrics] = {}
-    for query_id in judged:
-        ranked = run[query_id].doc_ids
+    for query_id in sorted(qrels):
+        ranked = run[query_id].doc_ids if query_id in run else ()
         judgments = qrels[query_id]
         per_query[query_id] = QueryMetrics(
             map=average_precision_at_k(ranked, judgments, k=map_k, binarize_at=binarize_at),
             ndcg10=ndcg_at_k(ranked, judgments, k=ndcg_k),
             recall1k=recall_at_k(ranked, judgments, k=recall_k, binarize_at=binarize_at),
         )
-    n = len(judged)
+    n = len(per_query)
     return MetricsReport(
         per_query=per_query,
         mean_map=sum(m.map for m in per_query.values()) / n,
@@ -206,6 +209,7 @@ def evaluate_run(
         mean_recall1k=sum(m.recall1k for m in per_query.values()) / n,
         num_judged=n,
         num_unjudged=len(set(run) - set(qrels)),
+        num_missing=len(set(qrels) - set(run)),
     )
 
 
@@ -220,7 +224,10 @@ def render_report_table(report: MetricsReport) -> str:
         f"{'mean':<16} {report.mean_map:>10.4f} {report.mean_ndcg10:>10.4f} "
         f"{report.mean_recall1k:>10.4f}"
     )
-    lines.append(f"judged queries: {report.num_judged}, unjudged: {report.num_unjudged}")
+    lines.append(
+        f"judged queries: {report.num_judged}, unjudged: {report.num_unjudged}, "
+        f"missing: {report.num_missing}"
+    )
     return "\n".join(lines)
 
 

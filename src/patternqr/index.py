@@ -17,7 +17,7 @@ import zipfile
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,9 +32,15 @@ INDEX_FORMAT = "patternqr-index-v2"
 
 # Maximal runs of Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Every non-alphanumeric ASCII character becomes a space, so on ASCII text
-# str.split yields exactly the runs _TOKEN_RE finds.
-_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
+# Every non-alphanumeric ASCII character but "\n" becomes a space, so on ASCII
+# text str.split yields exactly the runs _TOKEN_RE finds; "\n" is kept for
+# build_index, which splits a block of documents joined by it.
+_ASCII_SEPARATORS = str.maketrans(
+    {c: " " for c in map(chr, range(128)) if not c.isalnum() and c != "\n"}
+)
+# Documents `build_index` lowers and translates at once; larger blocks were
+# measured to raise the build's peak RSS for no further speed.
+_BLOCK_DOCS = 16
 
 
 def tokenize(text: str) -> list[str]:
@@ -234,22 +240,36 @@ def build_index(
 
     Each token is looked up once: an unseen term takes the next id, so term
     ids follow first occurrence, and the ids form the term-id stream that the
-    constructor derives the postings from. `docs` is read once, so a lazy
-    source such as `iter_corpus_tsv` keeps no document's text beyond its turn.
+    constructor derives the postings from. `docs` is read once, `_BLOCK_DOCS`
+    at a time, so a lazy source such as `iter_corpus_tsv` keeps no document's
+    text beyond its block. A block whose texts are ASCII and hold no "\n" is
+    joined by "\n", lowered and translated once, and split back; any other
+    block is tokenized document by document. Both give `tokenize`'s tokens.
     """
     doc_ids: list[str] = []
     lengths: list[int] = []
     term_id: defaultdict[str, int] = defaultdict(count().__next__)
 
-    def ids() -> Iterator[int]:
-        for doc in docs:
-            doc_ids.append(doc.doc_id)
-            tokens = tokenize(doc.text)
-            lengths.append(len(tokens))
-            yield from map(term_id.__getitem__, tokens)
+    def token_lists() -> Iterator[list[str]]:
+        source = iter(docs)
+        while block := list(islice(source, _BLOCK_DOCS)):
+            doc_ids.extend(doc.doc_id for doc in block)
+            texts = [doc.text for doc in block]
+            joined = "\n".join(texts)
+            # Checked before lowering (lowered ASCII stays ASCII), so a block that
+            # falls back is not lowered twice.
+            if joined.isascii() and joined.count("\n") == len(texts) - 1:
+                parts = joined.lower().translate(_ASCII_SEPARATORS).split("\n")
+                tokens = [part.split() for part in parts]
+            else:
+                tokens = list(map(tokenize, texts))
+            lengths.extend(map(len, tokens))
+            yield from tokens
 
-    # Straight into an int32 array: no Python list (8 bytes an id) of the stream.
-    stream = np.fromiter(ids(), dtype=np.int32)
+    # Straight into an int32 array: no Python list (8 bytes an id) of the stream,
+    # and no Python frame per token.
+    ids = map(term_id.__getitem__, chain.from_iterable(token_lists()))
+    stream = np.fromiter(ids, dtype=np.int32)
     # From here on an unknown term raises KeyError, as in a plain dict.
     term_id.default_factory = None
     return InvertedIndex(term_id, stream, lengths, doc_ids, k1=k1, b=b)

@@ -267,6 +267,17 @@ class TestEvaluateRun:
         expected = (report.per_query["q1"].ndcg10 + report.per_query["q2"].ndcg10) / 2
         assert report.mean_ndcg10 == pytest.approx(expected)
 
+    def test_judged_query_missing_from_the_run_scores_zero(self):
+        # As `trec_eval -c`: the mean is over every judged query, and one the run
+        # did not retrieve for counts as 0 on every metric.
+        run = run_from_rankings({"q1": [("d1", 2.0)], "q3": [("d3", 1.0)]}, tag="t")
+        qrels = {"q1": {"d1": 3}, "q2": {"d2": 3}}
+        report = evaluate_run(run, qrels)
+        assert (report.num_judged, report.num_missing, report.num_unjudged) == (2, 1, 1)
+        assert report.per_query["q2"] == QueryMetrics(map=0.0, ndcg10=0.0, recall1k=0.0)
+        assert (report.mean_map, report.mean_ndcg10, report.mean_recall1k) == (0.5, 0.5, 0.5)
+        assert "missing: 1" in render_report_table(report)
+
     def test_matches_reference_on_random_instances(self):
         rng = random.Random(314159)
         for _ in range(50):

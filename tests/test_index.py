@@ -21,6 +21,7 @@ from oracles import (
     oracle_rank,
     oracle_tokenize,
 )
+from patternqr import index as index_module
 from patternqr.errors import ConfigError, DataError
 from patternqr.index import (
     Document,
@@ -380,14 +381,40 @@ class TestInPlaceBuild:
     def _check(self, texts):
         built = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
         expected = oracle_index_arrays(texts)
+        lengths = [len(oracle_tokenize(text)) for text in texts]
         _assert_index_arrays(built, expected)
+        assert list(built.doc_lengths) == lengths
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "index.npz"
             save_index(built, path)
-            _assert_index_arrays(load_index(path), expected)
+            loaded = load_index(path)
+        _assert_index_arrays(loaded, expected)
+        assert list(loaded.doc_lengths) == lengths
 
     @given(_CORPORA)
     def test_arrays_equal_the_unique_reference(self, texts):
+        self._check(texts)
+
+    @given(_CORPORA, st.integers(1, 3))
+    def test_small_blocks_equal_the_unique_reference(self, texts, block_docs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_module, "_BLOCK_DOCS", block_docs)
+            self._check(texts)
+
+    @pytest.mark.parametrize("block_docs", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["a b", "c\nd e", "f", "x\x1fy\rz", "g\n", "h"],
+            ["a B", "\u212a a", "b", "c \u0130 a", "C", "d", "e"],
+            ["", "a", "", "", "b c", "", ""],
+            ["a", "b a", "c", "a c", "d", "e"],
+        ],
+        ids=["newline-in-a-text", "non-ascii-in-ascii-blocks", "empty-on-edges", "six-documents"],
+    )
+    def test_block_edges_equal_the_unique_reference(self, monkeypatch, texts, block_docs):
+        # Six documents fill blocks of 1, 2 and 3 exactly; seven leave one short.
+        monkeypatch.setattr(index_module, "_BLOCK_DOCS", block_docs)
         self._check(texts)
 
     @pytest.mark.parametrize(

@@ -98,6 +98,15 @@ class TestBaselineModes:
         assert result.report is not None
         assert result.report.num_judged == 2
 
+    def test_judged_query_that_retrieves_nothing_scores_zero(self, workspace):
+        (workspace / "queries.tsv").write_text(QUERIES + "q3\tzebra\n", encoding="utf-8")
+        (workspace / "qrels.txt").write_text(QRELS + "q3 0 d6 2\n", encoding="utf-8")
+        report = run_pipeline(_config(workspace, "bm25")).report
+        assert (report.num_judged, report.num_missing) == (3, 1)
+        assert report.per_query["q3"].ndcg10 == 0.0
+        ranked = [report.per_query[q].ndcg10 for q in ("q1", "q2")]
+        assert report.mean_ndcg10 == pytest.approx(sum(ranked) / 3)
+
     def test_rm3_mode_produces_run_and_report(self, workspace):
         result = run_pipeline(_config(workspace, "rm3", fb_docs=2, fb_terms=5))
         run = parse_run(result.run_path)
