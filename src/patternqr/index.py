@@ -38,8 +38,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_SEPARATORS = str.maketrans(
     {c: " " for c in map(chr, range(128)) if not c.isalnum() and c != "\n"}
 )
-# Documents `build_index` lowers and translates at once; larger blocks were
-# measured to raise the build's peak RSS for no further speed.
+# Documents `build_index` lowers and translates at once. A block is held in
+# several copies (joined, lowered, translated, split), so larger blocks raise
+# the build's peak RSS.
 _BLOCK_DOCS = 16
 
 

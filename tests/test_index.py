@@ -317,12 +317,13 @@ class TestOracleEquivalence:
 
 
 # Corpora with empty documents, repeated tokens and non-ASCII text (including
-# the Kelvin sign, whose lowercase form is ASCII, and underscores between tokens).
+# the Kelvin sign, whose lowercase form is ASCII, and underscores between tokens),
+# and texts holding "\n" or another ASCII control, which split a joined block.
 _CORPORA = st.lists(
     st.one_of(
         st.just(""),
         st.text(max_size=40),
-        st.lists(st.sampled_from(["a", "B", "b", "é", "ΣΑ", "x_1", "İ", "\u212a", "7", "a.a"]))
+        st.lists(st.sampled_from(["a", "B", "b", "é", "ΣΑ", "x_1", "İ", "\u212a", "7", "a.a", "c\nd", "\x1f"]))
         .map(" ".join),
     ),
     max_size=8,
