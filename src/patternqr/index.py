@@ -17,7 +17,7 @@ import zipfile
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, compress, count, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,9 +38,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_SEPARATORS = str.maketrans(
     {c: " " for c in map(chr, range(128)) if not c.isalnum() and c != "\n"}
 )
-# Documents `build_index` lowers and translates at once. A block is held in
-# several copies (joined, lowered, translated, split), so larger blocks raise
-# the build's peak RSS.
+# Documents `build_index` reads at once; their ASCII texts are lowered and
+# translated together. A block is held in several copies (joined, lowered,
+# translated, split), so larger blocks raise the build's peak RSS.
 _BLOCK_DOCS = 16
 
 
@@ -243,9 +243,10 @@ def build_index(
     ids follow first occurrence, and the ids form the term-id stream that the
     constructor derives the postings from. `docs` is read once, `_BLOCK_DOCS`
     at a time, so a lazy source such as `iter_corpus_tsv` keeps no document's
-    text beyond its block. A block whose texts are ASCII and hold no "\n" is
-    joined by "\n", lowered and translated once, and split back; any other
-    block is tokenized document by document. Both give `tokenize`'s tokens.
+    text beyond its block. A block's ASCII texts are joined by "\n", lowered
+    and translated once, and split back; each other text goes through
+    `tokenize`, and so does every text of a block where one holds a "\n".
+    Both give `tokenize`'s tokens.
     """
     doc_ids: list[str] = []
     lengths: list[int] = []
@@ -256,12 +257,18 @@ def build_index(
         while block := list(islice(source, _BLOCK_DOCS)):
             doc_ids.extend(doc.doc_id for doc in block)
             texts = [doc.text for doc in block]
-            joined = "\n".join(texts)
-            # Checked before lowering (lowered ASCII stays ASCII), so a block that
-            # falls back is not lowered twice.
-            if joined.isascii() and joined.count("\n") == len(texts) - 1:
-                parts = joined.lower().translate(_ASCII_SEPARATORS).split("\n")
-                tokens = [part.split() for part in parts]
+            # Lowered ASCII stays ASCII, so the ASCII texts are lowered and
+            # translated together; any other text is tokenized on its own.
+            is_ascii = list(map(str.isascii, texts))
+            joined = "\n".join(compress(texts, is_ascii))
+            # A text holding "\n" would split in two: then the whole block
+            # is tokenized text by text.
+            if joined.count("\n") == sum(is_ascii) - 1:
+                parts = iter(joined.lower().translate(_ASCII_SEPARATORS).split("\n"))
+                tokens = [
+                    next(parts).split() if a else tokenize(text)
+                    for text, a in zip(texts, is_ascii)
+                ]
             else:
                 tokens = list(map(tokenize, texts))
             lengths.extend(map(len, tokens))

@@ -318,7 +318,7 @@ class TestOracleEquivalence:
 
 # Corpora with empty documents, repeated tokens and non-ASCII text (including
 # the Kelvin sign, whose lowercase form is ASCII, and underscores between tokens),
-# and texts holding "\n" or another ASCII control, which split a joined block.
+# and texts holding "\n", which would split a joined block, or another ASCII control.
 _CORPORA = st.lists(
     st.one_of(
         st.just(""),
@@ -379,8 +379,10 @@ class TestInPlaceBuild:
     """The build sorts its (term, ordinal) keys in place; its arrays, built and
     loaded, must equal those of the `np.unique` derivation it replaced."""
 
-    def _check(self, texts):
-        built = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
+    def _check(self, texts, block_docs=index_module._BLOCK_DOCS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_module, "_BLOCK_DOCS", block_docs)
+            built = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
         expected = oracle_index_arrays(texts)
         lengths = [len(oracle_tokenize(text)) for text in texts]
         _assert_index_arrays(built, expected)
@@ -392,39 +394,40 @@ class TestInPlaceBuild:
         _assert_index_arrays(loaded, expected)
         assert list(loaded.doc_lengths) == lengths
 
-    @given(_CORPORA)
-    def test_arrays_equal_the_unique_reference(self, texts):
-        self._check(texts)
+    # Blocks of 1 to 3 documents put the corpora's texts on every block edge.
+    @given(_CORPORA, st.sampled_from([1, 2, 3, 16]))
+    def test_arrays_equal_the_unique_reference(self, texts, block_docs):
+        self._check(texts, block_docs)
 
-    @given(_CORPORA, st.integers(1, 3))
-    def test_small_blocks_equal_the_unique_reference(self, texts, block_docs):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(index_module, "_BLOCK_DOCS", block_docs)
-            self._check(texts)
-
-    @pytest.mark.parametrize("block_docs", [1, 2, 3])
     @pytest.mark.parametrize(
         "texts",
         [
+            [],
+            [""],
+            ["", "", ""],
+            ["", "caf\u00e9 \u03a3\u0391", ""],
+            ["b a", "", "a a b"],
             ["a b", "c\nd e", "f", "x\x1fy\rz", "g\n", "h"],
             ["a B", "\u212a a", "b", "c \u0130 a", "C", "d", "e"],
             ["", "a", "", "", "b c", "", ""],
             ["a", "b a", "c", "a c", "d", "e"],
         ],
-        ids=["newline-in-a-text", "non-ascii-in-ascii-blocks", "empty-on-edges", "six-documents"],
-    )
-    def test_block_edges_equal_the_unique_reference(self, monkeypatch, texts, block_docs):
-        # Six documents fill blocks of 1, 2 and 3 exactly; seven leave one short.
-        monkeypatch.setattr(index_module, "_BLOCK_DOCS", block_docs)
-        self._check(texts)
-
-    @pytest.mark.parametrize(
-        "texts",
-        [[], [""], ["", "", ""], ["", "caf\u00e9 \u03a3\u0391", ""], ["b a", "", "a a b"]],
-        ids=["no-documents", "one-empty", "all-empty", "non-ascii", "empty-inside"],
+        ids=[
+            "no-documents",
+            "one-empty",
+            "all-empty",
+            "non-ascii",
+            "empty-inside",
+            "newline-in-a-text",
+            "non-ascii-in-ascii-blocks",
+            "empty-on-edges",
+            "six-documents",
+        ],
     )
     def test_edge_corpora_equal_the_unique_reference(self, texts):
-        self._check(texts)
+        # Six documents fill blocks of 1, 2 and 3 exactly; seven leave one short.
+        for block_docs in (1, 2, 3, 16):
+            self._check(texts, block_docs)
 
     def test_a_long_corpus_with_many_terms(self):
         rng = random.Random(11)
