@@ -1,9 +1,9 @@
 """Command-line driver.
 
-Each subcommand is a thin wrapper over one library operation; `retrieve`,
-`baseline`, `reformulate` and `run` share the pipeline's per-query loop.
-A flag that sets a config field takes its name, type and default from the
-dataclass field. `run` has one flag per PipelineConfig field, gateway fields
+Each subcommand is a thin wrapper over one library operation; `run` is the one
+that ranks queries, through `pipeline.run_pipeline`, from a corpus or a saved
+index. A flag that sets a config field takes its name, type and default from
+the dataclass field. `run` has one flag per PipelineConfig field, gateway fields
 included, and reads an optional JSON config file that mirrors PipelineConfig.
 Settings overlay defaults < environment < config file < flags; an unknown or
 mistyped config key is a config error. `main` range-checks every subcommand's
@@ -20,17 +20,10 @@ import typing
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
-from . import evaluation, generator, induction, pipeline, selector
+from . import evaluation, induction, pipeline, selector
 from .errors import ConfigError, DataError, GatewayError
 from .gateway import GatewayConfig
-from .index import (
-    build_index,
-    iter_corpus_tsv,
-    load_index,
-    read_queries_tsv,
-    retrieve_topk,
-    save_index,
-)
+from .index import retrieve_topk, save_index
 from .pipeline import PipelineConfig, settings_hash
 
 
@@ -69,24 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p, PipelineConfig, "k1", "b")
     p.set_defaults(handler=_cmd_index)
 
-    p = sub.add_parser("retrieve", help="BM25 top-k retrieval to a TREC run file")
-    _add_index_source(p)
-    p.add_argument("--queries", required=True)
-    _add_field_flags(p, PipelineConfig, "k_eval", flag="--k")
-    p.add_argument("--tag", default=None, help="run tag (default: bm25-<settings digest>)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_retrieve)
-
-    p = sub.add_parser("baseline", help="RM3/Rocchio expansion retrieval to a run file")
-    _add_index_source(p)
-    p.add_argument("--method", dest="mode", choices=["rm3", "rocchio"], required=True)
-    p.add_argument("--queries", required=True)
-    _add_field_flags(p, PipelineConfig, "k_eval", flag="--k")
-    _add_field_flags(p, PipelineConfig, "fb_docs", "fb_terms", "orig_weight", "alpha", "beta")
-    p.add_argument("--tag", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_retrieve)
-
     p = sub.add_parser("induce", help="induce a pattern library from training pairs")
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
@@ -108,7 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_label)
 
     p = sub.add_parser("train-selector", help="train the pattern selector on labeled pairs")
-    _add_index_source(p)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--corpus", help="corpus TSV to index on the fly")
+    group.add_argument("--index", help="previously saved index file")
+    _add_field_flags(p, PipelineConfig, "k1", "b")
     p.add_argument("--pairs", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--library", default=None, help="defaults to the packaged seed library")
@@ -121,18 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-csv", default=None)
     p.set_defaults(handler=_cmd_train_selector)
 
-    p = sub.add_parser("reformulate", help="generate pattern-guided reformulations")
-    _add_index_source(p)
-    p.add_argument("--queries", required=True)
-    _add_field_flags(p, PipelineConfig, "library", "selector_model")
-    _add_field_flags(p, PipelineConfig, "selector", choices=pipeline.SELECTORS)
-    _add_field_flags(p, PipelineConfig, "select_mode", choices=pipeline.SELECT_MODES)
-    _add_field_flags(p, PipelineConfig, "k_context", "repetition", "seed", "hook_file")
-    p.add_argument("--out", required=True, help="reformulation log (JSONL)")
-    _add_field_flags(p, GatewayConfig, unset=True)
-    p.set_defaults(handler=_cmd_reformulate)
-
-    p = sub.add_parser("run", help="full pipeline: retrieve, reformulate, evaluate")
+    p = sub.add_parser("run", help="rank the queries in one mode, from a corpus or an index")
     p.add_argument("--config", default=None, help="JSON config file (flags win over it)")
     _add_field_flags(p, PipelineConfig, unset=True)
     p.set_defaults(handler=_cmd_run)
@@ -150,21 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_index_source(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--corpus", help="corpus TSV to index on the fly")
-    group.add_argument("--index", help="previously saved index file")
-    _add_field_flags(p, PipelineConfig, "k1", "b")
-
-
-def _add_field_flags(
-    p: argparse.ArgumentParser, cls, *names: str, flag=None, unset=False, choices=None
-) -> None:
-    """A `--field-name` flag (or `flag`) for each named field of dataclass `cls`,
-    or for every field, nested dataclasses flattened, if none is named. Each is
-    typed like its field, limited to `choices` if given, and defaults to the
-    field's default; with `unset` it defaults to None, so a flag not given
-    overrides nothing."""
+def _add_field_flags(p: argparse.ArgumentParser, cls, *names: str, unset=False) -> None:
+    """A `--field-name` flag for each named field of dataclass `cls`, or for every
+    field, nested dataclasses flattened, if none is named. Each is typed like its
+    field and defaults to the field's default; with `unset` it defaults to None,
+    so a flag not given overrides nothing."""
     hints = typing.get_type_hints(cls)
     defaults = {f.name: f.default for f in fields(cls)}
     for name in names or hints:
@@ -174,8 +131,7 @@ def _add_field_flags(
             continue
         kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
         default = None if unset else defaults[name]
-        option = flag or f"--{name.replace('_', '-')}"
-        p.add_argument(option, dest=name, type=kind, default=default, choices=choices)
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=default)
 
 
 def _given_flags(args, cls) -> dict:
@@ -209,35 +165,10 @@ def _gateway_config(args) -> GatewayConfig:
     return GatewayConfig(**_overlay(env, _given_flags(args, GatewayConfig)))
 
 
-def _load_index_source(args):
-    """Load the subcommand's index file, or build an index from its corpus. A loaded
-    index must have the --k1 and --b given, as they name the ranking in its digest."""
-    if not getattr(args, "index", None):
-        return build_index(iter_corpus_tsv(args.corpus), k1=args.k1, b=args.b)
-    index = load_index(args.index)
-    if (index.k1, index.b) != (args.k1, args.b):
-        raise ConfigError(
-            f"index {args.index} has k1={index.k1} and b={index.b}, not k1={args.k1} and "
-            f"b={args.b}: pass --k1 {index.k1} --b {index.b}, or index the corpus again"
-        )
-    return index
-
-
 def _cmd_index(args) -> None:
-    index = _load_index_source(args)
+    index = pipeline.open_index(args.corpus, None, args.k1, args.b)
     save_index(index, args.out, config_hash=settings_hash(vars(args)))
     print(f"indexed {index.num_docs} documents -> {args.out}")
-
-
-def _cmd_retrieve(args) -> None:
-    """`retrieve` ranks with bm25, `baseline` with its --method."""
-    config = PipelineConfig(**_field_values(args, PipelineConfig))
-    tag = args.tag if args.tag else f"{config.mode}-{settings_hash(vars(args))}"
-    run, _ = pipeline.rank_queries(
-        config, _load_index_source(args), read_queries_tsv(args.queries), tag
-    )
-    evaluation.write_run(run, args.out)
-    print(f"wrote {sum(len(r.doc_ids) for r in run.values())} run lines -> {args.out}")
 
 
 def _cmd_induce(args) -> None:
@@ -272,7 +203,7 @@ def _cmd_label(args) -> None:
 
 
 def _cmd_train_selector(args) -> None:
-    index = _load_index_source(args)
+    index = pipeline.open_index(args.corpus, args.index, args.k1, args.b)
     pairs = induction.ingest_pairs(args.pairs)
     labels = {lb.pair_id: lb.pattern_id for lb in induction.load_labels(args.labels)}
     library = (
@@ -295,19 +226,6 @@ def _cmd_train_selector(args) -> None:
     if args.loss_csv:
         selector.write_loss_curve(history, args.loss_csv, config_hash=digest)
     print(f"trained on {len(examples)} examples, final loss {history[-1]:.6f} -> {args.out}")
-
-
-def _cmd_reformulate(args) -> None:
-    config = PipelineConfig(
-        **_field_values(args, PipelineConfig),
-        mode="reformer+hook" if args.hook_file else "reformer",
-        gateway=_gateway_config(args),
-    )
-    records = pipeline.reformulate_queries(
-        config, _load_index_source(args), read_queries_tsv(args.queries)
-    )
-    generator.write_reformulation_log(records, args.out, config_hash=settings_hash(vars(args)))
-    print(f"reformulated {len(records)} queries -> {args.out}")
 
 
 def _cmd_run(args) -> None:

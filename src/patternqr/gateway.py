@@ -323,16 +323,20 @@ class GatewayConfig:
             mock_script=env.get(ENV_MOCK_SCRIPT),
         )
 
-    def build(self, jitter_seed: int | None = None) -> Gateway:
-        if self.mock_script:
-            backend = MockBackend(MockScript.load(self.mock_script))
-        elif self.base_url:
-            backend = HttpBackend(self.base_url, api_key=self.api_key)
-        else:
+    def check_backend(self) -> None:
+        """Raise a ConfigError unless a mock script or a base URL names a backend."""
+        if not (self.mock_script or self.base_url):
             raise ConfigError(
                 "gateway needs a mock script or a base URL "
                 f"(set {ENV_MOCK_SCRIPT} or {ENV_BASE_URL})"
             )
+
+    def build(self, jitter_seed: int | None = None) -> Gateway:
+        self.check_backend()
+        if self.mock_script:
+            backend = MockBackend(MockScript.load(self.mock_script))
+        else:
+            backend = HttpBackend(self.base_url, api_key=self.api_key)
         return Gateway(
             backend,
             model=self.model,

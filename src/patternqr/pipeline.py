@@ -45,6 +45,7 @@ from .index import (
     InvertedIndex,
     build_index,
     iter_corpus_tsv,
+    load_index,
     read_queries_tsv,
     retrieve_topk,
 )
@@ -59,8 +60,9 @@ SELECT_MODES = ("argmax", "sample")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    corpus: str
     queries: str
+    corpus: str | None = None  # exactly one of corpus and index
+    index: str | None = None
     mode: str = "bm25"
     qrels: str | None = None
     library: str | None = None
@@ -85,14 +87,18 @@ class PipelineConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
+        check_ranges({**vars(self), **vars(self.gateway)})
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for label, path in (("corpus", self.corpus), ("queries", self.queries)):
-            if not path:
-                raise ConfigError(f"{label} path is required")
-            if not Path(path).exists():
-                raise ConfigError(f"{label} file {path} does not exist")
+        if bool(self.corpus) == bool(self.index):
+            given = "both" if self.corpus else "neither"
+            raise ConfigError(f"give exactly one of a corpus and an index file, got {given}")
+        if not self.queries:
+            raise ConfigError("queries path is required")
         for label, path in (
+            ("corpus", self.corpus),
+            ("index", self.index),
+            ("queries", self.queries),
             ("qrels", self.qrels),
             ("library", self.library),
             ("selector model", self.selector_model),
@@ -111,7 +117,7 @@ class PipelineConfig:
                 )
             if self.selector == "model" and not self.selector_model:
                 raise ConfigError("selector='model' requires a selector model file")
-        check_ranges({**vars(self), **vars(self.gateway)})
+            self.gateway.check_backend()
 
 
 _COUNTS = (
@@ -119,7 +125,7 @@ _COUNTS = (
     "epochs", "batch_size", "dimension", "max_patterns", "sample", "map_k", "ndcg_k", "recall_k",
     "max_retries", "max_in_flight",
 )
-_UNHASHED = {"out", "out_dir", "csv", "loss_csv", "transcript", "tag", "api_key",
+_UNHASHED = {"out", "out_dir", "csv", "loss_csv", "transcript", "api_key",
              "max_in_flight", "max_retries", "handler", "command"}
 
 
@@ -183,6 +189,20 @@ def _stage(name: str, fn, *args, **kwargs):
 def _query_seed(run_seed: int, query_id: str) -> int:
     digest = hashlib.sha256(f"{run_seed}:{query_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
+
+
+def open_index(corpus: str | None, index: str | None, k1: float, b: float) -> InvertedIndex:
+    """Load the index file `index`, or build an index from `corpus`. A loaded index
+    must have the `k1` and `b` given, as they name the ranking in its digest."""
+    if not index:
+        return build_index(iter_corpus_tsv(corpus), k1=k1, b=b)
+    loaded = load_index(index)
+    if (loaded.k1, loaded.b) != (k1, b):
+        raise ConfigError(
+            f"index {index} has k1={loaded.k1} and b={loaded.b}, not k1={k1} and b={b}: "
+            f"pass --k1 {loaded.k1} --b {loaded.b}, or index the corpus again"
+        )
+    return loaded
 
 
 def load_hook_passages(path: str | Path) -> dict[str, str]:
@@ -340,8 +360,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     log_path = out_dir / f"{config.mode}.reformulations.jsonl"
     report_path = out_dir / f"{config.mode}.metrics.csv"
 
-    index = _stage("build-index", build_index, iter_corpus_tsv(config.corpus), config.k1, config.b)
+    # Queries and qrels are read before the index is built and before any LLM call.
     queries = _stage("load-queries", read_queries_tsv, config.queries)
+    qrels = _stage("load-qrels", parse_qrels, config.qrels) if config.qrels else None
+    index = _stage(
+        "load-index" if config.index else "build-index",
+        open_index, config.corpus, config.index, config.k1, config.b,
+    )
 
     reformer = config.mode in REFORMER_MODES
     stage = "reformulate" if reformer else "retrieve"
@@ -354,8 +379,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     report = None
     emitted_report = None
-    if config.qrels:
-        qrels = _stage("load-qrels", parse_qrels, config.qrels)
+    if qrels is not None:
         report = _stage(
             "evaluate", evaluate_run, run, qrels, binarize_at=config.binarize_at
         )

@@ -10,7 +10,7 @@ from conftest import SEED_PATTERN_NAMES, consolidation_payload
 from patternqr import cli, evaluation, induction, pipeline
 from patternqr.cli import main
 from patternqr.evaluation import parse_run
-from patternqr.gateway import Gateway, GatewayConfig, MockScript
+from patternqr.gateway import ENV_BASE_URL, ENV_MOCK_SCRIPT, Gateway, MockScript
 from patternqr.generator import read_reformulation_log
 from patternqr.index import load_index
 from patternqr.induction import (
@@ -20,8 +20,7 @@ from patternqr.induction import (
     load_library,
     save_library,
 )
-from patternqr.pipeline import PipelineConfig, run_pipeline
-from patternqr.selector import FeatureConfig, SelectorModel, save_model
+from patternqr.selector import FeatureConfig, SelectorModel, load_model, save_model
 
 CORPUS = "d1\tcat sat\nd2\tdog sat sat\nd3\tjaguar cat feline\n"
 QUERIES = "q1\tsat\nq2\tjaguar\n"
@@ -62,85 +61,67 @@ def _mock(tmp_path, fallback):
     return path
 
 
-class TestIndexRetrieveEvaluate:
-    def test_index_then_retrieve_then_evaluate(self, files, capsys):
+class TestIndexRunEvaluate:
+    def test_index_then_run_then_evaluate(self, files, capsys):
         index_path = files["dir"] / "index.npz"
-        run_path = files["dir"] / "run.txt"
+        out = files["dir"] / "out"
         assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
-        assert (
-            main(
-                [
-                    "retrieve",
-                    "--index",
-                    str(index_path),
-                    "--queries",
-                    str(files["queries"]),
-                    "--k",
-                    "10",
-                    "--out",
-                    str(run_path),
-                ]
-            )
-            == 0
-        )
-        run = parse_run(run_path)
+        argv = ["run", "--index", str(index_path), "--queries", str(files["queries"])]
+        assert main([*argv, "--k-eval", "10", "--out-dir", str(out)]) == 0
+        run = parse_run(out / "bm25.run")
         assert run["q1"].doc_ids == ("d2", "d1")
-        assert (
-            main(["evaluate", "--run", str(run_path), "--qrels", str(files["qrels"])]) == 0
-        )
+        evaluate = ["evaluate", "--run", str(out / "bm25.run"), "--qrels", str(files["qrels"])]
+        assert main(evaluate) == 0
         out = capsys.readouterr().out
         assert "mean" in out
 
-    def test_baseline_rm3(self, files):
-        run_path = files["dir"] / "rm3.txt"
-        code = main(
-            [
-                "baseline",
-                "--method",
-                "rm3",
-                "--corpus",
-                str(files["corpus"]),
-                "--queries",
-                str(files["queries"]),
-                "--fb-docs",
-                "2",
-                "--out",
-                str(run_path),
-            ]
-        )
-        assert code == 0
-        assert parse_run(run_path)
-
-    def test_retrieve_reports_the_lines_it_wrote(self, files, capsys):
-        run_path = files["dir"] / "run.txt"
-        argv = ["retrieve", "--corpus", str(files["corpus"]), "--queries", str(files["queries"])]
-        assert main([*argv, "--out", str(run_path)]) == 0
-        written = len(run_path.read_text(encoding="utf-8").splitlines())
-        assert written == 3
-        assert f"wrote {written} run lines" in capsys.readouterr().out
+    def test_run_rm3(self, files):
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", "rm3", "--corpus", str(files["corpus"]), "--queries"]
+        assert main([*argv, str(files["queries"]), "--fb-docs", "2", "--out-dir", str(out)]) == 0
+        assert parse_run(out / "rm3.run")
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["retrieve", "--corpus", "{corpus}", "--queries", "{queries}", "--out"],
-            ["baseline", "--method", "rm3", "--corpus", "{corpus}", "--queries", "{queries}",
-             "--out"],
-            ["reformulate", "--corpus", "{corpus}", "--queries", "{queries}", "--selector",
-             "prompt", "--mock-script", "{mock}", "--out"],
-            ["evaluate", "--run", "{run}", "--qrels", "{qrels}", "--csv"],
-        ],
-        ids=["retrieve", "baseline", "reformulate", "evaluate"],
+        "mode, artifact",
+        [("bm25", "bm25.run"), ("rm3", "rm3.metrics.csv"),
+         ("reformer", "reformer.reformulations.jsonl")],
     )
-    def test_failed_output_write_leaves_previous_file(self, files, argv, half_write_text):
+    def test_failed_run_artifact_write_leaves_previous_file(
+        self, files, monkeypatch, mode, artifact
+    ):
+        out = files["dir"] / "out"
+        out.mkdir()
+        previous = {name: out / name for name in (f"{mode}.run", f"{mode}.metrics.csv", artifact)}
+        for path in previous.values():
+            path.write_bytes(b"previous output")
+        original = Path.write_text
+
+        def half_write(self, data, *args, **kwargs):
+            if self.name != f"{artifact}.tmp":
+                return original(self, data, *args, **kwargs)
+            original(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        argv = ["run", "--mode", mode, "--corpus", str(files["corpus"]), "--queries",
+                str(files["queries"]), "--qrels", str(files["qrels"]), "--out-dir", str(out)]
+        if mode == "reformer":
+            mock = _mock(files["dir"], "Clarify Intent")
+            argv += ["--selector", "prompt", "--mock-script", str(mock)]
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        assert (out / artifact).read_bytes() == b"previous output"
+        assert sorted(out.iterdir()) == sorted(previous.values())
+
+    def test_failed_csv_write_leaves_previous_file(self, files, half_write_text):
         # Written with write_bytes: the fixture makes every Path.write_text fail.
-        files["mock"] = files["dir"] / "mock.json"
-        files["mock"].write_bytes(json.dumps({"fallback": "Clarify Intent"}).encode())
-        files["run"] = files["dir"] / "in.run"
-        files["run"].write_bytes(b"q1 Q0 d2 1 2.0 t\n")
+        run = files["dir"] / "in.run"
+        run.write_bytes(b"q1 Q0 d2 1 2.0 t\n")
         out = files["dir"] / "out.txt"
         out.write_bytes(b"previous output")
+        argv = ["evaluate", "--run", str(run), "--qrels", str(files["qrels"]), "--csv", str(out)]
         with pytest.raises(OSError, match="disk full"):
-            main([arg.format(**files) for arg in argv] + [str(out)])
+            main(argv)
         assert out.read_bytes() == b"previous output"
         assert not out.with_name("out.txt.tmp").exists()
 
@@ -210,7 +191,7 @@ class TestLlmCommands:
         header = out.read_text(encoding="utf-8").splitlines()[0]
         assert re.fullmatch(r"# config_hash=[0-9a-f]{12}", header)
 
-    def test_train_selector_and_reformulate(self, files):
+    def test_train_selector_then_run_reformer(self, files):
         labels_path = files["dir"] / "labels.tsv"
         labels_path.write_text("p1\t0\np2\t4\n", encoding="utf-8")
         model_path = files["dir"] / "model.npz"
@@ -238,48 +219,52 @@ class TestLlmCommands:
         assert loss_path.read_text(encoding="utf-8").splitlines()[1] == "epoch,loss"
 
         mock = _mock(files["dir"], "a rewritten query")
-        log_path = files["dir"] / "log.jsonl"
+        out = files["dir"] / "out"
         code = main(
             [
-                "reformulate",
+                "run",
+                "--mode",
+                "reformer",
                 "--corpus",
                 str(files["corpus"]),
                 "--queries",
                 str(files["queries"]),
                 "--selector-model",
                 str(model_path),
-                "--out",
-                str(log_path),
+                "--out-dir",
+                str(out),
                 "--mock-script",
                 str(mock),
             ]
         )
         assert code == 0
-        records = read_reformulation_log(log_path)
+        records = read_reformulation_log(out / "reformer.reformulations.jsonl")
         assert [r.query_id for r in records] == ["q1", "q2"]
         assert records[0].reformulation == "a rewritten query"
 
-    def test_reformulate_with_prompt_selector(self, files):
-        mock = _mock(files["dir"], "Clarify Intent")
-        log_path = files["dir"] / "log.jsonl"
-        code = main(
-            [
-                "reformulate",
-                "--corpus",
-                str(files["corpus"]),
-                "--queries",
-                str(files["queries"]),
-                "--selector",
-                "prompt",
-                "--out",
-                str(log_path),
-                "--mock-script",
-                str(mock),
-            ]
-        )
-        assert code == 0
-        records = read_reformulation_log(log_path)
-        assert all(r.pattern_name == "Clarify Intent" for r in records)
+    def test_train_selector_from_an_index_trains_as_from_its_corpus(self, files, capsys):
+        labels = files["dir"] / "labels.tsv"
+        labels.write_text("p1\t0\np2\t4\n", encoding="utf-8")
+        index_path = files["dir"] / "index.npz"
+        flags = ["--k1", "1.5", "--b", "0.9"]
+        argv = ["index", "--corpus", str(files["corpus"]), *flags, "--out", str(index_path)]
+        assert main(argv) == 0
+        train = ["train-selector", "--pairs", str(files["pairs"]), "--labels", str(labels),
+                 "--epochs", "2", "--dimension", "1024"]
+        models = {}
+        for source, path in (("corpus", files["corpus"]), ("index", index_path)):
+            models[source] = files["dir"] / f"model-{source}.npz"
+            argv = [*train, f"--{source}", str(path), *flags, "--out", str(models[source])]
+            assert main(argv) == 0
+        by_corpus, by_index = load_model(models["corpus"]), load_model(models["index"])
+        assert np.array_equal(by_index.columns, by_corpus.columns)
+        assert np.array_equal(by_index.weights, by_corpus.weights)
+        assert np.array_equal(by_index.bias, by_corpus.bias)
+        # The index's k1 and b, not the defaults, shaped the contexts it trained on.
+        out = files["dir"] / "default.npz"
+        assert main([*train, "--index", str(index_path), "--out", str(out)]) == 2
+        assert "pass --k1 1.5 --b 0.9" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -394,18 +379,12 @@ class TestRunCommand:
 
 
 class TestExitCodes:
-    def test_config_error_is_2(self, files, capsys):
-        code = main(
-            [
-                "run",
-                "--corpus",
-                str(files["dir"] / "missing.tsv"),
-                "--queries",
-                str(files["queries"]),
-            ]
-        )
+    @pytest.mark.parametrize("source", ["corpus", "index"])
+    def test_config_error_is_2(self, files, capsys, source):
+        missing = files["dir"] / "missing"
+        code = main(["run", f"--{source}", str(missing), "--queries", str(files["queries"])])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {source} file {missing} does not exist" in capsys.readouterr().err
 
     def test_data_error_is_3(self, files, capsys):
         bad = files["dir"] / "bad.tsv"
@@ -438,12 +417,12 @@ class TestExitCodes:
         index_path = files["dir"] / "index.npz"
         assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
         _rewrite_index(index_path, **members)
-        out = files["dir"] / "r.run"
-        argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
-        assert main(argv + ["--out", str(out)]) == 3
+        out = files["dir"] / "out"
+        argv = ["run", "--index", str(index_path), "--queries", str(files["queries"])]
+        assert main(argv + ["--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "data error: malformed index file" in err and reason in err
-        assert not out.exists()
+        assert "data error: stage load-index: malformed index file" in err and reason in err
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize(
         "argv",
@@ -529,23 +508,23 @@ class TestExitCodes:
             '"doc_tokens": [["cat"]], "postings": {"cat": [[0, 1]]}}',
             encoding="utf-8",
         )
-        out = files["dir"] / "r.run"
-        argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
-        assert main(argv + ["--out", str(out)]) == 3
+        out = files["dir"] / "out"
+        argv = ["run", "--index", str(index_path), "--queries", str(files["queries"])]
+        assert main(argv + ["--out-dir", str(out)]) == 3
         err = capsys.readouterr().err
         assert "is not a patternqr-index-v2 file: run `patternqr index` again" in err
-        assert not out.exists()
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("flags", [["--k1", "5"], ["--b", "1.0"]], ids=["k1", "b"])
     def test_index_with_other_k1_or_b_is_2(self, files, capsys, flags):
         index_path = files["dir"] / "index.npz"
         assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
-        out = files["dir"] / "r.run"
-        argv = ["retrieve", "--index", str(index_path), "--queries", str(files["queries"])]
-        assert main([*argv, *flags, "--out", str(out)]) == 2
+        out = files["dir"] / "out"
+        argv = ["run", "--index", str(index_path), "--queries", str(files["queries"])]
+        assert main([*argv, *flags, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "k1=0.9 and b=0.4" in err
-        assert not out.exists()
+        assert not list(out.iterdir())
 
     def test_index_ranks_with_the_k1_and_b_it_was_built_with(self, files, capsys):
         flags = ["--k1", "1.5", "--b", "0.9"]
@@ -554,16 +533,18 @@ class TestExitCodes:
         assert main(argv) == 0
         runs = {}
         for source, path in (("corpus", files["corpus"]), ("index", index_path)):
-            runs[source] = files["dir"] / f"{source}.run"
-            argv = ["retrieve", f"--{source}", str(path), "--queries", str(files["queries"])]
-            assert main([*argv, *flags, "--out", str(runs[source])]) == 0
+            out = files["dir"] / source
+            argv = ["run", f"--{source}", str(path), "--queries", str(files["queries"])]
+            assert main([*argv, *flags, "--out-dir", str(out)]) == 0
+            runs[source] = out / "bm25.run"
         assert _ranked_lines(runs["index"]) == _ranked_lines(runs["corpus"])
         # Without the flags, the defaults would name values the ranking did not use.
-        assert main([*argv, "--out", str(files["dir"] / "default.run")]) == 2
+        out = files["dir"] / "default"
+        assert main([*argv, "--out-dir", str(out)]) == 2
         assert "pass --k1 1.5 --b 0.9" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("command", ["run", "reformulate"])
-    def test_prompt_selector_cannot_sample_is_2(self, files, capsys, monkeypatch, command):
+    def test_prompt_selector_cannot_sample_is_2(self, files, capsys, monkeypatch):
         def no_call(self, request):
             raise AssertionError("a gateway call was made")
 
@@ -571,7 +552,9 @@ class TestExitCodes:
         mock = _mock(files["dir"], "Clarify Intent")
         out = files["dir"] / "out"
         argv = [
-            command,
+            "run",
+            "--mode",
+            "reformer",
             "--corpus",
             str(files["corpus"]),
             "--queries",
@@ -582,11 +565,9 @@ class TestExitCodes:
             "sample",
             "--mock-script",
             str(mock),
+            "--out-dir",
+            str(out),
         ]
-        if command == "run":
-            argv += ["--mode", "reformer", "--out-dir", str(out)]
-        else:
-            argv += ["--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "select_mode 'sample' needs selector 'model'" in err
@@ -605,10 +586,58 @@ class TestExitCodes:
         # The output directory is made before the corpus is read.
         assert not out.exists()
         # An index file that does not exist is never opened.
-        argv = ["reformulate", "--index", str(files["dir"] / "missing.npz"), "--queries"]
-        argv += [str(files["queries"]), "--selector", "prompt", "--select-mode", "sample"]
-        assert main([*argv, "--out", str(out)]) == 2
+        argv = ["run", "--mode", "reformer", "--index", str(files["dir"] / "missing.npz")]
+        argv += ["--queries", str(files["queries"]), "--selector", "prompt", "--select-mode"]
+        assert main([*argv, "sample", "--out-dir", str(out)]) == 2
         assert "select_mode 'sample'" in capsys.readouterr().err
+
+    def test_bad_qrels_fail_before_the_index_or_any_gateway_call(
+        self, files, capsys, monkeypatch
+    ):
+        calls = {"build_index": 0, "complete": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(pipeline, "build_index")
+        counted(Gateway, "complete")
+        files["qrels"].write_text("q1 0 d2\n", encoding="utf-8")
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", "reformer", "--selector", "prompt", "--corpus",
+                str(files["corpus"]), "--queries", str(files["queries"]), "--qrels",
+                str(files["qrels"]), "--mock-script", str(_mock(files["dir"], "Clarify Intent"))]
+        assert main([*argv, "--out-dir", str(out)]) == 3
+        assert "data error: stage load-qrels: " in capsys.readouterr().err
+        assert calls == {"build_index": 0, "complete": 0}
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("mode", pipeline.REFORMER_MODES)
+    def test_reformer_run_without_a_backend_is_2_before_the_corpus_is_read(
+        self, files, capsys, monkeypatch, mode
+    ):
+        def no_read(path):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(pipeline, "iter_corpus_tsv", no_read)
+        for name in (ENV_BASE_URL, ENV_MOCK_SCRIPT):
+            monkeypatch.delenv(name, raising=False)
+        hook = files["dir"] / "hook.tsv"
+        hook.write_text("q1\tpassage\n", encoding="utf-8")
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", mode, "--selector", "prompt", "--hook-file", str(hook),
+                "--corpus", str(files["corpus"]), "--queries", str(files["queries"])]
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: gateway needs a mock script or a base URL "
+            f"(set {ENV_MOCK_SCRIPT} or {ENV_BASE_URL})\n"
+        )
+        assert not out.exists()
 
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"
@@ -732,17 +761,16 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["retrieve", "--k1", "-1"], "k1"),
-            (["retrieve", "--b", "1.5"], "b"),
-            (["retrieve", "--k", "0"], "k_eval"),
-            (["baseline", "--method", "rocchio", "--beta", "-1"], "beta"),
-            (["baseline", "--method", "rocchio", "--alpha", "nan"], "alpha"),
-            (["baseline", "--method", "rm3", "--fb-docs", "0"], "fb_docs"),
-            (["baseline", "--method", "rm3", "--orig-weight", "2"], "orig_weight"),
+            (["run", "--k1", "-1"], "k1"),
+            (["run", "--b", "1.5"], "b"),
+            (["run", "--k-eval", "0"], "k_eval"),
+            (["run", "--mode", "rocchio", "--alpha", "nan"], "alpha"),
+            (["run", "--mode", "rm3", "--fb-docs", "0"], "fb_docs"),
+            (["run", "--mode", "rm3", "--orig-weight", "2"], "orig_weight"),
             (["index", "--k1", "-1"], "k1"),
             (["index", "--b", "-0.5"], "b"),
-            (["reformulate", "--k-context", "0"], "k_context"),
-            (["reformulate", "--repetition", "0"], "repetition"),
+            (["run", "--mode", "reformer", "--k-context", "0"], "k_context"),
+            (["run", "--mode", "reformer", "--repetition", "0"], "repetition"),
             (["train-selector", "--k-context", "0"], "k_context"),
             (["train-selector", "--k1", "inf"], "k1"),
             (["run", "--mode", "rocchio", "--beta", "-1"], "beta"),
@@ -757,13 +785,9 @@ class TestExitCodes:
             raise AssertionError("the corpus was read")
 
         monkeypatch.setattr(pipeline, "iter_corpus_tsv", no_read)
-        monkeypatch.setattr(cli, "iter_corpus_tsv", no_read)
         out = files["dir"] / "out"
         extra = {
-            "retrieve": ["--queries", str(files["queries"]), "--out", str(out)],
-            "baseline": ["--queries", str(files["queries"]), "--out", str(out)],
             "index": ["--out", str(out)],
-            "reformulate": ["--queries", str(files["queries"]), "--out", str(out)],
             "train-selector": ["--pairs", str(files["pairs"]), "--labels", str(out)],
             "run": ["--queries", str(files["queries"]), "--out-dir", str(out)],
         }[argv[0]]
@@ -803,8 +827,8 @@ class TestExitCodes:
             raise AssertionError("an input file was read")
 
         for module, reader in [
-            (cli, "iter_corpus_tsv"),
-            (cli, "load_index"),
+            (pipeline, "iter_corpus_tsv"),
+            (pipeline, "load_index"),
             (induction, "ingest_pairs"),
             (evaluation, "parse_run"),
             (evaluation, "parse_qrels"),
@@ -948,28 +972,28 @@ class TestExitCodes:
 
 # Each artifact-writing subcommand's arguments, its output paths under {out} and named {name}.
 OUTPUT_PATH_ARGV = {
-    "index": ["--corpus", "{corpus}", "--out", "{out}/{name}.npz"],
-    "retrieve": ["--corpus", "{corpus}", "--queries", "{queries}", "--out", "{out}/{name}.run"],
-    "baseline": ["--method", "rm3", "--corpus", "{corpus}", "--queries", "{queries}",
-                 "--out", "{out}/{name}.run"],
-    "induce": ["--pairs", "{pairs}", "--mock-script", "{consolidate}", "--out",
+    "index": ["index", "--corpus", "{corpus}", "--out", "{out}/{name}.npz"],
+    "induce": ["induce", "--pairs", "{pairs}", "--mock-script", "{consolidate}", "--out",
                "{out}/{name}.json", "--transcript", "{out}/{name}.jsonl"],
-    "label": ["--pairs", "{pairs}", "--library", "{library}", "--mock-script", "{pick}",
+    "label": ["label", "--pairs", "{pairs}", "--library", "{library}", "--mock-script", "{pick}",
               "--out", "{out}/{name}.tsv"],
-    "train-selector": ["--corpus", "{corpus}", "--pairs", "{pairs}", "--labels", "{labels}",
-                       "--epochs", "2", "--dimension", "1024", "--out", "{out}/{name}.npz",
-                       "--loss-csv", "{out}/{name}.csv"],
-    "reformulate": ["--corpus", "{corpus}", "--queries", "{queries}", "--selector", "prompt",
-                    "--mock-script", "{pick}", "--out", "{out}/{name}.jsonl"],
-    "run": ["--mode", "reformer", "--selector", "prompt", "--corpus", "{corpus}", "--queries",
-            "{queries}", "--qrels", "{qrels}", "--mock-script", "{pick}", "--out-dir", "{out}"],
-    "evaluate": ["--run", "{run}", "--qrels", "{qrels}", "--csv", "{out}/{name}.csv"],
+    "train-selector": ["train-selector", "--corpus", "{corpus}", "--pairs", "{pairs}", "--labels",
+                       "{labels}", "--epochs", "2", "--dimension", "1024", "--out",
+                       "{out}/{name}.npz", "--loss-csv", "{out}/{name}.csv"],
+    "run-bm25": ["run", "--corpus", "{corpus}", "--queries", "{queries}", "--qrels", "{qrels}",
+                 "--out-dir", "{out}"],
+    "run-rm3-index": ["run", "--mode", "rm3", "--index", "{index}", "--queries", "{queries}",
+                      "--out-dir", "{out}"],
+    "run-reformer": ["run", "--mode", "reformer", "--selector", "prompt", "--corpus", "{corpus}",
+                     "--queries", "{queries}", "--qrels", "{qrels}", "--mock-script", "{pick}",
+                     "--out-dir", "{out}"],
+    "evaluate": ["evaluate", "--run", "{run}", "--qrels", "{qrels}", "--csv", "{out}/{name}.csv"],
 }
 
 
 class TestOutputPaths:
-    @pytest.mark.parametrize("command", OUTPUT_PATH_ARGV)
-    def test_output_paths_change_no_artifact_byte(self, files, command):
+    @pytest.mark.parametrize("case", OUTPUT_PATH_ARGV)
+    def test_output_paths_change_no_artifact_byte(self, files, case):
         inputs = {
             **files,
             "consolidate": files["dir"] / "consolidate.json",
@@ -977,109 +1001,103 @@ class TestOutputPaths:
             "library": files["dir"] / "library.json",
             "labels": files["dir"] / "labels.tsv",
             "run": files["dir"] / "in.run",
+            "index": files["dir"] / "index.npz",
         }
         MockScript(fallback=consolidation_payload(SEED_PATTERN_NAMES)).save(inputs["consolidate"])
         MockScript(fallback="Clarify Intent").save(inputs["pick"])
         save_library(default_library(), inputs["library"])
         inputs["labels"].write_text("p1\t0\np2\t4\n", encoding="utf-8")
         inputs["run"].write_text("q1 Q0 d2 1 2.0 t\nq2 Q0 d3 1 1.0 t\n", encoding="utf-8")
+        assert main(["index", "--corpus", str(files["corpus"]), "--out", str(inputs["index"])]) == 0
         written = []
         for name in ("first", "second"):
             out = files["dir"] / name
             out.mkdir()
-            argv = [arg.format(out=out, name=name, **inputs) for arg in OUTPUT_PATH_ARGV[command]]
-            assert main([command, *argv]) == 0
+            argv = [arg.format(out=out, name=name, **inputs) for arg in OUTPUT_PATH_ARGV[case]]
+            assert main(argv) == 0
             written.append({p.name.replace(name, "*"): p.read_bytes() for p in out.iterdir()})
         assert written[0]
         assert written[0] == written[1]
 
 
 def _ranked_lines(path):
-    """Run-file lines without the tag, which embeds the subcommand's settings digest."""
+    """Run-file lines without the tag, which embeds the settings digest."""
     return [line.split()[:-1] for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-class TestSinglePath:
-    """The subcommands rank and reformulate exactly as run_pipeline does."""
+def _masked_artifacts(out: Path) -> dict[str, bytes]:
+    """Each file in `out`, with the settings digest of its run's tag masked."""
+    tag = (out / next(p.name for p in out.glob("*.run"))).read_text(encoding="utf-8").split()[5]
+    digest = tag.rsplit("-", 1)[1].encode("ascii")
+    return {p.name: p.read_bytes().replace(digest, b"<config_hash>") for p in out.iterdir()}
 
-    @pytest.mark.parametrize(
-        "argv, mode",
-        [
-            (["retrieve"], "bm25"),
-            (["baseline", "--method", "rm3"], "rm3"),
-            (["baseline", "--method", "rocchio"], "rocchio"),
-        ],
-    )
-    def test_rankings_match_run_pipeline(self, files, argv, mode):
-        out = files["dir"] / "cli.run"
-        code = main(
-            [
-                *argv,
-                "--corpus",
-                str(files["corpus"]),
-                "--queries",
-                str(files["queries"]),
-                "--k",
-                "10",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        config = PipelineConfig(
-            corpus=str(files["corpus"]),
-            queries=str(files["queries"]),
-            mode=mode,
-            k_eval=10,
-            out_dir=str(files["dir"] / "pipeline"),
-        )
-        assert _ranked_lines(out) == _ranked_lines(run_pipeline(config).run_path)
 
-    @pytest.mark.parametrize("source", ["corpus", "index"])
-    @pytest.mark.parametrize("select_mode", ["argmax", "sample"])
-    def test_reformulations_match_run_pipeline(self, files, select_mode, source):
+class TestIndexSource:
+    """`run` ranks from a saved index as from the corpus it was built from."""
+
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    def test_index_and_corpus_give_the_same_artifacts(self, files, mode):
+        index_path = files["dir"] / "index.npz"
+        assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
         model_path = files["dir"] / "model.npz"
         save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
+        hook = files["dir"] / "hook.tsv"
+        hook.write_text("q1\ta passage about sitting\n", encoding="utf-8")
         # Each rewrite carries its generation prompt's hash, so the logs match
-        # only if the prompts, snippets included, match.
+        # only if the prompts, snippets and hook passages included, match.
         mock = _mock(files["dir"], "a rewritten query {fingerprint}")
-        source_path = files["corpus"]
-        if source == "index":
-            source_path = files["dir"] / "index.npz"
-            assert main(["index", "--corpus", str(files["corpus"]), "--out", str(source_path)]) == 0
-        log_path = files["dir"] / "log.jsonl"
-        code = main(
-            [
-                "reformulate",
-                f"--{source}",
-                str(source_path),
-                "--queries",
-                str(files["queries"]),
-                "--selector-model",
-                str(model_path),
-                "--select-mode",
-                select_mode,
-                "--seed",
-                "3",
-                "--out",
-                str(log_path),
-                "--mock-script",
-                str(mock),
-            ]
-        )
-        assert code == 0
-        config = PipelineConfig(
-            corpus=str(files["corpus"]),
-            queries=str(files["queries"]),
-            mode="reformer",
-            selector_model=str(model_path),
-            select_mode=select_mode,
-            seed=3,
-            gateway=GatewayConfig(mock_script=str(mock)),
-            out_dir=str(files["dir"] / "pipeline"),
-        )
-        result = run_pipeline(config)
-        assert read_reformulation_log(log_path) == read_reformulation_log(result.log_path)
+        argv = ["run", "--mode", mode, "--queries", str(files["queries"]), "--qrels",
+                str(files["qrels"]), "--selector-model", str(model_path), "--hook-file", str(hook),
+                "--mock-script", str(mock), "--select-mode", "sample", "--seed", "3"]
+        written = {}
+        for source, path in (("corpus", files["corpus"]), ("index", index_path)):
+            out = files["dir"] / source
+            assert main([*argv, f"--{source}", str(path), "--out-dir", str(out)]) == 0
+            written[source] = _masked_artifacts(out)
+        expected = {f"{mode}.run", f"{mode}.metrics.csv"}
+        if mode in pipeline.REFORMER_MODES:
+            expected.add(f"{mode}.reformulations.jsonl")
+            assert b"a rewritten query" in written["corpus"][f"{mode}.reformulations.jsonl"]
+        assert set(written["corpus"]) == expected
+        assert written["index"] == written["corpus"]
+
+    @pytest.mark.parametrize("sources", [["corpus", "index"], []], ids=["both", "neither"])
+    def test_both_or_neither_source_is_2_before_any_input_is_read(
+        self, files, capsys, monkeypatch, sources
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input file was read")
+
+        for reader in ("iter_corpus_tsv", "load_index", "read_queries_tsv", "parse_qrels"):
+            monkeypatch.setattr(pipeline, reader, no_read)
+        out = files["dir"] / "out"
+        paths = {"corpus": files["corpus"], "index": files["dir"] / "index.npz"}
+        argv = ["run", "--queries", str(files["queries"]), "--out-dir", str(out)]
+        for source in sources:
+            argv += [f"--{source}", str(paths[source])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        given = "both" if sources else "neither"
+        assert f"config error: give exactly one of a corpus and an index file, got {given}" in err
+        assert not out.exists()
+
+    def test_index_in_a_config_file_is_loaded(self, files, monkeypatch):
+        index_path = files["dir"] / "index.npz"
+        assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
+        bm25 = ["run", "--corpus", str(files["corpus"]), "--queries", str(files["queries"])]
+        assert main([*bm25, "--out-dir", str(files["dir"] / "corpus")]) == 0
+
+        def no_read(path):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(pipeline, "iter_corpus_tsv", no_read)
+        config = files["dir"] / "config.json"
+        out = files["dir"] / "index"
+        payload = {"index": str(index_path), "queries": str(files["queries"]), "out_dir": str(out)}
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 0
+        corpus_run = files["dir"] / "corpus" / "bm25.run"
+        assert _ranked_lines(out / "bm25.run") == _ranked_lines(corpus_run)
 
 
 _GATEWAY_UNSET = {
@@ -1098,42 +1116,6 @@ PARSED_SETTINGS = [
         ["index", "--corpus", "c.tsv", "--out", "i.json"],
         {"command": "index", "corpus": "c.tsv", "out": "i.json", "k1": 0.9, "b": 0.4},
         "ce8473bf5b40",
-    ),
-    (
-        ["retrieve", "--index", "i.json", "--queries", "q.tsv", "--out", "r.run"],
-        {
-            "command": "retrieve",
-            "corpus": None,
-            "index": "i.json",
-            "k1": 0.9,
-            "b": 0.4,
-            "queries": "q.tsv",
-            "k_eval": 1000,
-            "tag": None,
-            "out": "r.run",
-        },
-        "512052231998",
-    ),
-    (
-        ["baseline", "--corpus", "c.tsv", "--method", "rm3", "--queries", "q.tsv", "--out", "o"],
-        {
-            "command": "baseline",
-            "corpus": "c.tsv",
-            "index": None,
-            "k1": 0.9,
-            "b": 0.4,
-            "mode": "rm3",
-            "queries": "q.tsv",
-            "k_eval": 1000,
-            "fb_docs": 10,
-            "fb_terms": 10,
-            "orig_weight": 0.5,
-            "alpha": 1.0,
-            "beta": 0.75,
-            "tag": None,
-            "out": "o",
-        },
-        "2f3fbc878795",
     ),
     (
         ["induce", "--pairs", "p.tsv", "--out", "l.json"],
@@ -1198,34 +1180,13 @@ PARSED_SETTINGS = [
         "58415759e526",
     ),
     (
-        ["reformulate", "--corpus", "c.tsv", "--queries", "q.tsv", "--out", "r.jsonl"],
-        {
-            "command": "reformulate",
-            "corpus": "c.tsv",
-            "index": None,
-            "k1": 0.9,
-            "b": 0.4,
-            "queries": "q.tsv",
-            "library": None,
-            "selector_model": None,
-            "selector": "model",
-            "select_mode": "argmax",
-            "k_context": 3,
-            "repetition": 1,
-            "seed": 0,
-            "hook_file": None,
-            "out": "r.jsonl",
-            **_GATEWAY_UNSET,
-        },
-        "9beeec4f3bfa",
-    ),
-    (
         ["run", "--corpus", "c.tsv", "--queries", "q.tsv"],
         {
             "command": "run",
             "config": None,
             "corpus": "c.tsv",
             "queries": "q.tsv",
+            "index": None,
             **dict.fromkeys(
                 [
                     "mode", "qrels", "library", "selector_model", "selector", "select_mode",
@@ -1236,7 +1197,7 @@ PARSED_SETTINGS = [
             ),
             **_GATEWAY_UNSET,
         },
-        "2852aaf165b9",
+        "9130e5da416a",
     ),
     (
         ["evaluate", "--run", "r.run", "--qrels", "q.txt"],
@@ -1268,20 +1229,15 @@ class TestParsedSettings:
         assert pipeline.settings_hash(vars(args)) == digest
 
     @pytest.mark.parametrize("flag", ["--selector", "--select-mode"])
-    def test_unknown_selector_choice_is_2(self, files, capsys, flag):
-        with pytest.raises(SystemExit) as exit_:
-            main(
-                [
-                    "reformulate",
-                    "--corpus",
-                    str(files["corpus"]),
-                    "--queries",
-                    str(files["queries"]),
-                    flag,
-                    "bogus",
-                    "--out",
-                    str(files["dir"] / "log.jsonl"),
-                ]
-            )
-        assert exit_.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+    def test_unknown_selector_choice_is_2(self, files, capsys, monkeypatch, flag):
+        def no_read(path):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(pipeline, "iter_corpus_tsv", no_read)
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", "reformer", "--corpus", str(files["corpus"]), "--queries"]
+        argv += [str(files["queries"]), flag, "bogus", "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag[2:].replace('-', '_')} must be one of" in err
+        assert "'bogus'" in err and not out.exists()

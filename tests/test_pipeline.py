@@ -19,6 +19,7 @@ from patternqr.generator import build_generation_prompt, read_reformulation_log
 from patternqr.index import build_index, read_corpus_tsv, retrieve_topk
 from patternqr.induction import default_library
 from patternqr.pipeline import (
+    REFORMER_MODES,
     PipelineConfig,
     config_from_dict,
     config_hash,
@@ -282,6 +283,16 @@ class TestConfigHandling:
         config = _config(workspace, "reformer", selector_model=None)
         with pytest.raises(ConfigError):
             config.validate()
+
+    @pytest.mark.parametrize("mode", REFORMER_MODES)
+    def test_reformer_without_a_backend_rejected_as_the_gateway_rejects_it(self, workspace, mode):
+        with pytest.raises(ConfigError) as built:
+            GatewayConfig().build()
+        config = _config(workspace, mode, hook_file=str(workspace / "queries.tsv"))
+        with pytest.raises(ConfigError) as validated:
+            config.validate()
+        assert str(validated.value) == str(built.value)
+        _config(workspace, "bm25").validate()  # no LLM call, so no backend needed
 
     def test_hash_is_stable_and_sensitive(self, workspace):
         a = _config(workspace, "bm25")
