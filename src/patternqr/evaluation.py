@@ -98,16 +98,19 @@ def _split_lines(path: str | Path, expected: int):
 
 
 def write_run(run: Run, path: str | Path) -> None:
-    """Deterministic emission: query_id ascending, rank ascending, scores at 6 decimals."""
-    blocks = []
-    for query_id in sorted(run):
-        doc_ids, scores, tag = run[query_id]
-        n = len(doc_ids)
-        # One %-format per query; the ids and tag are arguments, so a % in them is literal.
-        fields = zip(repeat(query_id, n), doc_ids, range(1, n + 1), scores, repeat(tag, n))
-        blocks.append("%s Q0 %s %d %.6f %s\n" * n % tuple(chain.from_iterable(fields)))
-    text = "".join(blocks)
-    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    """Deterministic emission: query_id ascending, rank ascending, scores at 6 decimals.
+    Each query's lines are written as one block, so the whole text is never held."""
+
+    def stream(tmp: Path) -> None:
+        with tmp.open("w", encoding="utf-8") as handle:
+            for query_id in sorted(run):
+                doc_ids, scores, tag = run[query_id]
+                n = len(doc_ids)
+                # One %-format per query; the ids and tag are arguments, so a % in them is literal.
+                fields = zip(repeat(query_id, n), doc_ids, range(1, n + 1), scores, repeat(tag, n))
+                handle.write("%s Q0 %s %d %.6f %s\n" * n % tuple(chain.from_iterable(fields)))
+
+    atomic_write(Path(path), stream)
 
 
 def ndcg_at_k(

@@ -89,22 +89,21 @@ def build_generation_prompt(
 
 
 def clean_generation(text: str) -> str:
-    """Collapse to one line and strip surrounding quotes/markdown markup."""
-    out = text.strip()
-    if out.startswith("```"):
-        out = out.strip("`")
-        # drop a leading language hint left by a fence
-        first, _, rest = out.partition("\n")
-        if rest and " " not in first.strip():
-            out = rest
-    out = _WS_RE.sub(" ", out).strip()
-    changed = True
-    while changed and len(out) >= 2:
-        changed = False
+    """Collapse to one line and strip surrounding quotes/markdown markup, until
+    nothing changes: a fence inside quotes goes too, so cleaning is idempotent."""
+    out, previous = text.strip(), None
+    while out != previous:
+        previous = out
+        if out.startswith("```"):
+            out = out.strip("`")
+            # drop a leading language hint left by a fence
+            first, _, rest = out.partition("\n")
+            if rest and " " not in first.strip():
+                out = rest
+        out = _WS_RE.sub(" ", out).strip()
         for opener, closer in _QUOTE_PAIRS:
-            if out.startswith(opener) and out.endswith(closer):
+            if len(out) >= 2 and out.startswith(opener) and out.endswith(closer):
                 out = out[len(opener) : -len(closer)].strip()
-                changed = True
     return out
 
 

@@ -218,6 +218,25 @@ def _build_selector(config: PipelineConfig, library: PatternLibrary, gateway: Ga
     return ModelSelector(load_model(config.selector_model), library)
 
 
+class Reformer(typing.NamedTuple):
+    """What a reformer run reads besides its queries and index."""
+
+    library: PatternLibrary
+    gateway: Gateway
+    selector: ModelSelector | PromptSelector
+    hook: dict[str, str]
+
+
+def load_reformer(config: PipelineConfig) -> Reformer:
+    """Read the pattern library, the mock script, the selector model and the hook
+    passages that `config` names, and build the gateway and selector on them."""
+    library = load_library(config.library) if config.library else default_library()
+    gateway = config.gateway.build(jitter_seed=config.seed)
+    selector = _build_selector(config, library, gateway)
+    hook = load_hook_passages(config.hook_file) if config.mode == "reformer+hook" else {}
+    return Reformer(library, gateway, selector, hook)
+
+
 class _Turns:
     """When each query of the reformer fan-out may start.
 
@@ -252,7 +271,10 @@ class _Turns:
 
 
 def reformulate_queries(
-    config: PipelineConfig, index: InvertedIndex, queries: list[tuple[str, str]]
+    config: PipelineConfig,
+    index: InvertedIndex,
+    queries: list[tuple[str, str]],
+    reformer: Reformer,
 ) -> list[ReformulationRecord]:
     """Per query: retrieve context, select a pattern, generate the rewrite, compose the hybrid.
 
@@ -261,10 +283,7 @@ def reformulate_queries(
     input order. After a failure no later query starts; the running ones
     finish and the error of the first failing query in input order is raised.
     """
-    library = load_library(config.library) if config.library else default_library()
-    gateway = config.gateway.build(jitter_seed=config.seed)
-    selector = _build_selector(config, library, gateway)
-    hook = load_hook_passages(config.hook_file) if config.mode == "reformer+hook" else {}
+    library, gateway, selector, hook = reformer
 
     # Queries are independent and their seeds come from their ids, so running
     # them concurrently and storing each record at its index gives the serial records.
@@ -314,17 +333,22 @@ def reformulate_queries(
 
 
 def rank_queries(
-    config: PipelineConfig, index: InvertedIndex, queries: list[tuple[str, str]], tag: str
+    config: PipelineConfig,
+    index: InvertedIndex,
+    queries: list[tuple[str, str]],
+    tag: str,
+    reformer: Reformer | None,
 ) -> tuple[Run, list[ReformulationRecord]]:
     """Rank every query at k_eval the way `config.mode` prescribes, into a run tagged `tag`.
 
-    Reformer modes retrieve with each query's hybrid rewrite and also return
-    the reformulation records; rm3 and rocchio expand the query first.
+    Reformer modes retrieve with each query's hybrid rewrite, made with
+    `reformer`, and also return the reformulation records; rm3 and rocchio
+    expand the query first.
     Queries that retrieve nothing are left out of the run.
     """
     records: list[ReformulationRecord] = []
     if config.mode in REFORMER_MODES:
-        records = reformulate_queries(config, index, queries)
+        records = reformulate_queries(config, index, queries, reformer)
         queries = [(record.query_id, record.hybrid_query) for record in records]
     run: Run = {}
     for query_id, text in queries:
@@ -360,17 +384,21 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     log_path = out_dir / f"{config.mode}.reformulations.jsonl"
     report_path = out_dir / f"{config.mode}.metrics.csv"
 
-    # Queries and qrels are read before the index is built and before any LLM call.
+    # Every input but the corpus or index file is read before the index is built
+    # or loaded, and before any LLM call.
     queries = _stage("load-queries", read_queries_tsv, config.queries)
     qrels = _stage("load-qrels", parse_qrels, config.qrels) if config.qrels else None
+    reformer = (
+        _stage("load-reformer", load_reformer, config) if config.mode in REFORMER_MODES else None
+    )
     index = _stage(
         "load-index" if config.index else "build-index",
         open_index, config.corpus, config.index, config.k1, config.b,
     )
 
-    reformer = config.mode in REFORMER_MODES
     stage = "reformulate" if reformer else "retrieve"
-    run, records = _stage(stage, rank_queries, config, index, queries, f"{config.mode}-{digest}")
+    tag = f"{config.mode}-{digest}"
+    run, records = _stage(stage, rank_queries, config, index, queries, tag, reformer)
     write_run(run, run_path)
     emitted_log = None
     if reformer:

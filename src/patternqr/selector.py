@@ -280,11 +280,9 @@ def train_selector(
     ]
     weights_t = np.zeros((active.size, m), dtype=np.float64)
     bias = np.zeros(m, dtype=np.float64)
-    # The loss history's L2 term is one dot product over the full (M, F) matrix:
-    # a sum over the active columns alone groups the terms differently and can
-    # move the last bit. This scratch holds that matrix for the epochs only.
-    dense = np.zeros((m, config.dimension), dtype=np.float64)
-    flat = dense.ravel()
+    # The loss history's L2 term is one dot product over the active block, in
+    # its (active, M) C order: a view, so no full (M, F) matrix is ever made.
+    flat = weights_t.ravel()
     rng = np.random.default_rng(hyper.seed)
     step = 0
     history: list[float] = []
@@ -309,12 +307,11 @@ def train_selector(
             bias -= (eta / len(batch)) * sum(deltas, np.zeros(m))
             step += 1
         total, _ = _cross_entropy(weights_t, bias, compact, labels)
-        dense[:, active] = weights_t.T
         history.append(total / len(vectors) + hyper.l2 * float(np.dot(flat, flat)))
-    del dense, flat
-    # Keep the columns `save_model` keeps: those with any nonzero bit.
+    # Keep the columns `save_model` keeps: those with any nonzero bit. One copy,
+    # already in the (M, kept) C order the model holds.
     kept = weights_t.view(np.int64).any(axis=1)
-    weights = np.ascontiguousarray(weights_t[kept].T)
+    weights = weights_t.T.compress(kept, axis=1)
     return SelectorModel(weights, bias, config, library.version, columns=active[kept]), history
 
 

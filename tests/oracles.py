@@ -245,6 +245,7 @@ def oracle_train_dense(
             deltas.append(delta)
         return total, deltas
 
+    active = np.unique(np.concatenate([indices for indices, _ in vectors]))
     rng = np.random.default_rng(seed)
     step = 0
     history = []
@@ -263,6 +264,8 @@ def oracle_train_dense(
             bias -= (eta / len(batch)) * bias_grad
             step += 1
         total, _ = cross_entropy(range(len(vectors)))
-        flat = weights.ravel()
+        # The columns any vector activates, ascending, as a C-ordered (active, M)
+        # block: the order in which the trainer sums the squares.
+        flat = np.ascontiguousarray(weights[:, active].T).ravel()
         history.append(total / len(vectors) + l2 * float(np.dot(flat, flat)))
     return weights, bias, history

@@ -94,15 +94,30 @@ class TestIndexRunEvaluate:
         previous = {name: out / name for name in (f"{mode}.run", f"{mode}.metrics.csv", artifact)}
         for path in previous.values():
             path.write_bytes(b"previous output")
-        original = Path.write_text
+        original_open = Path.open
 
-        def half_write(self, data, *args, **kwargs):
-            if self.name != f"{artifact}.tmp":
-                return original(self, data, *args, **kwargs)
-            original(self, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("disk full")
+        class HalfWrittenHandle:
+            """The artifact's first write (`write_text`'s one write, or the run
+            file's first streamed block) gets half its data through, then fails."""
 
-        monkeypatch.setattr(Path, "write_text", half_write)
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        def half_open(self, *args, **kwargs):
+            handle = original_open(self, *args, **kwargs)
+            return HalfWrittenHandle(handle) if self.name == f"{artifact}.tmp" else handle
+
+        monkeypatch.setattr(Path, "open", half_open)
         argv = ["run", "--mode", mode, "--corpus", str(files["corpus"]), "--queries",
                 str(files["queries"]), "--qrels", str(files["qrels"]), "--out-dir", str(out)]
         if mode == "reformer":
@@ -638,6 +653,33 @@ class TestExitCodes:
             f"(set {ENV_MOCK_SCRIPT} or {ENV_BASE_URL})\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, name, content, message",
+        [
+            ("--library", "library.json", json.dumps({"format": LIBRARY_FORMAT}),
+             "malformed pattern library {path}: KeyError('patterns')"),
+            ("--selector-model", "model.npy", "not a model",
+             "{path} is not a patternqr selector model"),
+        ],
+        ids=["library-without-patterns", "selector-model-not-npz"],
+    )
+    def test_bad_reformer_input_is_3_before_the_corpus_is_read(
+        self, files, capsys, monkeypatch, flag, name, content, message
+    ):
+        def no_read(path):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(pipeline, "iter_corpus_tsv", no_read)
+        path = files["dir"] / name
+        path.write_text(content, encoding="utf-8")
+        selector = ["--selector", "prompt"] if flag == "--library" else []
+        argv = ["run", "--mode", "reformer", *selector, flag, str(path), "--corpus",
+                str(files["corpus"]), "--queries", str(files["queries"]), "--mock-script",
+                str(_mock(files["dir"], "Clarify Intent")), "--out-dir", str(files["dir"] / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: stage load-reformer: {message.format(path=path)}\n"
 
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"

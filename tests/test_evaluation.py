@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -85,6 +86,19 @@ class TestRunIO:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "q1 Q0 d2 1 0.123457 t"
         assert lines[1] == "q2 Q0 d1 1 1.000000 t"
+
+    def test_write_holds_one_query_at_a_time(self, tmp_path):
+        doc_ids = tuple(f"doc{i:06d}" for i in range(1000))
+        scores = tuple(1000.0 - i for i in range(1000))
+        run = {f"q{q:03d}": Ranking(doc_ids, scores, "tag") for q in range(100)}
+        path = tmp_path / "run.txt"
+        tracemalloc.start()
+        try:
+            write_run(run, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
     def test_duplicate_doc_rejected(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patternqr.errors import DataError
 from patternqr.gateway import ChatResponse, Gateway, Usage, fingerprint
 from patternqr.generator import (
+    _QUOTE_PAIRS,
     ReformulationRecord,
     build_generation_prompt,
     clean_generation,
@@ -106,6 +109,20 @@ class TestCleanGeneration:
 
     def test_plain_text_untouched(self):
         assert clean_generation("already clean") == "already clean"
+
+    @pytest.mark.parametrize(
+        "text, cleaned", [('"```""', '"'), ('"```a"', "a"), ("“```py\nrun”", "py run")]
+    )
+    def test_fence_inside_quotes_is_stripped(self, text, cleaned):
+        assert clean_generation(text) == cleaned
+
+    _PIECES = ["```", *dict.fromkeys(c for pair in _QUOTE_PAIRS for c in pair), " ", "\n", "a", "b"]
+
+    @given(st.lists(st.sampled_from(_PIECES), max_size=10).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_cleaning_twice_is_cleaning_once(self, text):
+        once = clean_generation(text)
+        assert clean_generation(once) == once
 
 
 class TestGenerateReformulation:

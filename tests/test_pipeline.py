@@ -389,6 +389,10 @@ MANY_QUERIES = [
 ]
 
 
+def _reformulate(config, index, queries):
+    return pipeline.reformulate_queries(config, index, queries, pipeline.load_reformer(config))
+
+
 def _many_queries(workspace):
     path = workspace / "many.tsv"
     path.write_text("".join(f"{qid}\t{text}\n" for qid, text in MANY_QUERIES), encoding="utf-8")
@@ -485,7 +489,7 @@ class TestConcurrentReformulation:
             gateway=GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=4),
         )
         index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
-        records = pipeline.reformulate_queries(config, index, MANY_QUERIES[:8])
+        records = _reformulate(config, index, MANY_QUERIES[:8])
         assert [r.query_id for r in records] == [qid for qid, _ in MANY_QUERIES[:8]]
         assert sends.calls == 8
 
@@ -521,7 +525,7 @@ class TestConcurrentReformulation:
             gateway=GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=window),
         )
         index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
-        records = pipeline.reformulate_queries(config, index, queries)
+        records = _reformulate(config, index, queries)
         assert [r.query_id for r in records] == [qid for qid, _ in queries]
 
     def _scripted_except(self, workspace, index, queries, missing):
@@ -557,7 +561,7 @@ class TestConcurrentReformulation:
             gateway=GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=4),
         )
         with pytest.raises(GatewayError, match="^query q01: mock script has no entry"):
-            pipeline.reformulate_queries(config, index, queries)
+            _reformulate(config, index, queries)
 
     def test_many_workers_under_fast_thread_switching(self, workspace):
         # More workers than cores and a switch every microsecond: a lost update
@@ -578,7 +582,7 @@ class TestConcurrentReformulation:
                 ),
             )
             try:
-                records = pipeline.reformulate_queries(config, index, queries[:n])
+                records = _reformulate(config, index, queries[:n])
                 outcomes[max_in_flight, n] = [r.to_json() for r in records]
             except GatewayError as exc:
                 outcomes[max_in_flight, n] = str(exc)
@@ -624,7 +628,7 @@ class TestConcurrentReformulation:
                 ),
             )
             with pytest.raises(GatewayError) as err:
-                pipeline.reformulate_queries(config, index, queries)
+                _reformulate(config, index, queries)
             errors[max_in_flight] = str(err.value)
             assert sends.calls <= 2 + max_in_flight
         assert errors[1] == errors[4]
@@ -674,7 +678,7 @@ class TestConcurrentReformulation:
         sys.setswitchinterval(1e-4)
         try:
             with pytest.raises(GatewayError, match="^query q00: mock script has no entry"):
-                pipeline.reformulate_queries(config, index, queries)
+                _reformulate(config, index, queries)
         finally:
             sys.setswitchinterval(interval)
         (running,) = at_failure

@@ -262,8 +262,16 @@ class TestTraining:
             (_library(3), 4, 2, TrainConfig(epochs=3, batch_size=1, feature_config=SMALL)),
             # one batch holding the whole set
             (_library(4), 6, 2, TrainConfig(epochs=4, batch_size=64, feature_config=SMALL)),
+            # epoch 1's L2 term differs in its last bit when summed over the
+            # full (M, F) matrix in its C order, not over the active block
+            (
+                _library(4),
+                5,
+                0,
+                TrainConfig(epochs=3, batch_size=1, l2=1e-2, feature_config=SMALL),
+            ),
         ],
-        ids=["acceptance-3", "empty-vectors", "batch-of-one", "batch-of-all"],
+        ids=["acceptance-3", "empty-vectors", "batch-of-one", "batch-of-all", "l2-sum-order"],
     )
     def test_matches_the_dense_reference(self, library, per_class, empty, hyper):
         data = separable_examples(library, per_class=per_class, seed=1)
@@ -290,6 +298,18 @@ class TestTraining:
         assert trained.tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
         assert history == expected
+
+    def test_allocates_no_full_size_matrix(self):
+        library = _library(10)
+        examples = separable_examples(library, per_class=2, seed=4)
+        hyper = TrainConfig(epochs=2, feature_config=FeatureConfig(dimension=2**18))
+        tracemalloc.start()
+        try:
+            train_selector(examples, library, hyper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(library) * hyper.feature_config.dimension * 8 / 4
 
     def test_label_out_of_range_names_example(self):
         library = _library(2)
