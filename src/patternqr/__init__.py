@@ -39,7 +39,6 @@ from .gateway import (
     fingerprint,
 )
 from .generator import (
-    HybridQuery,
     Reformulation,
     build_generation_prompt,
     compose_hybrid,
@@ -93,7 +92,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayError",
     "HttpBackend",
-    "HybridQuery",
     "InvertedIndex",
     "MetricsReport",
     "MockBackend",

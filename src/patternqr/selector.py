@@ -14,21 +14,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .gateway import ChatMessage, ChatRequest, Gateway, ask
-from .index import RetrievalContext, atomic_savez, atomic_write, load_npz, tokenize
+from .index import RetrievalContext, _Snippets, atomic_savez, atomic_write, load_npz, tokenize
 from .induction import PatternLibrary
 
 DEFAULT_DIMENSION = 2**18
 MODEL_FORMAT = "patternqr-selector-v2"
 # v1 files store the dense weight matrix; they are read as v2 with every column listed.
 MODEL_FORMAT_V1 = "patternqr-selector-v1"
+# Pairs `_featurize_all` codes at once. Its temporaries grow with this, its memo
+# with the whole call's distinct n-grams. On the benchmark's `learn` stage, 100
+# raised the peak RSS by 1.4 MB; 25 keeps it at that of pair-by-pair featurizing.
+_FEATURIZE_CHUNK = 25
 
 SELECT_SYSTEM = (
     "You choose how a search query should be rewritten. Given a query, "
@@ -44,6 +49,15 @@ class FeatureConfig:
     ngram_orders: tuple[int, ...] = (1, 2)
     snippet_token_cap: int = 64
     hash_seed: int = 0
+
+    def __post_init__(self):
+        # Buckets are int64 ids below the dimension; the salt is 8 bytes.
+        if not (1 <= self.dimension <= 2**63 and min(self.ngram_orders, default=1) >= 1
+                and self.snippet_token_cap >= 0 and 0 <= self.hash_seed < 2**64):
+            raise ConfigError(
+                "a feature config needs dimension in [1, 2**63], n-gram orders >= 1, "
+                f"snippet_token_cap >= 0 and hash_seed in [0, 2**64), got {self.to_dict()}"
+            )
 
     def to_dict(self) -> dict:
         return {**asdict(self), "ngram_orders": list(self.ngram_orders)}
@@ -80,31 +94,88 @@ class PatternDistribution:
 
 def featurize(query: str, context: RetrievalContext, config: FeatureConfig) -> FeatureVector:
     """Hashed word n-grams: query terms under "q:", snippet terms under "d:"."""
-    keys: list[str] = []
+    return _featurize_all([(query, context)], config)[0]
 
-    def add(namespace: str, tokens: list[str]):
-        for order in config.ngram_orders:
-            keys.extend(
-                f"{namespace}:{' '.join(tokens[i : i + order])}"
-                for i in range(len(tokens) - order + 1)
-            )
 
-    add("q", tokenize(query))
-    for snippet in context.snippets:
-        add("d", tokenize(snippet)[: config.snippet_token_cap])
+def _featurize_all(
+    pairs: list[tuple[str, RetrievalContext]], config: FeatureConfig
+) -> list[FeatureVector]:
+    """`featurize` of each (query, context) pair, `_FEATURIZE_CHUNK` pairs at a time.
 
-    # Each distinct key is hashed once; keys that share a bucket add their counts.
+    Every token is numbered in one vocabulary of the call: a string's from
+    `tokenize`, an index snippet's (`_Snippets`) from its term ids, not joined and
+    tokenized again. An n-gram is one code, its namespace and then its ids in
+    base len(vocab), the same in every chunk; each distinct code's key is built
+    and hashed once, and each pair counts its buckets.
+    """
+    cap, vocab = config.snippet_token_cap, defaultdict(count().__next__)
+    texts, spaces, firsts = [], [], [0]  # firsts: each pair's first text
+    for query, context in pairs:
+        snippets = context.snippets
+        if isinstance(snippets, _Snippets):
+            tokens = snippets.terms(cap)
+        else:
+            tokens = [tokenize(snippet)[:cap] for snippet in snippets]
+        for space, text in enumerate([tokenize(query), *tokens]):
+            texts.append(np.fromiter(map(vocab.__getitem__, text), np.int32, len(text)))
+            spaces.append(min(space, 1))  # 0 for "q:", 1 for "d:"
+        firsts.append(len(texts))
+    base, words = max(len(vocab), 1), np.array(list(vocab), dtype=object)
+    # Python ints once a code could pass int64: exact, and slow.
+    code_type = np.int64 if 2 * base ** max(config.ngram_orders, default=1) < 2**63 else object
     salted = hashlib.blake2b(digest_size=8, salt=config.hash_seed.to_bytes(8, "little"))
-    counts: dict[int, float] = {}
-    for key, n in Counter(keys).items():
-        h = salted.copy()
-        h.update(key.encode("utf-8"))
-        idx = int.from_bytes(h.digest(), "little") % config.dimension
-        counts[idx] = counts.get(idx, 0.0) + n
-
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    return FeatureVector(indices=indices, values=values, dimension=config.dimension)
+    # Per order: the codes hashed in earlier chunks, ascending, and their buckets.
+    memo = {order: (np.empty(0, code_type), np.empty(0, np.int64)) for order in config.ngram_orders}
+    vectors = []
+    for lo in range(0, len(pairs), _FEATURIZE_CHUNK):
+        hi = min(lo + _FEATURIZE_CHUNK, len(pairs))
+        chunk = texts[firsts[lo] : firsts[hi]]
+        tokens = np.concatenate([np.empty(0, np.int32), *chunk])
+        lengths = [text.size for text in chunk]
+        # Per position: the tokens left in its text, its namespace and its pair.
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tokens.size)
+        space = np.repeat(spaces[firsts[lo] : firsts[hi]], lengths)
+        owner = np.repeat(np.repeat(np.arange(hi - lo), np.diff(firsts[lo : hi + 1])), lengths)
+        buckets, owners = [], []
+        for order in config.ngram_orders:
+            starts = np.flatnonzero(left >= order)
+            codes = space[starts].astype(code_type)
+            for j in range(order):
+                codes = codes * base + tokens[starts + j].astype(code_type, copy=False)
+            distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            known, known_buckets = memo[order]
+            at = np.searchsorted(known, distinct)
+            hit = at < known.size
+            hit[hit] = known[at[hit]] == distinct[hit]
+            # Only codes no earlier chunk hashed get their key, built at a first occurrence.
+            fresh = np.flatnonzero(~hit)
+            at_first = starts[first[fresh]]
+            grams = np.array(["q:", "d:"], dtype=object)[space[at_first]] + words[tokens[at_first]]
+            for j in range(1, order):
+                grams = grams + " " + words[tokens[at_first + j]]
+            digests = bytearray()
+            for gram in grams.tolist():
+                h = salted.copy()
+                h.update(gram.encode("utf-8"))
+                digests += h.digest()
+            bucket = np.empty(distinct.size, np.int64)
+            bucket[hit] = known_buckets[at[hit]]
+            bucket[fresh] = np.frombuffer(digests, "<u8") % np.uint64(config.dimension)
+            if hi < len(pairs):  # later chunks look these codes up
+                memo[order] = (
+                    np.insert(known, at[fresh], distinct[fresh]),
+                    np.insert(known_buckets, at[fresh], bucket[fresh]),
+                )
+            buckets.append(bucket[inverse])
+            owners.append(owner[starts])
+        owner_of = np.concatenate([np.empty(0, np.int64), *owners])
+        by_pair = np.argsort(owner_of, kind="stable")
+        ordered = np.concatenate([np.empty(0, np.int64), *buckets])[by_pair]
+        bounds = np.searchsorted(owner_of[by_pair], np.arange(hi - lo + 1))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            indices, counts = np.unique(ordered[a:b], return_counts=True)
+            vectors.append(FeatureVector(indices, counts.astype(np.float64), config.dimension))
+    return vectors
 
 
 @dataclass
@@ -217,25 +288,6 @@ def select_pattern(
     raise ConfigError(f"unknown selection mode {mode!r}")
 
 
-def loss_and_gradient(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    vectors: list[FeatureVector],
-    labels: np.ndarray,
-    l2: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy + l2*||weights||^2 with its exact gradient."""
-    n = len(vectors)
-    total, deltas = _cross_entropy(np.ascontiguousarray(weights.T), bias, vectors, labels)
-    grad_w = np.zeros_like(weights)
-    for fv, delta in zip(vectors, deltas):
-        grad_w[:, fv.indices] += np.outer(delta, fv.values)
-    loss = total / n + l2 * float((weights**2).sum())
-    grad_w = grad_w / n + 2.0 * l2 * weights
-    grad_b = deltas.sum(axis=0) / n
-    return loss, grad_w, grad_b
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
@@ -265,7 +317,7 @@ def train_selector(
             raise DataError(f"label {label} out of range [0, {m}) for query {query!r}")
 
     config = hyper.feature_config
-    vectors = [featurize(q, ctx, config) for q, ctx, _ in examples]
+    vectors = _featurize_all([(query, context) for query, context, _ in examples], config)
     labels = np.array([lbl for _, _, lbl in examples], dtype=np.int64)
 
     # A column no example activates starts at +0.0 and stays exactly +0.0 under
@@ -350,7 +402,7 @@ def load_model(path: str | Path) -> SelectorModel:
     try:
         feature_config = FeatureConfig.from_dict(meta["feature_config"])
         library_version = meta["library_version"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: malformed selector model meta: {exc!r}") from exc
     dimension = feature_config.dimension
     if columns is None:

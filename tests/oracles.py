@@ -200,6 +200,27 @@ def oracle_recall(
     return sum(1 for d in ranked[:k] if d in relevant) / len(relevant)
 
 
+def loss_and_gradient(
+    cross_entropy, weights: np.ndarray, bias: np.ndarray, vectors, labels: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy + l2*||weights||^2 with its exact gradient.
+
+    `cross_entropy(weights_t, bias, vectors, labels)` is the selector's kernel,
+    passed in: it gives the summed cross-entropy and each vector's softmax minus
+    its label's one-hot, from the weights transposed to one row per feature. The
+    gradient is built here from those rows, one dense outer product per vector.
+    """
+    n = len(vectors)
+    total, deltas = cross_entropy(np.ascontiguousarray(weights.T), bias, vectors, labels)
+    grad_w = np.zeros_like(weights)
+    for fv, delta in zip(vectors, deltas):
+        grad_w[:, fv.indices] += np.outer(delta, fv.values)
+    loss = total / n + l2 * float((weights**2).sum())
+    grad_w = grad_w / n + 2.0 * l2 * weights
+    grad_b = deltas.sum(axis=0) / n
+    return loss, grad_w, grad_b
+
+
 def dense_weights(model) -> np.ndarray:
     """A selector model's full (M, F) weight matrix: its `weights` scattered into
     zeros at its `columns`."""

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from conftest import SEED_PATTERN_NAMES, consolidation_payload
 from oracles import (
     oracle_average_precision,
@@ -52,12 +53,15 @@ from patternqr.selector import (
     FeatureVector,
     SelectorModel,
     TrainConfig,
-    loss_and_gradient,
+    _cross_entropy,
     predict_distribution,
     save_model,
     select_pattern,
     train_selector,
 )
+
+# The exact-gradient reference, through the trainer's cross-entropy kernel.
+loss_and_gradient = functools.partial(oracles.loss_and_gradient, _cross_entropy)
 
 
 def criterion(number, title):

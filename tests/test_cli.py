@@ -681,6 +681,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"data error: stage load-reformer: {message.format(path=path)}\n"
 
+    def test_selector_model_with_a_feature_config_out_of_range_is_3(self, files, capsys):
+        # A negative hash seed used to load, then fail the first prediction with
+        # an OverflowError traceback.
+        path = files["dir"] / "model.npz"
+        config = {**FeatureConfig(dimension=1024).to_dict(), "hash_seed": -1}
+        meta = {"format": "patternqr-selector-v2", "config_hash": "",
+                "feature_config": config, "library_version": "seed-1"}
+        with open(path, "wb") as handle:
+            np.savez(handle, weights=np.zeros((10, 0)), bias=np.zeros(10),
+                     columns=np.zeros(0, np.int64), meta=np.array(json.dumps(meta)))
+        argv = ["run", "--mode", "reformer", "--selector-model", str(path), "--corpus",
+                str(files["corpus"]), "--queries", str(files["queries"]), "--mock-script",
+                str(_mock(files["dir"], "Clarify Intent")), "--out-dir", str(files["dir"] / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: stage load-reformer: {path}: malformed selector model")
+        assert "hash_seed in [0, 2**64)" in err and err.count("\n") == 1
+
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"
         save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)

@@ -83,6 +83,22 @@ class TestTokenize:
         assert "\u0130".lower() == "i\u0307"
         assert tokenize("\u0130stanbul") == ["i", "stanbul"]
 
+    @pytest.mark.parametrize(
+        "around",
+        ["{}", "A{}", "\u03a3{}\u03a3"],
+        ids=["alone", "after-a-cased-letter", "between-sigmas"],
+    )
+    def test_every_term_tokenizes_to_itself(self, around):
+        # `featurize` reads an index snippet's terms from their ids, in place of
+        # tokenizing the terms joined by spaces; that holds only if every term
+        # is its own one token. Between sigmas, the second is final after a cased
+        # or case-ignorable character. Items are space-separated, and a space is
+        # neither cased nor case-ignorable, so each lowers as it would alone.
+        text = " ".join(around.format(chr(cp)) for cp in range(0x110000))
+        terms = set(tokenize(text))
+        assert len(terms) > 100_000
+        assert [t for t in sorted(terms) if tokenize(t) != [t]] == []
+
     @given(st.text(max_size=200))
     def test_deterministic(self, text):
         assert tokenize(text) == tokenize(text)
@@ -644,6 +660,12 @@ MALFORMED_V2 = {
     ),
     "terms-number": ({"meta": {**TINY_META, "terms": ["cat", 1, "dog"]}}, "terms must be a list"),
     "terms-string": ({"meta": {**TINY_META, "terms": "cat sat dog"}}, "terms must be a list"),
+    # Each term must be the one token `tokenize` makes of it: featurize reads
+    # snippets as terms and never tokenizes them again.
+    "term-uppercase": ({"meta": {**TINY_META, "terms": ["cat", "Sat", "dog"]}}, "'Sat' is not one"),
+    "term-two-words": ({"meta": {**TINY_META, "terms": ["cat", "s t", "dog"]}}, "'s t' is not one"),
+    "term-empty": ({"meta": {**TINY_META, "terms": ["cat", "", "dog"]}}, "'' is not one token"),
+    "term-sigma": ({"meta": {**TINY_META, "terms": ["cat", "\u03a3", "dog"]}}, "'Σ' is not one"),
     "stream-id-too-large": (
         {"stream": np.array([0, 1, 3, 1, 1], dtype=np.int32)},
         "stream ids must lie in",

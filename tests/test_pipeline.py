@@ -416,6 +416,43 @@ class CountingSend:
         monkeypatch.setattr(MockBackend, "send", send)
 
 
+class TurnLog:
+    """Logs the reformer fan-out's starts and its failure under the fan-out's own
+    lock, so the log holds them in the order the fan-out decided them, whatever
+    the schedule; and, per `MockBackend.send`, the query that made the call and
+    whether a failure had been recorded by then."""
+
+    def __init__(self, monkeypatch):
+        self.started, self.at_failure, self.calls = [], [], []
+        current = {}
+        start, fail, send = pipeline._Turns.start, pipeline._Turns.fail, MockBackend.send
+
+        def logged_start(turns, i):
+            with turns.lock:
+                go = start(turns, i)
+                if go:
+                    self.started.append(i)
+                    current[threading.get_ident()] = i
+                return go
+
+        def logged_fail(turns, i, exc):
+            with turns.lock:
+                self.at_failure.append(set(self.started))
+                fail(turns, i, exc)
+
+        def logged_send(backend, request):
+            self.calls.append((current[threading.get_ident()], bool(self.at_failure)))
+            return send(backend, request)
+
+        monkeypatch.setattr(pipeline._Turns, "start", logged_start)
+        monkeypatch.setattr(pipeline._Turns, "fail", logged_fail)
+        monkeypatch.setattr(MockBackend, "send", logged_send)
+
+    def clear(self) -> None:
+        for entries in (self.started, self.at_failure, self.calls):
+            entries.clear()
+
+
 class TestConcurrentReformulation:
     """`max_in_flight` queries are reformulated at once; the artifacts do not change."""
 
@@ -617,9 +654,13 @@ class TestConcurrentReformulation:
         mock = workspace / "mock.json"
         MockScript(entries=entries).save(mock)  # no fallback: q02 misses
 
+        # How many calls the run makes depends on the schedule. What does not: a
+        # query after q02 that starts once q02's failure is recorded makes no
+        # backend call (q00 and q01, before it, may still start).
+        log = TurnLog(monkeypatch)
         errors = {}
         for max_in_flight in (1, 4):
-            sends = CountingSend(monkeypatch)
+            log.clear()
             config = _config(
                 workspace,
                 "reformer",
@@ -627,10 +668,19 @@ class TestConcurrentReformulation:
                     mock_script=str(mock), model="mock-model", max_in_flight=max_in_flight
                 ),
             )
-            with pytest.raises(GatewayError) as err:
-                _reformulate(config, index, queries)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                with pytest.raises(GatewayError) as err:
+                    _reformulate(config, index, queries)
+            finally:
+                sys.setswitchinterval(interval)
             errors[max_in_flight] = str(err.value)
-            assert sends.calls <= 2 + max_in_flight
+            (running,) = log.at_failure
+            callers = [i for i, _ in log.calls]
+            assert 2 in running and all(i < 2 for i in set(callers) - running)
+            if max_in_flight == 1:
+                assert callers == [0, 1, 2]
         assert errors[1] == errors[4]
         assert errors[1].startswith("query q02: mock script has no entry")
 
@@ -638,37 +688,12 @@ class TestConcurrentReformulation:
     def test_after_a_failure_only_queries_already_started_call_the_backend(
         self, workspace, monkeypatch, window
     ):
-        # Starts and the failure are logged under the fan-out's own lock, so the
-        # log holds them in the order the fan-out decided them, whatever the
-        # schedule. The first query fails, so every other query is a later one.
+        # The first query fails, so every other query is a later one.
         index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
         texts = [text for _, text in MANY_QUERIES]
         queries = [(f"q{i:02d}", f"{texts[i % 12]} {'dog ' * (i // 12)}") for i in range(48)]
         mock = self._scripted_except(workspace, index, queries, {"q00"})
-        started, current, at_failure, late = [], {}, [], set()
-        start, fail, send = pipeline._Turns.start, pipeline._Turns.fail, MockBackend.send
-
-        def logged_start(turns, i):
-            with turns.lock:
-                go = start(turns, i)
-                if go:
-                    started.append(i)
-                    current[threading.get_ident()] = i
-                return go
-
-        def logged_fail(turns, i, exc):
-            with turns.lock:
-                at_failure.append(set(started))
-                fail(turns, i, exc)
-
-        def logged_send(backend, request):
-            if at_failure:
-                late.add(current[threading.get_ident()])
-            return send(backend, request)
-
-        monkeypatch.setattr(pipeline._Turns, "start", logged_start)
-        monkeypatch.setattr(pipeline._Turns, "fail", logged_fail)
-        monkeypatch.setattr(MockBackend, "send", logged_send)
+        log = TurnLog(monkeypatch)
         config = _config(
             workspace,
             "reformer",
@@ -681,6 +706,7 @@ class TestConcurrentReformulation:
                 _reformulate(config, index, queries)
         finally:
             sys.setswitchinterval(interval)
-        (running,) = at_failure
+        (running,) = log.at_failure
+        late = {i for i, after_failure in log.calls if after_failure}
         assert late <= running - {0}
         assert len(late) <= window - 1

@@ -1,17 +1,21 @@
+import functools
 import json
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import dense_weights, oracle_featurize, oracle_train_dense
+from patternqr import selector
 from patternqr.errors import ConfigError, DataError
 from patternqr.gateway import Gateway, MockBackend, MockScript
-from patternqr.index import RetrievalContext
+from patternqr.index import Document, RetrievalContext, build_index, retrieve_topk
 from patternqr.induction import PatternLibrary, ReformulationPattern, default_library
 from patternqr.selector import (
     FeatureConfig,
@@ -21,10 +25,11 @@ from patternqr.selector import (
     PromptSelector,
     SelectorModel,
     TrainConfig,
+    _cross_entropy,
+    _featurize_all,
     _softmax_rows,
     featurize,
     load_model,
-    loss_and_gradient,
     predict_distribution,
     predict_from_vector,
     select_pattern,
@@ -32,6 +37,9 @@ from patternqr.selector import (
     train_selector,
     write_loss_curve,
 )
+
+# The exact-gradient reference, through the trainer's cross-entropy kernel.
+loss_and_gradient = functools.partial(oracles.loss_and_gradient, _cross_entropy)
 
 
 def _context(snippets, query_id="q"):
@@ -64,6 +72,18 @@ def separable_examples(library, per_class, seed, noise_words=4):
             examples.append((query, context, label))
     order = rng.permutation(len(examples))
     return [examples[i] for i in order]
+
+
+# Words whose lowercase is not their own (U+0130, the Kelvin sign, final sigma,
+# a titlecase digraph) or that split ("x_y", "A.B"), beside plain ones.
+_NON_ASCII_WORDS = [
+    "İstanbul", "\u212aelvin", "ΟΔΟΣ", "ΣΑΣ", "straße", "ǅemal", "naïve", "x_y", "ﬁle",
+    "A.B", "日本語", "cat", "sat",
+]
+
+
+def _non_ascii_text(max_words):
+    return st.lists(st.sampled_from(_NON_ASCII_WORDS), max_size=max_words).map(" ".join)
 
 
 class TestFeaturize:
@@ -130,6 +150,52 @@ class TestFeaturize:
         )
         assert fv.indices.tolist() == sorted(expected)
         assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=st.lists(_non_ascii_text(12), min_size=1, max_size=6),
+        query=_non_ascii_text(4),
+        snippet_tokens=st.integers(0, 9),
+        snippet_token_cap=st.integers(0, 9),
+        ngram_orders=st.sampled_from([(1,), (1, 2), (2, 3), (1, 2, 3)]),
+        dimension=st.sampled_from([1, 7, 2**10]),
+        hash_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_index_snippets_match_the_per_occurrence_reference(
+        self, docs, query, snippet_tokens, snippet_token_cap, ngram_orders, dimension, hash_seed
+    ):
+        # Snippets cut below and above the cap; their terms are read as ids, not
+        # as the joined text the reference tokenizes again.
+        index = build_index(Document(f"d{i}", text) for i, text in enumerate(docs))
+        context = retrieve_topk(index, query, 3, snippet_tokens=snippet_tokens)
+        config = FeatureConfig(dimension, ngram_orders, snippet_token_cap, hash_seed)
+        fv = featurize(query, context, config)
+        expected = oracle_featurize(
+            query, list(context.snippets), dimension, ngram_orders, snippet_token_cap, hash_seed
+        )
+        assert fv.indices.tolist() == sorted(expected)
+        assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 100])
+    @pytest.mark.parametrize("ngram_orders", [(1, 2), (2, 1, 2), (1, 19)], ids=str)
+    def test_one_call_over_many_pairs_gives_each_pair_its_vector(self, chunk, ngram_orders):
+        # Chunks share one numbering: a code hashed in one chunk is looked up in
+        # the next. Order 19 over this vocabulary needs codes beyond int64.
+        index = build_index(
+            Document(f"d{i}", " ".join(f"w{(i * j) % 23} İstanbul" for j in range(15)))
+            for i in range(12)
+        )
+        queries = [f"w{i % 5} W{i % 7} İSTANBUL" for i in range(7)]
+        pairs = [(q, retrieve_topk(index, q, 3, snippet_tokens=40)) for q in queries]
+        pairs += [(q, _context([q.lower() + " ΣΑΣ", "x"])) for q in queries[:3]]
+        config = FeatureConfig(dimension=2**12, ngram_orders=ngram_orders)
+        with mock.patch.object(selector, "_FEATURIZE_CHUNK", chunk):
+            vectors = _featurize_all(pairs, config)
+        assert len(vectors) == len(pairs)
+        for (query, context), fv in zip(pairs, vectors):
+            expected = oracle_featurize(query, list(context.snippets), 2**12, ngram_orders, 64, 0)
+            assert fv.indices.tolist() == sorted(expected)
+            assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
 
 
 def _random_vectors(rng, n, dimension):
@@ -296,6 +362,44 @@ class TestTraining:
         assert np.array_equal(model.bias, bias)
         # Bytes as well: array_equal cannot see the sign of a zero.
         assert trained.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+        assert history == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        docs=st.lists(_non_ascii_text(12), min_size=1, max_size=8),
+        queries=st.lists(_non_ascii_text(4), min_size=3, max_size=9),
+        chunk=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_training_across_chunks_matches_the_per_example_path(
+        self, docs, queries, chunk, seed
+    ):
+        # More examples than one featurizing chunk; index-backed and plain
+        # contexts alternate. The per-example path featurizes each one alone.
+        library = _library(3)
+        index = build_index(Document(f"d{i}", text) for i, text in enumerate(docs))
+        data = [
+            (q, retrieve_topk(index, q, 3) if i % 2 else _context([q, "ΟΔΟΣ cat"]), i % 3)
+            for i, q in enumerate(queries)
+        ]
+        hyper = TrainConfig(epochs=2, batch_size=2, seed=seed, feature_config=SMALL)
+        with mock.patch.object(selector, "_FEATURIZE_CHUNK", chunk):
+            model, history = train_selector(data, library, hyper)
+        vectors = [featurize(q, ctx, SMALL) for q, ctx, _ in data]
+        weights, bias, expected = oracle_train_dense(
+            [(fv.indices, fv.values) for fv in vectors],
+            np.array([lbl for _, _, lbl in data]),
+            len(library),
+            SMALL.dimension,
+            hyper.epochs,
+            hyper.learning_rate,
+            hyper.decay,
+            hyper.l2,
+            hyper.batch_size,
+            hyper.seed,
+        )
+        assert dense_weights(model).tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
         assert history == expected
 
@@ -659,6 +763,44 @@ class TestModelPersistence:
         _write_raw_model(path, weights, bias, meta)
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dimension": 0},
+            {"dimension": 2**64},
+            {"ngram_orders": [1, 0]},
+            {"snippet_token_cap": -1},
+            {"hash_seed": -1},
+            {"hash_seed": 2**64},
+        ],
+        ids=["dimension-0", "dimension-2**64", "order-0", "cap-negative", "seed-negative",
+             "seed-2**64"],
+    )
+    def test_load_rejects_feature_configs_out_of_range(self, tmp_path, change):
+        # No columns, so no other check sees the dimension.
+        meta = {**MODEL_META_V2, "feature_config": {**SMALL.to_dict(), **change}}
+        path = tmp_path / "model.npz"
+        _write_raw_model(path, np.ones((3, 0)), np.zeros(3), meta, columns=np.zeros(0, np.int64))
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dimension": 0},
+            {"dimension": 2**63 + 1},
+            {"ngram_orders": (0,)},
+            {"snippet_token_cap": -1},
+            {"hash_seed": -1},
+            {"hash_seed": 2**64},
+        ],
+        ids=["dimension-0", "dimension-2**63+1", "order-0", "cap-negative", "seed-negative",
+             "seed-2**64"],
+    )
+    def test_feature_config_out_of_range_is_a_config_error(self, kwargs):
+        with pytest.raises(ConfigError, match="a feature config needs"):
+            FeatureConfig(**kwargs)
 
     def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.npz"
