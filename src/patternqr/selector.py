@@ -172,9 +172,14 @@ def _featurize_all(
         by_pair = np.argsort(owner_of, kind="stable")
         ordered = np.concatenate([np.empty(0, np.int64), *buckets])[by_pair]
         bounds = np.searchsorted(owner_of[by_pair], np.arange(hi - lo + 1))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            indices, counts = np.unique(ordered[a:b], return_counts=True)
-            vectors.append(FeatureVector(indices, counts.astype(np.float64), config.dimension))
+        found = [np.unique(ordered[a:b], return_counts=True) for a, b in zip(bounds[:-1], bounds[1:])]
+        # The chunk's vectors are views of one array of indices and one of values:
+        # few blocks outlive the call, so the heap it frees stays in large pieces.
+        indices = np.concatenate([i for i, _ in found])
+        values = np.concatenate([c for _, c in found]).astype(np.float64)
+        ends = np.cumsum([0] + [i.size for i, _ in found])
+        for a, b in zip(ends[:-1], ends[1:]):
+            vectors.append(FeatureVector(indices[a:b], values[a:b], config.dimension))
     return vectors
 
 
