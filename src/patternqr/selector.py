@@ -176,7 +176,7 @@ def _featurize_all(
         # The chunk's vectors are views of one array of indices and one of values:
         # few blocks outlive the call, so the heap it frees stays in large pieces.
         indices = np.concatenate([i for i, _ in found])
-        values = np.concatenate([c for _, c in found]).astype(np.float64)
+        values = np.concatenate([c for _, c in found], dtype=np.float64)
         ends = np.cumsum([0] + [i.size for i, _ in found])
         for a, b in zip(ends[:-1], ends[1:]):
             vectors.append(FeatureVector(indices[a:b], values[a:b], config.dimension))
