@@ -39,6 +39,7 @@ from .gateway import (
     fingerprint,
 )
 from .generator import (
+    HybridQuery,
     Reformulation,
     build_generation_prompt,
     compose_hybrid,
@@ -92,6 +93,7 @@ __all__ = [
     "GatewayConfig",
     "GatewayError",
     "HttpBackend",
+    "HybridQuery",
     "InvertedIndex",
     "MetricsReport",
     "MockBackend",

@@ -9,6 +9,7 @@ selection break lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import DataError
 from .index import InvertedIndex, query_term_weights, retrieve_topk
@@ -20,9 +21,15 @@ DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.75
 
 
+class ExpansionOrigin(str, Enum):
+    RM3 = "rm3"
+    ROCCHIO = "rocchio"
+
+
 @dataclass(frozen=True)
 class WeightedQuery:
     terms: dict[str, float]
+    origin: ExpansionOrigin
 
     def __post_init__(self):
         for term, weight in self.terms.items():
@@ -66,7 +73,7 @@ def rm3_expand(
     p_query = _query_distribution(query)
     first_pass = retrieve_topk(index, query, fb_docs) if p_query else None
     if first_pass is None or not first_pass.doc_ids:
-        return WeightedQuery(terms=dict(p_query))
+        return WeightedQuery(terms=dict(p_query), origin=ExpansionOrigin.RM3)
 
     total_score = sum(first_pass.scores)
     p_feedback: dict[str, float] = {}
@@ -88,7 +95,7 @@ def rm3_expand(
         mixed[term] = mixed.get(term, 0.0) + (1.0 - orig_weight) * w
     total = sum(mixed.values())
     terms = {t: w / total for t, w in sorted(mixed.items()) if w > 0.0}
-    return WeightedQuery(terms=terms)
+    return WeightedQuery(terms=terms, origin=ExpansionOrigin.RM3)
 
 
 def rocchio_expand(
@@ -110,7 +117,10 @@ def rocchio_expand(
     tf_query = query_term_weights(query)
     first_pass = retrieve_topk(index, query, fb_docs) if tf_query else None
     if first_pass is None or not first_pass.doc_ids:
-        return WeightedQuery({t: alpha * c for t, c in tf_query.items() if alpha * c > 0.0})
+        return WeightedQuery(
+            terms={t: alpha * c for t, c in tf_query.items() if alpha * c > 0.0},
+            origin=ExpansionOrigin.ROCCHIO,
+        )
 
     num_fb = len(first_pass.doc_ids)
     centroid: dict[str, float] = {}
@@ -128,4 +138,4 @@ def rocchio_expand(
     for term, w in expansion.items():
         weights[term] = beta * w
     terms = {t: w for t, w in sorted(weights.items()) if w > 0.0}
-    return WeightedQuery(terms=terms)
+    return WeightedQuery(terms=terms, origin=ExpansionOrigin.ROCCHIO)

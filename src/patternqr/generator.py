@@ -44,6 +44,12 @@ class Reformulation:
             raise DataError(f"reformulation for query {self.query_id!r} spans lines")
 
 
+@dataclass(frozen=True)
+class HybridQuery:
+    text: str
+    repetition: int = 1
+
+
 def build_generation_prompt(
     query: str,
     context: RetrievalContext,
@@ -137,11 +143,12 @@ def _nonempty_generation(content: str) -> str:
     return text
 
 
-def compose_hybrid(query: str, reformulation: str, repetition: int = 1) -> str:
+def compose_hybrid(query: str, reformulation: str, repetition: int = 1) -> HybridQuery:
     """Hybrid query: the original phrasing repeated `repetition` times, then the rewrite."""
     if repetition < 1:
         raise DataError(f"repetition must be >= 1, got {repetition}")
-    return " ".join([query] * repetition + [reformulation])
+    segments = [query] * repetition + [reformulation]
+    return HybridQuery(text=" ".join(segments), repetition=repetition)
 
 
 @dataclass(frozen=True)

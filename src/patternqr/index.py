@@ -107,19 +107,18 @@ class _Snippets(Sequence):
     """The snippets of ranked documents, each cut from the index when read."""
 
     def __init__(self, index: InvertedIndex, ordinals: list[int], max_tokens: int):
-        self.index, self._ordinals, self._max_tokens = index, ordinals, max_tokens
+        self._index, self._ordinals, self._max_tokens = index, ordinals, max_tokens
 
     def __len__(self) -> int:
         return len(self._ordinals)
 
     def __getitem__(self, i: int) -> str:
-        return self.index.snippet(self._ordinals[i], self._max_tokens)
+        return self._index.snippet(self._ordinals[i], self._max_tokens)
 
     def terms(self, cap: int) -> list[list[str]]:
-        """`tokenize(self[i])[:cap]` of each snippet, from its term ids: every term
-        tokenizes to itself alone, so none is joined and split again."""
-        ids = (self.index._token_ids(o)[: self._max_tokens][:cap].tolist() for o in self._ordinals)
-        return [list(map(self.index.terms.__getitem__, i)) for i in ids]
+        """`tokenize(self[i])[:cap]` of each snippet, read from its term ids."""
+        ids = (self._index._token_ids(o)[: self._max_tokens][:cap].tolist() for o in self._ordinals)
+        return [list(map(self._index.terms.__getitem__, i)) for i in ids]
 
 
 class InvertedIndex:
@@ -452,9 +451,8 @@ def _index_problem(meta: dict, stream: np.ndarray, doc_lengths: np.ndarray) -> s
         return "terms must be a list of distinct strings"
     # Snippets are read as terms, never tokenized again: each must be its own token.
     for at in range(0, len(terms), 1 << 16):
-        part = terms[at : at + (1 << 16)]
-        if tokenize(" ".join(part)) != part:
-            bad = next(term for term in part if tokenize(term) != [term])
+        if tokenize(" ".join(terms[at : at + (1 << 16)])) != terms[at : at + (1 << 16)]:
+            bad = next(term for term in terms[at:] if tokenize(term) != [term])
             return f"term {bad!r} is not one token as `tokenize` gives it"
     if not all(a.ndim == 1 and np.issubdtype(a.dtype, np.integer) for a in (stream, doc_lengths)):
         return "stream and doc_lengths must be 1-D integer arrays"

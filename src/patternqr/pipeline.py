@@ -303,12 +303,13 @@ def reformulate_queries(
         reformulation = generate_reformulation(
             gateway, text, context, pattern, query_id=query_id, extra_context=extra
         )
+        hybrid = compose_hybrid(text, reformulation.text, repetition=config.repetition)
         return ReformulationRecord(
             query_id=query_id,
             pattern_id=pattern.pattern_id,
             pattern_name=pattern.name,
             reformulation=reformulation.text,
-            hybrid_query=compose_hybrid(text, reformulation.text, config.repetition),
+            hybrid_query=hybrid.text,
             fallback=reformulation.fallback,
         )
 

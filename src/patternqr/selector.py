@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from itertools import count
@@ -30,9 +31,7 @@ DEFAULT_DIMENSION = 2**18
 MODEL_FORMAT = "patternqr-selector-v2"
 # v1 files store the dense weight matrix; they are read as v2 with every column listed.
 MODEL_FORMAT_V1 = "patternqr-selector-v1"
-# Pairs `_featurize_all` codes at once. Its temporaries grow with this, its memo
-# with the whole call's distinct n-grams. On the benchmark's `learn` stage, 100
-# raised the peak RSS by 1.4 MB; 25 keeps it at that of pair-by-pair featurizing.
+# Pairs `_featurize_all` codes and counts at once: its temporaries grow with this.
 _FEATURIZE_CHUNK = 25
 
 SELECT_SYSTEM = (
@@ -50,14 +49,12 @@ class FeatureConfig:
     snippet_token_cap: int = 64
     hash_seed: int = 0
 
-    def __post_init__(self):
-        # Buckets are int64 ids below the dimension; the salt is 8 bytes.
+    def __post_init__(self):  # bucket ids are int64; the salt is 8 bytes
         if not (1 <= self.dimension <= 2**63 and min(self.ngram_orders, default=1) >= 1
                 and self.snippet_token_cap >= 0 and 0 <= self.hash_seed < 2**64):
-            raise ConfigError(
-                "a feature config needs dimension in [1, 2**63], n-gram orders >= 1, "
-                f"snippet_token_cap >= 0 and hash_seed in [0, 2**64), got {self.to_dict()}"
-            )
+            raise ConfigError("a feature config needs dimension in [1, 2**63], n-gram orders "
+                              ">= 1, snippet_token_cap >= 0 and hash_seed in [0, 2**64), "
+                              f"got {self.to_dict()}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "ngram_orders": list(self.ngram_orders)}
@@ -105,81 +102,75 @@ def _featurize_all(
     Every token is numbered in one vocabulary of the call: a string's from
     `tokenize`, an index snippet's (`_Snippets`) from its term ids, not joined and
     tokenized again. An n-gram is one code, its namespace and then its ids in
-    base len(vocab), the same in every chunk; each distinct code's key is built
-    and hashed once, and each pair counts its buckets.
+    base len(vocab), the same in every chunk. Only the codes that no earlier chunk
+    hashed get their key built and hashed, so each distinct key is hashed once.
     """
     cap, vocab = config.snippet_token_cap, defaultdict(count().__next__)
-    texts, spaces, firsts = [], [], [0]  # firsts: each pair's first text
-    for query, context in pairs:
+    texts, spaces, owners = [], [], []
+    for pair, (query, context) in enumerate(pairs):
         snippets = context.snippets
-        if isinstance(snippets, _Snippets):
-            tokens = snippets.terms(cap)
-        else:
-            tokens = [tokenize(snippet)[:cap] for snippet in snippets]
-        for space, text in enumerate([tokenize(query), *tokens]):
+        cut = snippets.terms(cap) if isinstance(snippets, _Snippets) else [
+            tokenize(snippet)[:cap] for snippet in snippets]
+        for space, text in enumerate([tokenize(query), *cut]):
             texts.append(np.fromiter(map(vocab.__getitem__, text), np.int32, len(text)))
             spaces.append(min(space, 1))  # 0 for "q:", 1 for "d:"
-        firsts.append(len(texts))
+            owners.append(pair)
     base, words = max(len(vocab), 1), np.array(list(vocab), dtype=object)
     # Python ints once a code could pass int64: exact, and slow.
     code_type = np.int64 if 2 * base ** max(config.ngram_orders, default=1) < 2**63 else object
     salted = hashlib.blake2b(digest_size=8, salt=config.hash_seed.to_bytes(8, "little"))
-    # Per order: the codes hashed in earlier chunks, ascending, and their buckets.
-    memo = {order: (np.empty(0, code_type), np.empty(0, np.int64)) for order in config.ngram_orders}
+    # Per order: runs of the codes hashed so far, each ascending, with their buckets.
+    # A run takes in the one before it once that is no larger: few runs, few copies.
+    runs = {order: [] for order in config.ngram_orders}
     vectors = []
     for lo in range(0, len(pairs), _FEATURIZE_CHUNK):
         hi = min(lo + _FEATURIZE_CHUNK, len(pairs))
-        chunk = texts[firsts[lo] : firsts[hi]]
-        tokens = np.concatenate([np.empty(0, np.int32), *chunk])
-        lengths = [text.size for text in chunk]
+        a, b = bisect_left(owners, lo), bisect_left(owners, hi)  # the chunk's texts
+        lengths = [text.size for text in texts[a:b]]
+        tokens = np.concatenate([np.empty(0, np.int32), *texts[a:b]])
         # Per position: the tokens left in its text, its namespace and its pair.
         left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tokens.size)
-        space = np.repeat(spaces[firsts[lo] : firsts[hi]], lengths)
-        owner = np.repeat(np.repeat(np.arange(hi - lo), np.diff(firsts[lo : hi + 1])), lengths)
-        buckets, owners = [], []
+        space, owner = np.repeat(spaces[a:b], lengths), np.repeat(owners[a:b], lengths)
+        buckets, owned = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # per n-gram
         for order in config.ngram_orders:
             starts = np.flatnonzero(left >= order)
             codes = space[starts].astype(code_type)
             for j in range(order):
                 codes = codes * base + tokens[starts + j].astype(code_type, copy=False)
             distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            known, known_buckets = memo[order]
-            at = np.searchsorted(known, distinct)
-            hit = at < known.size
-            hit[hit] = known[at[hit]] == distinct[hit]
-            # Only codes no earlier chunk hashed get their key, built at a first occurrence.
-            fresh = np.flatnonzero(~hit)
-            at_first = starts[first[fresh]]
-            grams = np.array(["q:", "d:"], dtype=object)[space[at_first]] + words[tokens[at_first]]
+            bucket = np.full(distinct.size, -1)
+            for known, known_buckets in runs[order]:
+                at = np.searchsorted(known, distinct).clip(max=known.size - 1)
+                hit = known[at] == distinct
+                bucket[hit] = known_buckets[at[hit]]
+            fresh = np.flatnonzero(bucket < 0)
+            at = starts[first[fresh]]  # a first occurrence of each code builds its key
+            grams = np.array(["q:", "d:"], dtype=object)[space[at]] + words[tokens[at]]
             for j in range(1, order):
-                grams = grams + " " + words[tokens[at_first + j]]
+                grams = grams + " " + words[tokens[at + j]]
             digests = bytearray()
             for gram in grams.tolist():
                 h = salted.copy()
                 h.update(gram.encode("utf-8"))
                 digests += h.digest()
-            bucket = np.empty(distinct.size, np.int64)
-            bucket[hit] = known_buckets[at[hit]]
             bucket[fresh] = np.frombuffer(digests, "<u8") % np.uint64(config.dimension)
-            if hi < len(pairs):  # later chunks look these codes up
-                memo[order] = (
-                    np.insert(known, at[fresh], distinct[fresh]),
-                    np.insert(known_buckets, at[fresh], bucket[fresh]),
-                )
+            run = (distinct[fresh], bucket[fresh])
+            while runs[order] and runs[order][-1][0].size <= run[0].size:
+                known, known_buckets = runs[order].pop()
+                at = np.searchsorted(known, run[0])
+                run = (np.insert(known, at, run[0]), np.insert(known_buckets, at, run[1]))
+            if run[0].size:
+                runs[order].append(run)
             buckets.append(bucket[inverse])
-            owners.append(owner[starts])
-        owner_of = np.concatenate([np.empty(0, np.int64), *owners])
-        by_pair = np.argsort(owner_of, kind="stable")
-        ordered = np.concatenate([np.empty(0, np.int64), *buckets])[by_pair]
-        bounds = np.searchsorted(owner_of[by_pair], np.arange(hi - lo + 1))
-        found = [np.unique(ordered[a:b], return_counts=True) for a, b in zip(bounds[:-1], bounds[1:])]
-        # The chunk's vectors are views of one array of indices and one of values:
-        # few blocks outlive the call, so the heap it frees stays in large pieces.
-        indices = np.concatenate([i for i, _ in found])
-        values = np.concatenate([c for _, c in found], dtype=np.float64)
-        ends = np.cumsum([0] + [i.size for i, _ in found])
-        for a, b in zip(ends[:-1], ends[1:]):
-            vectors.append(FeatureVector(indices[a:b], values[a:b], config.dimension))
+            owned.append(owner[starts])
+        # One key per n-gram: its pair within the chunk, then its bucket's rank.
+        found, rank = np.unique(np.concatenate(buckets), return_inverse=True)
+        keys, counts = np.unique((np.concatenate(owned) - lo) * found.size + rank, return_counts=True)
+        # The chunk's vectors are views of one array of indices and one of values.
+        indices, values = found[keys % found.size], counts.astype(np.float64)
+        ends = np.searchsorted(keys, np.arange(hi - lo + 1) * found.size)
+        vectors += [FeatureVector(indices[a:b], values[a:b], config.dimension)
+                    for a, b in zip(ends[:-1], ends[1:])]
     return vectors
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import oracle_tokenize
 from patternqr.errors import DataError
-from patternqr.feedback import rm3_expand, rocchio_expand
+from patternqr.feedback import ExpansionOrigin, rm3_expand, rocchio_expand
 from patternqr.index import Document, build_index, retrieve_topk
 
 
@@ -27,6 +27,7 @@ class TestRm3:
     def test_orig_weight_one_returns_query_distribution(self, tiny_index):
         expanded = rm3_expand(tiny_index, "cat sat sat", orig_weight=1.0)
         assert expanded.terms == {"cat": 1 / 3, "sat": 2 / 3}
+        assert expanded.origin == ExpansionOrigin.RM3
 
     def test_single_doc_support_and_normalization(self):
         index = build_index([Document("d1", "apple pie recipe")])
@@ -90,6 +91,7 @@ class TestRocchio:
     def test_beta_zero_is_query_counts(self, tiny_index):
         expanded = rocchio_expand(tiny_index, "cat sat sat", alpha=2.0, beta=0.0)
         assert expanded.terms == {"cat": 2.0, "sat": 4.0}
+        assert expanded.origin == ExpansionOrigin.ROCCHIO
 
     def test_alpha_zero_single_doc_is_tfidf(self):
         docs = {

@@ -169,10 +169,10 @@ class TestGenerateReformulation:
 class TestComposeHybrid:
     def test_single_repetition(self):
         hybrid = compose_hybrid("cheap flights", "low cost airline tickets europe", 1)
-        assert hybrid == "cheap flights low cost airline tickets europe"
+        assert hybrid.text == "cheap flights low cost airline tickets europe"
 
     def test_triple_repetition(self):
-        assert compose_hybrid("q", "r", 3) == "q q q r"
+        assert compose_hybrid("q", "r", 3).text == "q q q r"
 
     def test_zero_repetition_rejected(self):
         with pytest.raises(DataError):
@@ -181,14 +181,14 @@ class TestComposeHybrid:
     def test_identity_reformulation_preserves_bm25_ranking(self, tiny_index):
         hybrid = compose_hybrid("sat", "sat", 1)
         plain = retrieve_topk(tiny_index, "sat", 10)
-        doubled = retrieve_topk(tiny_index, hybrid, 10)
+        doubled = retrieve_topk(tiny_index, hybrid.text, 10)
         assert doubled.doc_ids == plain.doc_ids
         for single, double in zip(plain.scores, doubled.scores):
             assert double == pytest.approx(2 * single, rel=1e-12)
 
     def test_original_tokens_kept_in_order(self):
         hybrid = compose_hybrid("alpha beta gamma", "delta", 2)
-        assert hybrid.startswith("alpha beta gamma alpha beta gamma")
+        assert hybrid.text.startswith("alpha beta gamma alpha beta gamma")
 
 
 class TestReformulationLog:

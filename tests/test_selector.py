@@ -1,8 +1,11 @@
 import functools
+import hashlib
+import itertools
 import json
 import math
 import re
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import dense_weights, oracle_featurize, oracle_train_dense
+from oracles import dense_weights, oracle_featurize, oracle_tokenize, oracle_train_dense
 from patternqr import selector
 from patternqr.errors import ConfigError, DataError
 from patternqr.gateway import Gateway, MockBackend, MockScript
@@ -158,7 +161,7 @@ class TestFeaturize:
         snippet_tokens=st.integers(0, 9),
         snippet_token_cap=st.integers(0, 9),
         ngram_orders=st.sampled_from([(1,), (1, 2), (2, 3), (1, 2, 3)]),
-        dimension=st.sampled_from([1, 7, 2**10]),
+        dimension=st.sampled_from([1, 7, 2**10, 2**63]),
         hash_seed=st.integers(0, 2**64 - 1),
     )
     def test_index_snippets_match_the_per_occurrence_reference(
@@ -179,8 +182,10 @@ class TestFeaturize:
     @pytest.mark.parametrize("chunk", [1, 2, 100])
     @pytest.mark.parametrize("ngram_orders", [(1, 2), (2, 1, 2), (1, 19)], ids=str)
     def test_one_call_over_many_pairs_gives_each_pair_its_vector(self, chunk, ngram_orders):
-        # Chunks share one numbering: a code hashed in one chunk is looked up in
-        # the next. Order 19 over this vocabulary needs codes beyond int64.
+        # A code hashed in one chunk is looked up in the runs of later ones;
+        # chunks of one and two pairs merge many runs. Each distinct key is
+        # hashed once in the call. Order 19 over this vocabulary needs codes
+        # beyond int64.
         index = build_index(
             Document(f"d{i}", " ".join(f"w{(i * j) % 23} İstanbul" for j in range(15)))
             for i in range(12)
@@ -189,13 +194,42 @@ class TestFeaturize:
         pairs = [(q, retrieve_topk(index, q, 3, snippet_tokens=40)) for q in queries]
         pairs += [(q, _context([q.lower() + " ΣΑΣ", "x"])) for q in queries[:3]]
         config = FeatureConfig(dimension=2**12, ngram_orders=ngram_orders)
+        hashed, blake2b = [], hashlib.blake2b
+        logged = types.SimpleNamespace(blake2b=lambda **kw: _KeyLog(hashed, blake2b(**kw)))
         with mock.patch.object(selector, "_FEATURIZE_CHUNK", chunk):
-            vectors = _featurize_all(pairs, config)
+            with mock.patch.object(selector, "hashlib", logged):
+                vectors = _featurize_all(pairs, config)
         assert len(vectors) == len(pairs)
+        keys = set()
         for (query, context), fv in zip(pairs, vectors):
             expected = oracle_featurize(query, list(context.snippets), 2**12, ngram_orders, 64, 0)
             assert fv.indices.tolist() == sorted(expected)
             assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
+            texts = [("q", oracle_tokenize(query))]
+            texts += [("d", oracle_tokenize(snippet)[:64]) for snippet in context.snippets]
+            for (space, tokens), order in itertools.product(texts, ngram_orders):
+                keys.update(
+                    f"{space}:{' '.join(tokens[i : i + order])}".encode("utf-8")
+                    for i in range(len(tokens) - order + 1)
+                )
+        assert sorted(hashed) == sorted(keys)
+
+
+class _KeyLog:
+    """A salted blake2b that logs each key its copies hash."""
+
+    def __init__(self, log, hasher):
+        self.log, self.hasher = log, hasher
+
+    def copy(self):
+        return _KeyLog(self.log, self.hasher.copy())
+
+    def update(self, data):
+        self.log.append(data)
+        self.hasher.update(data)
+
+    def digest(self):
+        return self.hasher.digest()
 
 
 def _random_vectors(rng, n, dimension):
