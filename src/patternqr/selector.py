@@ -119,18 +119,18 @@ def _featurize_all(
     # Python ints once a code could pass int64: exact, and slow.
     code_type = np.int64 if 2 * base ** max(config.ngram_orders, default=1) < 2**63 else object
     salted = hashlib.blake2b(digest_size=8, salt=config.hash_seed.to_bytes(8, "little"))
-    # Per order: runs of the codes hashed so far, each ascending, with their buckets.
-    # A run takes in the one before it once that is no larger: few runs, few copies.
+    # Per order: runs of the codes hashed so far, each ascending, with their buckets. A new
+    # run absorbs the last one while that one's size has no more binary digits than its own.
     runs = {order: [] for order in config.ngram_orders}
     vectors = []
     for lo in range(0, len(pairs), _FEATURIZE_CHUNK):
         hi = min(lo + _FEATURIZE_CHUNK, len(pairs))
-        a, b = bisect_left(owners, lo), bisect_left(owners, hi)  # the chunk's texts
-        lengths = [text.size for text in texts[a:b]]
-        tokens = np.concatenate([np.empty(0, np.int32), *texts[a:b]])
-        # Per position: the tokens left in its text, its namespace and its pair.
+        t0, t1 = bisect_left(owners, lo), bisect_left(owners, hi)  # the chunk's texts
+        lengths = [text.size for text in texts[t0:t1]]
+        tokens = np.concatenate([np.empty(0, np.int32), *texts[t0:t1]])
+        # Per position: the tokens left in its text, its namespace and its pair in the chunk.
         left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tokens.size)
-        space, owner = np.repeat(spaces[a:b], lengths), np.repeat(owners[a:b], lengths)
+        space, owner = np.repeat(spaces[t0:t1], lengths), np.repeat(owners[t0:t1], lengths) - lo
         buckets, owned = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # per n-gram
         for order in config.ngram_orders:
             starts = np.flatnonzero(left >= order)
@@ -155,7 +155,7 @@ def _featurize_all(
                 digests += h.digest()
             bucket[fresh] = np.frombuffer(digests, "<u8") % np.uint64(config.dimension)
             run = (distinct[fresh], bucket[fresh])
-            while runs[order] and runs[order][-1][0].size <= run[0].size:
+            while runs[order] and runs[order][-1][0].size.bit_length() <= run[0].size.bit_length():
                 known, known_buckets = runs[order].pop()
                 at = np.searchsorted(known, run[0])
                 run = (np.insert(known, at, run[0]), np.insert(known_buckets, at, run[1]))
@@ -165,7 +165,7 @@ def _featurize_all(
             owned.append(owner[starts])
         # One key per n-gram: its pair within the chunk, then its bucket's rank.
         found, rank = np.unique(np.concatenate(buckets), return_inverse=True)
-        keys, counts = np.unique((np.concatenate(owned) - lo) * found.size + rank, return_counts=True)
+        keys, counts = np.unique(np.concatenate(owned) * found.size + rank, return_counts=True)
         # The chunk's vectors are views of one array of indices and one of values.
         indices, values = found[keys % found.size], counts.astype(np.float64)
         ends = np.searchsorted(keys, np.arange(hi - lo + 1) * found.size)
