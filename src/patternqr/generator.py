@@ -38,16 +38,10 @@ class Reformulation:
     fallback: bool = False
 
     def __post_init__(self):
-        if not self.text.strip():
+        if not self.text.strip() and not self.fallback:
             raise DataError(f"empty reformulation for query {self.query_id!r}")
         if "\n" in self.text:
             raise DataError(f"reformulation for query {self.query_id!r} spans lines")
-
-
-@dataclass(frozen=True)
-class HybridQuery:
-    text: str
-    repetition: int = 1
 
 
 def build_generation_prompt(
@@ -143,12 +137,11 @@ def _nonempty_generation(content: str) -> str:
     return text
 
 
-def compose_hybrid(query: str, reformulation: str, repetition: int = 1) -> HybridQuery:
+def compose_hybrid(query: str, reformulation: str, repetition: int = 1) -> str:
     """Hybrid query: the original phrasing repeated `repetition` times, then the rewrite."""
     if repetition < 1:
         raise DataError(f"repetition must be >= 1, got {repetition}")
-    segments = [query] * repetition + [reformulation]
-    return HybridQuery(text=" ".join(segments), repetition=repetition)
+    return " ".join([query] * repetition + [reformulation])
 
 
 @dataclass(frozen=True)

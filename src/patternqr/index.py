@@ -371,14 +371,16 @@ def read_corpus_tsv(path: str | Path) -> list[Document]:
 
 
 def read_queries_tsv(path: str | Path) -> list[tuple[str, str]]:
-    """Queries: one `query_id<TAB>text` per line."""
-    queries = []
+    """Queries: one `query_id<TAB>text` per line, each query id once."""
+    queries: dict[str, str] = {}
     for line_no, line in _tsv_lines(path):
         query_id, sep, text = line.partition("\t")
         if not sep or not query_id:
             raise DataError(f"{path}:{line_no}: expected query_id<TAB>text")
-        queries.append((query_id, text))
-    return queries
+        if query_id in queries:
+            raise DataError(f"{path}:{line_no}: duplicate query_id {query_id!r}")
+        queries[query_id] = text
+    return list(queries.items())
 
 
 def _tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:

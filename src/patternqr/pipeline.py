@@ -30,7 +30,7 @@ from .evaluation import (
     write_run,
 )
 from .feedback import rm3_expand, rocchio_expand
-from .gateway import Gateway, GatewayConfig
+from .gateway import ChatRequest, ChatResponse, Gateway, GatewayConfig
 from .generator import (
     ReformulationRecord,
     compose_hybrid,
@@ -238,30 +238,35 @@ def load_reformer(config: PipelineConfig) -> Reformer:
 
 
 class _Turns:
-    """When each query of the reformer fan-out may start.
-
-    A query starts only within `window` places of the oldest query still
-    choosing its pattern, so one that lags is overtaken by at most `window`
-    later queries; once a query has failed, no later query starts.
-    """
+    """When each query of the reformer fan-out may call the LLM. A query takes its
+    turn at its first call and gives it back after its last, only within `window`
+    places of the oldest query that has neither taken one nor ended, and while
+    fewer than `window` queries hold one; after a failure, no later query takes one."""
 
     def __init__(self, count: int, window: int):
         self.window = window
-        self.chosen = [False] * count  # chose its pattern, or ended without one
-        self.oldest = 0  # the first query not yet chosen
+        self.passed = [False] * count  # took its turn, or ended without one
+        self.oldest = 0  # the first query not yet passed
+        self.holding: set[int] = set()
         self.failures: dict[int, PatternQRError] = {}
         self.lock = threading.Condition()
 
     def start(self, i: int) -> bool:
-        """Wait for query i's turn; False if an earlier query has failed."""
+        """Wait for query i's turn and take it; False, taking none, if an earlier query failed."""
         with self.lock:
-            self.lock.wait_for(lambda: i < self.oldest + self.window)
-            return not self.failures or i < min(self.failures)
+            self.lock.wait_for(lambda: max(i - self.oldest, len(self.holding)) < self.window)
+            if self.failures and i > min(self.failures):
+                return False
+            self.end(i)  # passes i, which holds its turn from here
+            self.holding.add(i)
+            return True
 
-    def chose(self, i: int) -> None:
+    def end(self, i: int) -> None:
+        """Query i gives its turn back, or ends without one."""
         with self.lock:
-            self.chosen[i] = True
-            while self.oldest < len(self.chosen) and self.chosen[self.oldest]:
+            self.holding.discard(i)
+            self.passed[i] = True
+            while self.oldest < len(self.passed) and self.passed[self.oldest]:
                 self.oldest += 1
             self.lock.notify_all()
 
@@ -270,66 +275,89 @@ class _Turns:
             self.failures[i] = exc
 
 
+class _Refused(Exception):
+    """The query was refused its turn, as an earlier query has failed."""
+
+
+class _QueryLLM:
+    """The gateway as query i of the fan-out calls it: the first call takes the
+    query's turn, outside `Gateway.complete`, so the wait holds no gateway slot."""
+
+    def __init__(self, gateway: Gateway, turns: _Turns, i: int):
+        self.gateway, self.turns, self.i, self.model = gateway, turns, i, gateway.model
+        self.turn = False
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        if not (self.turn or self.turns.start(self.i)):
+            raise _Refused()
+        self.turn = True
+        return self.gateway.complete(request)
+
+
+def _rank(config: PipelineConfig, index: InvertedIndex, query_id: str, terms, tag: str):
+    """`terms` (a text or weighted terms) ranked at k_eval; None if nothing is retrieved."""
+    result = retrieve_topk(index, terms, config.k_eval, query_id=query_id)
+    return Ranking(tuple(result.doc_ids), tuple(result.scores), tag) if result.doc_ids else None
+
+
 def reformulate_queries(
     config: PipelineConfig,
     index: InvertedIndex,
     queries: list[tuple[str, str]],
+    tag: str,
     reformer: Reformer,
-) -> list[ReformulationRecord]:
-    """Per query: retrieve context, select a pattern, generate the rewrite, compose the hybrid.
-
-    Up to `config.gateway.max_in_flight` queries run at once, on threads, and
-    the next one starts as soon as any of them finishes. The records keep the
-    input order. After a failure no later query starts; the running ones
-    finish and the error of the first failing query in input order is raised.
-    """
+) -> tuple[Run, list[ReformulationRecord]]:
+    """Per query: retrieve context, select a pattern, generate the rewrite, compose
+    the hybrid and rank it, into a run tagged `tag` and the records in input order.
+    Queries run on `2 * max_in_flight` threads in input order; only their LLM calls
+    wait for a turn (`_Turns`), so while some wait on the LLM the others retrieve,
+    select or rank. The first failing query's error is raised."""
     library, gateway, selector, hook = reformer
 
     # Queries are independent and their seeds come from their ids, so running
-    # them concurrently and storing each record at its index gives the serial records.
-    records: list = [None] * len(queries)
+    # them concurrently and storing each result at its index gives the serial ones.
+    results: list = [None] * len(queries)  # (record, ranking or None) per query
     turns = _Turns(len(queries), config.gateway.max_in_flight)
 
-    def reformulate(i: int) -> ReformulationRecord:
+    def reformulate(i: int) -> None:
         query_id, text = queries[i]
+        llm = _QueryLLM(gateway, turns, i)
+        chooser = PromptSelector(llm, library) if isinstance(selector, PromptSelector) else selector
         context = retrieve_topk(
             index, text, config.k_context, query_id=query_id, snippet_tokens=config.snippet_tokens
         )
         seed = _query_seed(config.seed, query_id) if config.select_mode == "sample" else None
-        pattern_id = selector.choose(text, context, mode=config.select_mode, seed=seed)
-        turns.chose(i)
-        pattern = library.patterns[pattern_id]
+        pattern = library.patterns[chooser.choose(text, context, config.select_mode, seed)]
         extra = [hook[query_id]] if query_id in hook else None
         reformulation = generate_reformulation(
-            gateway, text, context, pattern, query_id=query_id, extra_context=extra
+            llm, text, context, pattern, query_id=query_id, extra_context=extra
         )
+        turns.end(i)
         hybrid = compose_hybrid(text, reformulation.text, repetition=config.repetition)
-        return ReformulationRecord(
-            query_id=query_id,
-            pattern_id=pattern.pattern_id,
-            pattern_name=pattern.name,
-            reformulation=reformulation.text,
-            hybrid_query=hybrid.text,
-            fallback=reformulation.fallback,
+        record = ReformulationRecord(
+            query_id, pattern.pattern_id, pattern.name, reformulation.text, hybrid,
+            reformulation.fallback,
         )
+        results[i] = record, _rank(config, index, query_id, hybrid, tag)
 
     def attempt(i: int) -> None:
-        # The pool's workers take queries in input order, each as soon as it is free.
         try:
-            if turns.start(i):
-                records[i] = reformulate(i)
+            reformulate(i)
+        except _Refused:
+            pass
         except PatternQRError as exc:
-            turns.fail(i, exc)
+            turns.fail(i, exc)  # before the turn is given back
         finally:
-            turns.chose(i)
+            turns.end(i)
 
-    with ThreadPoolExecutor(max_workers=turns.window) as pool:
+    with ThreadPoolExecutor(max_workers=2 * turns.window) as pool:
         # Re-raises, in input order, an error that is not a PatternQRError.
         list(pool.map(attempt, range(len(queries))))
     if turns.failures:
         first = min(turns.failures)
         _rewrap(f"query {queries[first][0]}", turns.failures[first])
-    return records
+    run = {record.query_id: ranking for record, ranking in results if ranking}
+    return run, [record for record, _ in results]
 
 
 def rank_queries(
@@ -339,17 +367,11 @@ def rank_queries(
     tag: str,
     reformer: Reformer | None,
 ) -> tuple[Run, list[ReformulationRecord]]:
-    """Rank every query at k_eval the way `config.mode` prescribes, into a run tagged `tag`.
-
-    Reformer modes retrieve with each query's hybrid rewrite, made with
-    `reformer`, and also return the reformulation records; rm3 and rocchio
-    expand the query first.
-    Queries that retrieve nothing are left out of the run.
-    """
-    records: list[ReformulationRecord] = []
+    """Rank every query at k_eval the way `config.mode` prescribes, into a run tagged `tag`;
+    reformer modes also return their records (`reformulate_queries`). Queries that
+    retrieve nothing are left out of the run."""
     if config.mode in REFORMER_MODES:
-        records = reformulate_queries(config, index, queries, reformer)
-        queries = [(record.query_id, record.hybrid_query) for record in records]
+        return reformulate_queries(config, index, queries, tag, reformer)
     run: Run = {}
     for query_id, text in queries:
         try:
@@ -363,12 +385,12 @@ def rank_queries(
                 ).terms
             else:
                 terms = text
-            result = retrieve_topk(index, terms, config.k_eval, query_id=query_id)
-            if result.doc_ids:
-                run[query_id] = Ranking(tuple(result.doc_ids), tuple(result.scores), tag)
+            ranking = _rank(config, index, query_id, terms, tag)
+            if ranking:
+                run[query_id] = ranking
         except PatternQRError as exc:
             _rewrap(f"query {query_id}", exc)
-    return run, records
+    return run, []
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:

@@ -410,6 +410,15 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_duplicate_query_id_is_3_and_writes_no_run(self, files, capsys):
+        files["queries"].write_text("q1\tcat\nq1\tdog\n", encoding="utf-8")
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", "bm25", "--corpus", str(files["corpus"])]
+        assert main([*argv, "--queries", str(files["queries"]), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{files['queries']}:2: duplicate query_id 'q1'" in err
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize(
         "members, reason",
         [

@@ -492,6 +492,12 @@ class TestTsvIO:
         path.write_text("q1\twhat is bm25\n", encoding="utf-8")
         assert read_queries_tsv(path) == [("q1", "what is bm25")]
 
+    def test_duplicate_query_id_names_its_line(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q1\tcat\nq2\tsat\nq1\tdog\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: duplicate query_id 'q1'")):
+            read_queries_tsv(path)
+
     def test_corpus_is_read_one_document_at_a_time(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("d1\tcat\nbroken line\n", encoding="utf-8")

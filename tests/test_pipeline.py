@@ -11,13 +11,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from patternqr import pipeline
-from patternqr.errors import ConfigError, GatewayError
+from patternqr import pipeline, selector
+from patternqr.errors import ConfigError, DataError, GatewayError
 from patternqr.evaluation import parse_run
 from patternqr.gateway import GatewayConfig, MockBackend, MockScript, fingerprint
 from patternqr.generator import build_generation_prompt, read_reformulation_log
 from patternqr.index import build_index, read_corpus_tsv, retrieve_topk
-from patternqr.induction import default_library
+from patternqr.induction import (
+    PatternLibrary,
+    ReformulationPattern,
+    default_library,
+    save_library,
+)
 from patternqr.pipeline import (
     REFORMER_MODES,
     PipelineConfig,
@@ -222,6 +227,23 @@ class TestReformerMode:
         mock = _mock_script_for(workspace, lambda q: f"{q} more")
         run_pipeline(_config(workspace, "reformer", mock))
 
+    def test_a_blank_query_falls_back_to_itself_and_is_left_out_of_the_run(self, workspace):
+        (workspace / "queries.tsv").write_text("q1\tcat\nq2\t   \n", encoding="utf-8")
+        library = PatternLibrary((ReformulationPattern(0, "Only", "d", "r"),), version="one")
+        save_library(library, workspace / "library.json")
+        mock = workspace / "mock.json"
+        MockScript(fallback="").save(mock)  # every generation is empty: both fall back
+        config = _config(
+            workspace, "reformer", mock, library=str(workspace / "library.json"), selector="prompt"
+        )
+        result = run_pipeline(config)
+        records = read_reformulation_log(result.log_path)
+        assert [(r.query_id, r.reformulation, r.fallback) for r in records] == [
+            ("q1", "cat", True),
+            ("q2", "   ", True),
+        ]
+        assert list(parse_run(result.run_path)) == ["q1"]
+
 
 class TestHookMode:
     def test_hook_passages_reach_the_generation_prompt(self, workspace):
@@ -248,6 +270,12 @@ class TestHookMode:
         result = run_pipeline(config)
         records = read_reformulation_log(result.log_path)
         assert [r.reformulation for r in records] == ["sat via hook", "jaguar via hook"]
+
+    def test_duplicate_query_id_in_the_hook_file_names_its_line(self, workspace):
+        hook_path = workspace / "hook.tsv"
+        hook_path.write_text("q1\tfirst passage\nq1\tsecond passage\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{hook_path}:2: duplicate query_id 'q1'"):
+            load_hook_passages(hook_path)
 
     def test_hook_mode_requires_hook_file(self, workspace):
         with pytest.raises(ConfigError):
@@ -390,7 +418,9 @@ MANY_QUERIES = [
 
 
 def _reformulate(config, index, queries):
-    return pipeline.reformulate_queries(config, index, queries, pipeline.load_reformer(config))
+    """The reformulation records of `queries`."""
+    reformer = pipeline.load_reformer(config)
+    return pipeline.reformulate_queries(config, index, queries, "tag", reformer)[1]
 
 
 def _many_queries(workspace):
@@ -451,6 +481,32 @@ class TurnLog:
     def clear(self) -> None:
         for entries in (self.started, self.at_failure, self.calls):
             entries.clear()
+
+
+def _sends_of(queries) -> typing.Callable[[object], str]:
+    """The id of the query whose generation prompt `request` is."""
+    lines = {f"\nQuery: {text}\n": query_id for query_id, text in queries}
+
+    def query_of(request) -> str:
+        prompt = request.messages[-1].content
+        return next(query_id for line, query_id in lines.items() if line in prompt)
+
+    return query_of
+
+
+def _predicted(monkeypatch, text) -> threading.Event:
+    """An event set once `predict_distribution` has run for the query `text`."""
+    done = threading.Event()
+    original = selector.predict_distribution
+
+    def predict(model, query, context):
+        distribution = original(model, query, context)
+        if query == text:
+            done.set()
+        return distribution
+
+    monkeypatch.setattr(selector, "predict_distribution", predict)
+    return done
 
 
 class TestConcurrentReformulation:
@@ -683,6 +739,88 @@ class TestConcurrentReformulation:
                 assert callers == [0, 1, 2]
         assert errors[1] == errors[4]
         assert errors[1].startswith("query q02: mock script has no entry")
+
+    def test_the_next_query_selects_while_the_first_waits_on_the_llm(self, workspace, monkeypatch):
+        # One call in flight: query 0's call waits until query 1 has chosen its
+        # pattern. A query that selects only once the previous one has ended
+        # never lets query 1 select, and the wait times out.
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        queries = MANY_QUERIES[:3]
+        predicted = _predicted(monkeypatch, queries[1][1])
+        query_of, original = _sends_of(queries), MockBackend.send
+
+        def send(backend, request):
+            if query_of(request) == queries[0][0]:
+                assert predicted.wait(timeout=5), "query 1 did not select during query 0's call"
+            return original(backend, request)
+
+        monkeypatch.setattr(MockBackend, "send", send)
+        mock = workspace / "mock.json"
+        MockScript(fallback="rewritten").save(mock)
+        gateway = GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=1)
+        records = _reformulate(_config(workspace, "reformer", gateway=gateway), index, queries)
+        assert [r.query_id for r in records] == [qid for qid, _ in queries]
+
+    def test_the_next_query_calls_while_the_first_ranks(self, workspace, monkeypatch):
+        # One call in flight: query 1's call waits until query 0's k_eval
+        # retrieval has run. Ranking only after the last call never runs it.
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        queries = MANY_QUERIES[:3]
+        config = _config(
+            workspace,
+            "reformer",
+            gateway=GatewayConfig(
+                mock_script=str(workspace / "mock.json"), model="mock-model", max_in_flight=1
+            ),
+        )
+        MockScript(fallback="rewritten").save(workspace / "mock.json")
+        ranked = threading.Event()
+        retrieve = pipeline.retrieve_topk
+
+        def retrieve_and_note(index, query, k, **kwargs):
+            result = retrieve(index, query, k, **kwargs)
+            if k == config.k_eval and kwargs.get("query_id") == queries[0][0]:
+                ranked.set()
+            return result
+
+        monkeypatch.setattr(pipeline, "retrieve_topk", retrieve_and_note)
+        query_of, original = _sends_of(queries), MockBackend.send
+
+        def send(backend, request):
+            if query_of(request) == queries[1][0]:
+                assert ranked.wait(timeout=5), "query 0 did not rank during query 1's call"
+            return original(backend, request)
+
+        monkeypatch.setattr(MockBackend, "send", send)
+        records = _reformulate(config, index, queries)
+        assert [r.query_id for r in records] == [qid for qid, _ in queries]
+
+    def test_after_a_failure_a_query_that_has_selected_makes_no_call(self, workspace, monkeypatch):
+        # Query 1 retrieves and selects while query 0 waits on its call, which
+        # then fails: query 1 is refused its turn and calls nothing.
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        queries = [(f"q{i:02d}", text) for i, (_, text) in enumerate(MANY_QUERIES[:4])]
+        mock = self._scripted_except(workspace, index, queries, {"q00"})
+        predicted = _predicted(monkeypatch, queries[1][1])
+        query_of, original = _sends_of(queries), MockBackend.send
+        sent = []
+
+        def send(backend, request):
+            sent.append(query_of(request))
+            if sent == ["q00"]:
+                assert predicted.wait(timeout=5), "query 1 did not select during query 0's call"
+            return original(backend, request)
+
+        monkeypatch.setattr(MockBackend, "send", send)
+        config = _config(
+            workspace,
+            "reformer",
+            gateway=GatewayConfig(mock_script=str(mock), model="mock-model", max_in_flight=1),
+        )
+        with pytest.raises(GatewayError, match="^query q00: mock script has no entry"):
+            _reformulate(config, index, queries)
+        assert predicted.is_set()
+        assert sent == ["q00"]
 
     @pytest.mark.parametrize("window", [2, 4, 8])
     def test_after_a_failure_only_queries_already_started_call_the_backend(
