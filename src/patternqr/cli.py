@@ -107,9 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a run file against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--map-k", type=int, default=evaluation.DEFAULT_MAP_K)
-    p.add_argument("--ndcg-k", type=int, default=evaluation.DEFAULT_NDCG_K)
-    p.add_argument("--recall-k", type=int, default=evaluation.DEFAULT_RECALL_K)
     _add_field_flags(p, PipelineConfig, "binarize_at")
     p.add_argument("--csv", default=None)
     p.set_defaults(handler=_cmd_evaluate)
@@ -250,14 +247,7 @@ def _cmd_run(args) -> None:
 def _cmd_evaluate(args) -> None:
     run = evaluation.parse_run(args.run)
     qrels = evaluation.parse_qrels(args.qrels)
-    report = evaluation.evaluate_run(
-        run,
-        qrels,
-        map_k=args.map_k,
-        ndcg_k=args.ndcg_k,
-        recall_k=args.recall_k,
-        binarize_at=args.binarize_at,
-    )
+    report = evaluation.evaluate_run(run, qrels, binarize_at=args.binarize_at)
     print(evaluation.render_report_table(report))
     if args.csv:
         evaluation.write_report_csv(report, args.csv, config_hash=settings_hash(vars(args)))

@@ -182,14 +182,7 @@ class MetricsReport:
     num_missing: int
 
 
-def evaluate_run(
-    run: Run,
-    qrels: Qrels,
-    map_k: int = DEFAULT_MAP_K,
-    ndcg_k: int = DEFAULT_NDCG_K,
-    recall_k: int = DEFAULT_RECALL_K,
-    binarize_at: int = DEFAULT_BINARIZE_AT,
-) -> MetricsReport:
+def evaluate_run(run: Run, qrels: Qrels, binarize_at: int = DEFAULT_BINARIZE_AT) -> MetricsReport:
     """Per-query metrics for every judged query. A judged query missing from the
     run is ranked empty, so it scores 0 and still counts in the means (as
     `trec_eval -c`); run-only queries count as unjudged."""
@@ -198,11 +191,11 @@ def evaluate_run(
     per_query: dict[str, QueryMetrics] = {}
     for query_id in sorted(qrels):
         ranked = run[query_id].doc_ids if query_id in run else ()
-        judgments = qrels[query_id]
+        judged = qrels[query_id]
         per_query[query_id] = QueryMetrics(
-            map=average_precision_at_k(ranked, judgments, k=map_k, binarize_at=binarize_at),
-            ndcg10=ndcg_at_k(ranked, judgments, k=ndcg_k),
-            recall1k=recall_at_k(ranked, judgments, k=recall_k, binarize_at=binarize_at),
+            map=average_precision_at_k(ranked, judged, k=DEFAULT_MAP_K, binarize_at=binarize_at),
+            ndcg10=ndcg_at_k(ranked, judged, k=DEFAULT_NDCG_K),
+            recall1k=recall_at_k(ranked, judged, k=DEFAULT_RECALL_K, binarize_at=binarize_at),
         )
     n = len(per_query)
     return MetricsReport(

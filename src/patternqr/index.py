@@ -69,8 +69,9 @@ class Document:
     text: str
 
     def __post_init__(self):
-        if not self.doc_id:
-            raise DataError("document doc_id must be non-empty")
+        # Run files and qrels are whitespace-separated, so an id must be one field.
+        if self.doc_id.split() != [self.doc_id]:
+            raise DataError(f"doc_id {self.doc_id!r} must be non-empty and hold no whitespace")
 
 
 class RankedDoc(NamedTuple):
@@ -360,9 +361,11 @@ def iter_corpus_tsv(path: str | Path) -> Iterator[Document]:
         doc_id, sep, text = line.partition("\t")
         if not sep:
             raise DataError(f"{path}:{line_no}: expected doc_id<TAB>text")
-        if not doc_id:
-            raise DataError(f"{path}:{line_no}: empty doc_id")
-        yield Document(doc_id=doc_id, text=text)
+        try:
+            document = Document(doc_id=doc_id, text=text)
+        except DataError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+        yield document
 
 
 def read_corpus_tsv(path: str | Path) -> list[Document]:
@@ -377,6 +380,8 @@ def read_queries_tsv(path: str | Path) -> list[tuple[str, str]]:
         query_id, sep, text = line.partition("\t")
         if not sep or not query_id:
             raise DataError(f"{path}:{line_no}: expected query_id<TAB>text")
+        if query_id.split() != [query_id]:
+            raise DataError(f"{path}:{line_no}: query_id {query_id!r} holds whitespace")
         if query_id in queries:
             raise DataError(f"{path}:{line_no}: duplicate query_id {query_id!r}")
         queries[query_id] = text
@@ -449,6 +454,8 @@ def _index_problem(meta: dict, stream: np.ndarray, doc_lengths: np.ndarray) -> s
         return f"b must be a number in [0, 1], got {b!r}"
     if not _distinct_strings(doc_ids) or not all(doc_ids):
         return "doc_ids must be a list of distinct non-empty strings"
+    if " ".join(doc_ids).split() != doc_ids:  # one split, not one per id, for a large index
+        return f"doc_id {next(d for d in doc_ids if d.split() != [d])!r} holds whitespace"
     if not _distinct_strings(terms):
         return "terms must be a list of distinct strings"
     # Snippets are read as terms, never tokenized again: each must be its own token.

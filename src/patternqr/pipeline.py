@@ -122,8 +122,7 @@ class PipelineConfig:
 
 _COUNTS = (
     "repetition", "k_context", "k_eval", "fb_docs", "fb_terms", "snippet_tokens", "binarize_at",
-    "epochs", "batch_size", "dimension", "max_patterns", "sample", "map_k", "ndcg_k", "recall_k",
-    "max_retries", "max_in_flight",
+    "epochs", "batch_size", "dimension", "max_patterns", "sample", "max_retries", "max_in_flight",
 )
 _UNHASHED = {"out", "out_dir", "csv", "loss_csv", "transcript", "api_key",
              "max_in_flight", "max_retries", "handler", "command"}
@@ -238,7 +237,7 @@ def load_reformer(config: PipelineConfig) -> Reformer:
 
 
 class _Turns:
-    """When each query of the reformer fan-out may call the LLM. A query takes its
+    """When each query of `rank_queries` may call the LLM. A query takes its
     turn at its first call and gives it back after its last, only within `window`
     places of the oldest query that has neither taken one nor ended, and while
     fewer than `window` queries hold one; after a failure, no later query takes one."""
@@ -280,7 +279,7 @@ class _Refused(Exception):
 
 
 class _QueryLLM:
-    """The gateway as query i of the fan-out calls it: the first call takes the
+    """The gateway as query i of `rank_queries` calls it: the first call takes the
     query's turn, outside `Gateway.complete`, so the wait holds no gateway slot."""
 
     def __init__(self, gateway: Gateway, turns: _Turns, i: int):
@@ -294,33 +293,29 @@ class _QueryLLM:
         return self.gateway.complete(request)
 
 
-def _rank(config: PipelineConfig, index: InvertedIndex, query_id: str, terms, tag: str):
-    """`terms` (a text or weighted terms) ranked at k_eval; None if nothing is retrieved."""
-    result = retrieve_topk(index, terms, config.k_eval, query_id=query_id)
-    return Ranking(tuple(result.doc_ids), tuple(result.scores), tag) if result.doc_ids else None
-
-
-def reformulate_queries(
+def rank_queries(
     config: PipelineConfig,
     index: InvertedIndex,
     queries: list[tuple[str, str]],
     tag: str,
-    reformer: Reformer,
+    reformer: Reformer | None,
 ) -> tuple[Run, list[ReformulationRecord]]:
-    """Per query: retrieve context, select a pattern, generate the rewrite, compose
-    the hybrid and rank it, into a run tagged `tag` and the records in input order.
-    Queries run on `2 * max_in_flight` threads in input order; only their LLM calls
-    wait for a turn (`_Turns`), so while some wait on the LLM the others retrieve,
-    select or rank. The first failing query's error is raised."""
-    library, gateway, selector, hook = reformer
-
+    """Rank every query at k_eval the way `config.mode` prescribes, into a run tagged
+    `tag`, and return the reformer modes' records in input order. A query ranks its
+    text (bm25), its feedback expansion (rm3, rocchio) or its hybrid: retrieve
+    context, select a pattern, generate the rewrite, give the LLM turn back, compose.
+    Queries that retrieve nothing are left out of the run. Reformer queries run on
+    `2 * max_in_flight` threads in input order; only their LLM calls wait for a turn
+    (`_Turns`), so while some wait on the LLM the others retrieve, select or rank.
+    The other modes have no LLM wait to overlap, and run on the calling thread.
+    The first failing query's error, in input order, is raised."""
     # Queries are independent and their seeds come from their ids, so running
     # them concurrently and storing each result at its index gives the serial ones.
-    results: list = [None] * len(queries)  # (record, ranking or None) per query
+    results: list = [None] * len(queries)  # (record or None, ranking or None) per query
     turns = _Turns(len(queries), config.gateway.max_in_flight)
 
-    def reformulate(i: int) -> None:
-        query_id, text = queries[i]
+    def reformulate(i: int, query_id: str, text: str) -> ReformulationRecord:
+        library, gateway, selector, hook = reformer
         llm = _QueryLLM(gateway, turns, i)
         chooser = PromptSelector(llm, library) if isinstance(selector, PromptSelector) else selector
         context = retrieve_topk(
@@ -334,15 +329,34 @@ def reformulate_queries(
         )
         turns.end(i)
         hybrid = compose_hybrid(text, reformulation.text, repetition=config.repetition)
-        record = ReformulationRecord(
+        return ReformulationRecord(
             query_id, pattern.pattern_id, pattern.name, reformulation.text, hybrid,
             reformulation.fallback,
         )
-        results[i] = record, _rank(config, index, query_id, hybrid, tag)
+
+    def rank(i: int) -> None:
+        query_id, text = queries[i]
+        record = None
+        if config.mode == "rm3":
+            terms: str | dict[str, float] = rm3_expand(
+                index, text, config.fb_docs, config.fb_terms, config.orig_weight
+            ).terms
+        elif config.mode == "rocchio":
+            terms = rocchio_expand(
+                index, text, config.fb_docs, config.fb_terms, config.alpha, config.beta
+            ).terms
+        elif config.mode in REFORMER_MODES:
+            record = reformulate(i, query_id, text)
+            terms = record.hybrid_query
+        else:
+            terms = text
+        ranked = retrieve_topk(index, terms, config.k_eval, query_id=query_id)
+        ranking = Ranking(tuple(ranked.doc_ids), tuple(ranked.scores), tag)
+        results[i] = record, ranking if ranking.doc_ids else None
 
     def attempt(i: int) -> None:
         try:
-            reformulate(i)
+            rank(i)
         except _Refused:
             pass
         except PatternQRError as exc:
@@ -350,47 +364,18 @@ def reformulate_queries(
         finally:
             turns.end(i)
 
-    with ThreadPoolExecutor(max_workers=2 * turns.window) as pool:
-        # Re-raises, in input order, an error that is not a PatternQRError.
-        list(pool.map(attempt, range(len(queries))))
+    if config.mode in REFORMER_MODES:
+        with ThreadPoolExecutor(max_workers=2 * turns.window) as pool:
+            # Re-raises, in input order, an error that is not a PatternQRError.
+            list(pool.map(attempt, range(len(queries))))
+    else:
+        for i in range(len(queries)):
+            attempt(i)
     if turns.failures:
         first = min(turns.failures)
         _rewrap(f"query {queries[first][0]}", turns.failures[first])
-    run = {record.query_id: ranking for record, ranking in results if ranking}
-    return run, [record for record, _ in results]
-
-
-def rank_queries(
-    config: PipelineConfig,
-    index: InvertedIndex,
-    queries: list[tuple[str, str]],
-    tag: str,
-    reformer: Reformer | None,
-) -> tuple[Run, list[ReformulationRecord]]:
-    """Rank every query at k_eval the way `config.mode` prescribes, into a run tagged `tag`;
-    reformer modes also return their records (`reformulate_queries`). Queries that
-    retrieve nothing are left out of the run."""
-    if config.mode in REFORMER_MODES:
-        return reformulate_queries(config, index, queries, tag, reformer)
-    run: Run = {}
-    for query_id, text in queries:
-        try:
-            if config.mode == "rm3":
-                terms: str | dict[str, float] = rm3_expand(
-                    index, text, config.fb_docs, config.fb_terms, config.orig_weight
-                ).terms
-            elif config.mode == "rocchio":
-                terms = rocchio_expand(
-                    index, text, config.fb_docs, config.fb_terms, config.alpha, config.beta
-                ).terms
-            else:
-                terms = text
-            ranking = _rank(config, index, query_id, terms, tag)
-            if ranking:
-                run[query_id] = ranking
-        except PatternQRError as exc:
-            _rewrap(f"query {query_id}", exc)
-    return run, []
+    run = {query_id: ranking for (query_id, _), (_, ranking) in zip(queries, results) if ranking}
+    return run, [record for record, _ in results if record]
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:

@@ -426,6 +426,7 @@ class TestExitCodes:
             ({"meta": {"doc_ids": 5}}, "doc_ids must be a list"),
             ({"meta": {"doc_ids": [1, 2, 3]}}, "doc_ids must be a list"),
             ({"meta": {"doc_ids": ["", "d2", "d3"]}}, "doc_ids must be a list"),
+            ({"meta": {"doc_ids": ["d1", "d\u00a02", "d3"]}}, "doc_id 'd\\xa02' holds whitespace"),
             ({"meta": {"b": "y"}}, "b must be a number in [0, 1], got 'y'"),
             ({"meta": {"b": 7.0}}, "b must be a number in [0, 1], got 7.0"),
             ({"meta": {"k1": -5.0}}, "k1 must be a finite number >= 0, got -5.0"),
@@ -433,7 +434,8 @@ class TestExitCodes:
             ({"doc_lengths": np.array([1, 1], dtype=np.int64)}, "doc_lengths must be"),
         ],
         ids=[
-            "unknown-term", "doc-ids-number", "doc-ids-numbers", "doc-id-empty", "b-string",
+            "unknown-term", "doc-ids-number", "doc-ids-numbers", "doc-id-empty", "doc-id-spaced",
+            "b-string",
             "b-above-one", "k1-negative", "k1-true", "lengths-too-few",
         ],
     )
@@ -447,6 +449,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error: stage load-index: malformed index file" in err and reason in err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "corpus, queries, problem",
+        [
+            ("d 1\tcats and dogs\n", "q1\tcats\n", "{corpus}:1: doc_id 'd 1'"),
+            ("d1\tcats and dogs\n", "q 1\tcats\n", "{queries}:1: query_id 'q 1'"),
+        ],
+        ids=["doc-id", "query-id"],
+    )
+    def test_an_id_holding_whitespace_is_3_and_writes_no_run(
+        self, files, capsys, corpus, queries, problem
+    ):
+        # Its run line would have more than 6 fields, which `evaluate` cannot read.
+        files["corpus"].write_text(corpus, encoding="utf-8")
+        files["queries"].write_text(queries, encoding="utf-8")
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", "bm25", "--corpus", str(files["corpus"]), "--queries"]
+        assert main([*argv, str(files["queries"]), "--out-dir", str(out)]) == 3
+        assert problem.format(**files) in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_evaluate_has_no_metric_cutoff_flags(self, files):
+        # The report's columns are nDCG@10, mAP@1k and R@1k whatever a cutoff flag said.
+        argv = ["evaluate", "--run", "r.run", "--qrels", str(files["qrels"]), "--ndcg-k", "5"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -883,9 +912,6 @@ class TestExitCodes:
             (["induce", "--sample", "0"], "sample"),
             (["induce", "--batch-size", "0"], "batch_size"),
             (["induce", "--max-patterns", "0"], "max_patterns"),
-            (["evaluate", "--map-k", "0"], "map_k"),
-            (["evaluate", "--recall-k", "0"], "recall_k"),
-            (["evaluate", "--ndcg-k", "0"], "ndcg_k"),
             (["evaluate", "--binarize-at", "0"], "binarize_at"),
         ],
     )
@@ -1274,13 +1300,10 @@ PARSED_SETTINGS = [
             "command": "evaluate",
             "run": "r.run",
             "qrels": "q.txt",
-            "map_k": 1000,
-            "ndcg_k": 10,
-            "recall_k": 1000,
             "binarize_at": 2,
             "csv": None,
         },
-        "afb41296326b",
+        "d88f512fc3f7",
     ),
 ]
 

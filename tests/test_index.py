@@ -127,6 +127,11 @@ class TestBuildIndex:
         with pytest.raises(DataError, match="d1"):
             build_index([Document("d1", "a"), Document("d1", "b")])
 
+    @pytest.mark.parametrize("bad_id", ["", "d 1", "d\t1", "d\u20281"])
+    def test_a_doc_id_holding_whitespace_is_rejected(self, bad_id):
+        with pytest.raises(DataError, match=re.escape(f"doc_id {bad_id!r}")):
+            build_index([Document("d0", "a"), Document(bad_id, "b")])
+
     def test_posting_frequencies_sum_to_doc_length(self):
         docs = [Document(f"d{i}", "a b c a b a"[: 2 * i + 1]) for i in range(5)]
         index = build_index(docs)
@@ -497,6 +502,17 @@ class TestTsvIO:
         path.write_text("q1\tcat\nq2\tsat\nq1\tdog\n", encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{path}:3: duplicate query_id 'q1'")):
             read_queries_tsv(path)
+
+    @pytest.mark.parametrize("bad_id", ["d 1", " d1", "d1\u00a0", "d\x1c1", "d\u30001"])
+    @pytest.mark.parametrize(
+        "reader, kind", [(read_corpus_tsv, "doc_id"), (read_queries_tsv, "query_id")]
+    )
+    def test_an_id_holding_whitespace_names_its_line(self, tmp_path, reader, kind, bad_id):
+        # A run file and qrels are whitespace-separated: such an id could not be read back.
+        path = tmp_path / "input.tsv"
+        path.write_text(f"a1\tcat\n{bad_id}\tsat\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: {kind} {bad_id!r}")):
+            reader(path)
 
     def test_corpus_is_read_one_document_at_a_time(self, tmp_path):
         path = tmp_path / "corpus.tsv"

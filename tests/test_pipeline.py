@@ -96,6 +96,25 @@ def _config(workspace, mode, mock_path=None, **overrides):
     return PipelineConfig(**defaults)
 
 
+def _within_5_seconds(fn, *args):
+    """`fn(*args)`, called on a thread that must end within 5 s; its error is raised here."""
+    outcome = {}
+
+    def call():
+        try:
+            outcome["result"] = fn(*args)
+        except BaseException as exc:  # raised again on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive(), f"{fn.__name__} did not end within 5 s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
 class TestBaselineModes:
     def test_bm25_ranks_fixture_correctly(self, workspace):
         result = run_pipeline(_config(workspace, "bm25"))
@@ -138,6 +157,42 @@ class TestBaselineModes:
         with pytest.raises(OSError):
             run_pipeline(_config(workspace, "bm25"))
         assert not list((workspace / "out").glob("*.csv*"))
+
+    @pytest.mark.parametrize(
+        "mode, step",
+        [("bm25", "retrieve_topk"), ("rm3", "rm3_expand"), ("rocchio", "rocchio_expand")],
+    )
+    def test_the_first_failing_query_in_input_order_stops_the_run(
+        self, workspace, monkeypatch, mode, step
+    ):
+        original = getattr(pipeline, step)
+
+        def fail_q3_and_q7(index, query, *args, **kwargs):
+            if query in ("cat pet", "feline predator"):
+                raise DataError(f"cannot rank {query!r}")
+            return original(index, query, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, step, fail_q3_and_q7)
+        config = _config(workspace, mode, queries=str(_many_queries(workspace)))
+        with pytest.raises(DataError, match="^stage retrieve: query q3: cannot rank 'cat pet'$"):
+            _within_5_seconds(run_pipeline, config)
+        assert not list((workspace / "out").glob("*"))
+
+    @pytest.mark.parametrize("mode", ["bm25", "rm3", "rocchio"])
+    def test_a_prf_run_ranks_on_one_thread(self, workspace, monkeypatch, mode):
+        # No LLM wait to overlap with: more threads would only contend for the interpreter.
+        threads = []
+        original = pipeline.retrieve_topk
+
+        def retrieve(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "retrieve_topk", retrieve)
+        config = _config(workspace, mode, queries=str(_many_queries(workspace)))
+        _within_5_seconds(run_pipeline, config)
+        assert len(threads) == len(MANY_QUERIES)
+        assert len(set(threads)) == 1
 
     def test_run_tag_embeds_mode_and_config_hash(self, workspace):
         config = _config(workspace, "bm25")
@@ -420,7 +475,7 @@ MANY_QUERIES = [
 def _reformulate(config, index, queries):
     """The reformulation records of `queries`."""
     reformer = pipeline.load_reformer(config)
-    return pipeline.reformulate_queries(config, index, queries, "tag", reformer)[1]
+    return pipeline.rank_queries(config, index, queries, "tag", reformer)[1]
 
 
 def _many_queries(workspace):
