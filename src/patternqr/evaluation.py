@@ -99,13 +99,21 @@ def _split_lines(path: str | Path, expected: int):
 
 def write_run(run: Run, path: str | Path) -> None:
     """Deterministic emission: query_id ascending, rank ascending, scores at 6 decimals.
-    Each query's lines are written as one block, so the whole text is never held."""
+    Each query's lines are written as one block, so the whole text is never held. A
+    query id, doc id or tag that is empty or holds whitespace, which would give a line
+    `parse_run` cannot read, is a DataError, and no file is written."""
 
     def stream(tmp: Path) -> None:
         with tmp.open("w", encoding="utf-8") as handle:
             for query_id in sorted(run):
                 doc_ids, scores, tag = run[query_id]
                 n = len(doc_ids)
+                ids = (query_id, *doc_ids, tag)
+                joined = "".join(ids)  # one scan for whitespace, not one split per id
+                if "" in ids or joined.split() != [joined]:
+                    bad = next(field for field in ids if field.split() != [field])
+                    raise DataError(f"{path}: query {query_id!r}: {bad!r} is empty or holds "
+                                    "whitespace")
                 # One %-format per query; the ids and tag are arguments, so a % in them is literal.
                 fields = zip(repeat(query_id, n), doc_ids, range(1, n + 1), scores, repeat(tag, n))
                 handle.write("%s Q0 %s %d %.6f %s\n" * n % tuple(chain.from_iterable(fields)))

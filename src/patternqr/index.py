@@ -501,13 +501,10 @@ def atomic_write(path: Path, write_fn) -> None:
         raise
 
 
-def load_npz(
-    path: str | Path, what: str, members: Sequence[str], optional: Sequence[str] = ()
-) -> dict[str, np.ndarray] | None:
-    """The `members` of the `.npz` file at `path`, and those of `optional` it holds;
-    None if the file is no zip archive. No other member is read, and nothing is
-    unpickled. A file that cannot be read or is a broken archive is a DataError
-    naming `what` it should hold."""
+def load_npz(path: str | Path, what: str, members: Sequence[str]) -> dict[str, np.ndarray] | None:
+    """The `members` of the `.npz` file at `path`; None if the file is no zip archive.
+    No other member is read, and nothing is unpickled. A file that cannot be read,
+    is a broken archive or lacks a member is a DataError naming `what` it should hold."""
     try:
         with open(path, "rb") as handle:
             # np.load would try to unpickle a file that is not a zip (.npz) file.
@@ -520,8 +517,7 @@ def load_npz(
                     raise DataError(
                         f"malformed {what} file {path}: {missing[0]} is not a file in the archive"
                     )
-                wanted = [*members, *(name for name in optional if name in bundle.files)]
-                return {name: bundle[name] for name in wanted}
+                return {name: bundle[name] for name in members}
     except OSError as exc:
         raise DataError(f"cannot load {what} from {path}: {exc}") from exc
     except (ValueError, zipfile.BadZipFile) as exc:

@@ -424,14 +424,18 @@ def save_labels(labels: list[PatternLabel], path: str | Path, config_hash: str =
 
 
 def load_labels(path: str | Path) -> list[PatternLabel]:
-    """Read `pair_id<TAB>pattern_id` lines, after an optional `# config_hash=` first line."""
-    labels = []
+    """Read `pair_id<TAB>pattern_id` lines, each pair id once, after an optional
+    `# config_hash=` first line."""
+    labels, seen = [], set()
     for line_no, line in _tsv_lines(path):
         if line_no == 1 and line.startswith("# config_hash=") and "\t" not in line:
             continue
         fields = line.split("\t")
         if len(fields) != 2:
             raise DataError(f"{path}:{line_no}: expected pair_id<TAB>pattern_id")
+        if fields[0] in seen:
+            raise DataError(f"{path}:{line_no}: duplicate pair_id {fields[0]!r}")
+        seen.add(fields[0])
         try:
             labels.append(PatternLabel(pair_id=fields[0], pattern_id=int(fields[1])))
         except ValueError as exc:

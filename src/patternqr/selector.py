@@ -29,8 +29,6 @@ from .induction import PatternLibrary
 
 DEFAULT_DIMENSION = 2**18
 MODEL_FORMAT = "patternqr-selector-v2"
-# v1 files store the dense weight matrix; they are read as v2 with every column listed.
-MODEL_FORMAT_V1 = "patternqr-selector-v1"
 # Pairs `_featurize_all` codes and counts at once: its temporaries grow with this.
 _FEATURIZE_CHUNK = 25
 
@@ -179,21 +177,15 @@ class SelectorModel:
     """Multinomial logistic regression over hashed features.
 
     `weights[:, j]` holds the weights of feature `columns[j]` (ascending ids);
-    every feature outside `columns` has +0.0 weights. `columns=None` means every
-    feature, with `weights` the full (M, F) matrix, as `zeros` builds it; it is
-    stored as `arange(F)`. `train_selector` and `load_model` keep only the
-    columns a model file stores.
+    every feature outside `columns` has +0.0 weights. `train_selector` and
+    `load_model` keep only the columns a model file stores.
     """
 
     weights: np.ndarray  # (M, len(columns))
     bias: np.ndarray  # (M,)
     feature_config: FeatureConfig
     library_version: str
-    columns: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.columns is None:
-            self.columns = np.arange(self.weights.shape[1])
+    columns: np.ndarray  # ascending feature ids
 
     @property
     def num_patterns(self) -> int:
@@ -201,12 +193,9 @@ class SelectorModel:
 
     @classmethod
     def zeros(cls, num_patterns: int, feature_config: FeatureConfig, library_version: str):
-        return cls(
-            weights=np.zeros((num_patterns, feature_config.dimension), dtype=np.float64),
-            bias=np.zeros(num_patterns, dtype=np.float64),
-            feature_config=feature_config,
-            library_version=library_version,
-        )
+        """The all-zero model: no columns, so every feature's weights are +0.0."""
+        weights, bias = np.zeros((num_patterns, 0)), np.zeros(num_patterns)
+        return cls(weights, bias, feature_config, library_version, np.zeros(0, np.int64))
 
 
 def _feature_rows(model: SelectorModel, indices: np.ndarray) -> np.ndarray:
@@ -384,25 +373,24 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
 
 
 def load_model(path: str | Path) -> SelectorModel:
-    """Read a v2 file as it is stored, its columns and their weights; a dense v1
-    file gives a model of every column."""
-    arrays = load_npz(path, "selector model", ("meta", "weights", "bias"), optional=("columns",))
+    """Read a v2 file as it is stored, its columns and their weights. Its meta is
+    read first, so an older file, which holds no columns, is refused by name."""
+    head = load_npz(path, "selector model", ("meta",))
     try:
-        meta = None if arrays is None else json.loads(str(arrays["meta"]))
-        if not isinstance(meta, dict) or meta.get("format") not in (MODEL_FORMAT, MODEL_FORMAT_V1):
-            raise DataError(f"{path} is not a patternqr selector model")
-        columns = arrays["columns"] if meta["format"] == MODEL_FORMAT else None
-    except (KeyError, ValueError) as exc:
+        meta = None if head is None else json.loads(str(head["meta"]))
+    except ValueError as exc:
         raise DataError(f"cannot load selector model from {path}: {exc}") from exc
-    stored, bias = arrays["weights"], arrays["bias"]
+    if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
+        raise DataError(f"{path} is not a {MODEL_FORMAT} file: run `patternqr train-selector` "
+                        "again")
+    arrays = load_npz(path, "selector model", ("columns", "weights", "bias"))
+    columns, stored, bias = arrays["columns"], arrays["weights"], arrays["bias"]
     try:
         feature_config = FeatureConfig.from_dict(meta["feature_config"])
         library_version = meta["library_version"]
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: malformed selector model meta: {exc!r}") from exc
     dimension = feature_config.dimension
-    if columns is None:
-        columns = np.arange(dimension)
     if columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer):
         raise DataError(f"{path}: columns must be a 1-D integer array, got {columns.dtype}")
     if columns.size and (

@@ -698,7 +698,7 @@ class TestExitCodes:
             ("--library", "library.json", json.dumps({"format": LIBRARY_FORMAT}),
              "malformed pattern library {path}: KeyError('patterns')"),
             ("--selector-model", "model.npy", "not a model",
-             "{path} is not a patternqr selector model"),
+             "{path} is not a patternqr-selector-v2 file: run `patternqr train-selector` again"),
         ],
         ids=["library-without-patterns", "selector-model-not-npz"],
     )
@@ -736,6 +736,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: stage load-reformer: {path}: malformed selector model")
         assert "hash_seed in [0, 2**64)" in err and err.count("\n") == 1
+
+    def test_v1_selector_model_is_3(self, files, capsys):
+        # patternqr-selector-v1 files held the dense (M, F) weights and no columns.
+        path = files["dir"] / "model.npz"
+        meta = {"format": "patternqr-selector-v1", "config_hash": "",
+                "feature_config": FeatureConfig(dimension=16).to_dict(), "library_version": "seed-1"}
+        with open(path, "wb") as handle:
+            np.savez(handle, weights=np.ones((10, 16)), bias=np.zeros(10),
+                     meta=np.array(json.dumps(meta)))
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", "reformer", "--selector-model", str(path), "--corpus",
+                str(files["corpus"]), "--queries", str(files["queries"]), "--mock-script",
+                str(_mock(files["dir"], "Clarify Intent")), "--out-dir", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: stage load-reformer: {path} is not a patternqr-selector-v2 "
+                       "file: run `patternqr train-selector` again\n")
+        assert not list(out.iterdir())
+
+    def test_duplicate_label_is_3_and_writes_no_model(self, files, capsys):
+        labels = files["dir"] / "labels.tsv"
+        labels.write_text("p1\t0\np2\t4\np1\t3\n", encoding="utf-8")
+        model = files["dir"] / "model.npz"
+        argv = ["train-selector", "--corpus", str(files["corpus"]), "--pairs", str(files["pairs"]),
+                "--labels", str(labels), "--epochs", "1", "--dimension", "64", "--out", str(model)]
+        assert main(argv) == 3
+        assert f"{labels}:3: duplicate pair_id 'p1'" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"

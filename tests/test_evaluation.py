@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -99,6 +100,28 @@ class TestRunIO:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4
+
+    @pytest.mark.parametrize(
+        "query_id, doc_id, tag",
+        [
+            ("q 1", "d1", "t"),
+            ("q1", "d 1", "t"),
+            ("q1", "d1", "t x"),
+            ("q1", "d\u00a01", "t"),
+            ("q1", "", "t"),
+            ("q1", "d1", ""),
+            ("\tq1", "d1", "t"),
+            ("q1", "d1", "t\n"),
+        ],
+        ids=["query-id", "doc-id", "tag", "doc-id-nbsp", "doc-id-empty", "tag-empty",
+             "query-id-leading-tab", "tag-trailing-newline"],
+    )
+    def test_a_field_holding_whitespace_is_refused(self, tmp_path, query_id, doc_id, tag):
+        # Its line would not have the 6 fields `parse_run` reads back.
+        run = {"q0": Ranking(("d0",), (2.0,), "t"), query_id: Ranking((doc_id,), (1.0,), tag)}
+        with pytest.raises(DataError, match=re.escape(f"query {query_id!r}")):
+            write_run(run, tmp_path / "w.run")
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_doc_rejected(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -361,4 +362,11 @@ class TestLabelsIO:
         path = tmp_path / "labels.tsv"
         path.write_text("p1\t3\np2\tnope\n", encoding="utf-8")
         with pytest.raises(DataError, match=":2"):
+            load_labels(path)
+
+    def test_a_duplicate_pair_id_names_its_line(self, tmp_path):
+        # A dict of the labels would silently keep the last one.
+        path = tmp_path / "labels.tsv"
+        path.write_text("p1\t0\np2\t1\np1\t3\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: duplicate pair_id 'p1'")):
             load_labels(path)

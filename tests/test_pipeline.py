@@ -582,7 +582,8 @@ class TestConcurrentReformulation:
     ):
         rng = np.random.default_rng(4)
         model = SelectorModel(
-            rng.normal(size=(10, 2**12)), rng.normal(size=10), FeatureConfig(2**12), "seed-1"
+            rng.normal(size=(10, 2**12)), rng.normal(size=10), FeatureConfig(2**12), "seed-1",
+            np.arange(2**12),
         )
         save_model(model, workspace / "random.npz")
         hook_path = workspace / "hook.tsv"

@@ -466,15 +466,33 @@ class TestTraining:
         assert len(history) == 7
 
 
+def _dense_model(num_patterns, config=SMALL, version="v"):
+    """An all-zero model that lists every column, so its weights are the full (M, F) matrix."""
+    weights = np.zeros((num_patterns, config.dimension))
+    return SelectorModel(weights, np.zeros(num_patterns), config, version, np.arange(config.dimension))
+
+
 class TestPrediction:
     def test_zero_model_is_uniform(self):
         model = SelectorModel.zeros(10, SMALL, "v")
         dist = predict_distribution(model, "anything", EMPTY_CONTEXT)
         assert np.allclose(dist.probs, 0.1, atol=1e-12)
 
+    def test_zero_model_holds_no_columns(self):
+        config = FeatureConfig()  # 2^18 features
+        tracemalloc.start()
+        try:
+            model = SelectorModel.zeros(10, config, "v")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * config.dimension * 8 / 20
+        assert model.columns.size == 0 and model.weights.shape == (10, 0)
+        assert dense_weights(model).tobytes() == np.zeros((10, config.dimension)).tobytes()
+
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(3)
-        model = SelectorModel.zeros(4, SMALL, "v")
+        model = _dense_model(4)
         model.weights[:, :] = rng.normal(size=model.weights.shape)
         fv = featurize("bank rates today", EMPTY_CONTEXT, SMALL)
         base = predict_from_vector(model, fv)
@@ -486,7 +504,7 @@ class TestPrediction:
     @settings(max_examples=25, deadline=None)
     def test_probabilities_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        model = SelectorModel.zeros(5, SMALL, "v")
+        model = _dense_model(5)
         model.weights[:, :] = rng.normal(scale=2.0, size=model.weights.shape)
         model.bias[:] = rng.normal(scale=2.0, size=5)
         fv = _random_vectors(rng, 1, SMALL.dimension)[0]
@@ -496,19 +514,19 @@ class TestPrediction:
 
     def test_scaling_features_with_inverse_weights_keeps_ordering(self):
         rng = np.random.default_rng(8)
-        model = SelectorModel.zeros(4, SMALL, "v")
+        model = _dense_model(4)
         model.weights[:, :] = rng.normal(size=model.weights.shape)
         fv = _random_vectors(rng, 1, SMALL.dimension)[0]
         c = 3.7
         scaled_fv = FeatureVector(fv.indices, fv.values * c, fv.dimension)
-        scaled_model = SelectorModel(model.weights / c, model.bias, SMALL, "v")
+        scaled_model = SelectorModel(model.weights / c, model.bias, SMALL, "v", model.columns)
         a = predict_from_vector(model, fv).probs
         b = predict_from_vector(scaled_model, scaled_fv).probs
         assert np.array_equal(np.argsort(a), np.argsort(b))
 
     def test_matches_the_training_kernel_bit_for_bit(self):
         rng = np.random.default_rng(12)
-        model = SelectorModel.zeros(5, SMALL, "v")
+        model = _dense_model(5)
         model.weights[:, :] = rng.normal(scale=2.0, size=model.weights.shape)
         model.bias[:] = rng.normal(scale=2.0, size=5)
         vectors = _random_vectors(rng, 9, SMALL.dimension)
@@ -531,8 +549,9 @@ class TestPrediction:
         compact = SelectorModel(
             rng.normal(size=(4, size)), rng.normal(size=4), SMALL, "v", columns=columns
         )
-        dense = SelectorModel(dense_weights(compact), compact.bias, SMALL, "v")
-        assert np.array_equal(dense.columns, np.arange(SMALL.dimension))
+        dense = SelectorModel(
+            dense_weights(compact), compact.bias, SMALL, "v", np.arange(SMALL.dimension)
+        )
         outside = np.setdiff1d(np.arange(SMALL.dimension), columns)
         vectors = [
             columns[::2],  # inside only
@@ -574,7 +593,7 @@ class TestSelectPattern:
 
 
 MODEL_META = {
-    "format": "patternqr-selector-v1",
+    "format": "patternqr-selector-v2",
     "config_hash": "",
     "feature_config": SMALL.to_dict(),
     "library_version": "v1",
@@ -585,7 +604,7 @@ def _meta_without(key):
     return {k: v for k, v in MODEL_META.items() if k != key}
 
 
-MODEL_META_V2 = {**MODEL_META, "format": "patternqr-selector-v2"}
+MODEL_META_V1 = {**MODEL_META, "format": "patternqr-selector-v1"}
 
 
 def _save_npy(path):
@@ -603,7 +622,9 @@ def _model(kind):
         library = _library(3)
         examples = separable_examples(library, per_class=10, seed=4)
         return train_selector(examples, library, TrainConfig(epochs=2, feature_config=SMALL))[0]
-    model = SelectorModel.zeros(3, SMALL, "v1")
+    if kind == "zeros":
+        return SelectorModel.zeros(3, SMALL, "v1")
+    model = _dense_model(3, version="v1")
     if kind == "dense":
         rng = np.random.default_rng(5)
         model.weights[:] = rng.normal(size=model.weights.shape)
@@ -656,7 +677,7 @@ class TestModelPersistence:
         config = FeatureConfig()  # 2^18 features
         rng = np.random.default_rng(9)
         columns = np.sort(rng.choice(config.dimension, 50, replace=False))
-        meta = {**MODEL_META_V2, "feature_config": config.to_dict()}
+        meta = {**MODEL_META, "feature_config": config.to_dict()}
         path = tmp_path / "model.npz"
         _write_raw_model(path, rng.normal(size=(10, 50)), np.zeros(10), meta, columns=columns)
         context = _context(["a passage about wages and the law", "another passage"])
@@ -677,13 +698,14 @@ class TestModelPersistence:
             assert bundle["weights"].tobytes() == model.weights[:, [5, 9, 700]].tobytes()
             assert json.loads(str(bundle["meta"]))["format"] == "patternqr-selector-v2"
 
-    def test_reads_dense_v1_files(self, tmp_path):
+    def test_refuses_dense_v1_files(self, tmp_path):
+        # v1 files store the full (M, F) weight matrix and no columns.
         model = _model("dense")
-        model.weights[:, ::3] = 0.0
-        _write_raw_model(tmp_path / "model.npz", model.weights, model.bias, MODEL_META)
-        loaded = load_model(tmp_path / "model.npz")
-        assert loaded.weights.tobytes() == model.weights.tobytes()
-        assert loaded.bias.tobytes() == model.bias.tobytes()
+        path = tmp_path / "model.npz"
+        _write_raw_model(path, model.weights, model.bias, MODEL_META_V1)
+        message = f"{path} is not a patternqr-selector-v2 file: run `patternqr train-selector` again"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_model(path)
 
     @pytest.mark.parametrize(
         "columns, width",
@@ -710,18 +732,18 @@ class TestModelPersistence:
     )
     def test_load_rejects_malformed_columns(self, tmp_path, columns, width):
         good = tmp_path / "good.npz"
-        _write_raw_model(good, np.ones((3, 2)), np.zeros(3), MODEL_META_V2, columns=[1, 2])
+        _write_raw_model(good, np.ones((3, 2)), np.zeros(3), MODEL_META, columns=[1, 2])
         assert dense_weights(load_model(good))[:, 1:3].tolist() == [[1.0, 1.0]] * 3
         extra = {} if columns is None else {"columns": columns}
         path = tmp_path / "model.npz"
-        _write_raw_model(path, np.ones((3, width)), np.zeros(3), MODEL_META_V2, **extra)
+        _write_raw_model(path, np.ones((3, width)), np.zeros(3), MODEL_META, **extra)
         with pytest.raises(DataError):
             load_model(path)
 
-    @pytest.mark.parametrize("meta", [MODEL_META, MODEL_META_V2], ids=["v1", "v2"])
+    @pytest.mark.parametrize("meta", [MODEL_META_V1, MODEL_META], ids=["v1", "v2"])
     def test_load_reads_no_member_beyond_the_model(self, tmp_path, monkeypatch, meta):
         path = tmp_path / "model.npz"
-        columns = {"columns": [1, 2]} if meta is MODEL_META_V2 else {}
+        columns = {"columns": [1, 2]} if meta is MODEL_META else {}
         width = 2 if columns else 2**10
         _write_raw_model(path, np.ones((3, width)), np.zeros(3), meta, **columns, big=np.zeros(9))
         read = []
@@ -729,15 +751,20 @@ class TestModelPersistence:
         monkeypatch.setattr(
             np.lib.npyio.NpzFile, "__getitem__", lambda self, key: read.append(key) or getitem(self, key)
         )
-        load_model(path)
-        assert sorted(read) == sorted(["meta", "weights", "bias", *columns])
+        if columns:
+            load_model(path)
+            assert sorted(read) == ["bias", "columns", "meta", "weights"]
+        else:  # a v1 file is refused once its meta is read
+            with pytest.raises(DataError, match="train-selector"):
+                load_model(path)
+            assert read == ["meta"]
 
     def test_save_writes_exactly_the_given_path(self, tmp_path):
         model = SelectorModel.zeros(3, SMALL, "v1")
         path = tmp_path / "model.bin"
         save_model(model, path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-        assert np.array_equal(dense_weights(load_model(path)), model.weights)
+        assert np.array_equal(dense_weights(load_model(path)), dense_weights(model))
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "model.npz"
@@ -764,19 +791,15 @@ class TestModelPersistence:
     @pytest.mark.parametrize(
         "weights, bias, meta",
         [
-            (np.zeros((3, 2**10)), np.zeros(3), _meta_without("feature_config")),
-            (np.zeros((3, 2**10)), np.zeros(3), _meta_without("library_version")),
-            (np.zeros((3, 2**10)), np.zeros(3), {**MODEL_META, "feature_config": "1024"}),
-            (
-                np.zeros((3, 2**10)),
-                np.zeros(3),
-                {**MODEL_META, "feature_config": {"dimension": 2**10}},
-            ),
-            (np.zeros((3, 2**10)), np.zeros(3), ["patternqr-selector-v1"]),
-            (np.zeros((10, 16)), np.zeros(10), MODEL_META),
-            (np.zeros(2**10), np.zeros(1), MODEL_META),
-            (np.zeros((3, 2**10)), np.zeros(4), MODEL_META),
-            (np.zeros((3, 2**10)), np.zeros((3, 1)), MODEL_META),
+            (np.zeros((3, 2)), np.zeros(3), _meta_without("feature_config")),
+            (np.zeros((3, 2)), np.zeros(3), _meta_without("library_version")),
+            (np.zeros((3, 2)), np.zeros(3), {**MODEL_META, "feature_config": "1024"}),
+            (np.zeros((3, 2)), np.zeros(3), {**MODEL_META, "feature_config": {"dimension": 2**10}}),
+            (np.zeros((3, 2)), np.zeros(3), ["patternqr-selector-v2"]),
+            (np.zeros((3, 2**10 + 1)), np.zeros(3), MODEL_META),
+            (np.zeros(2), np.zeros(1), MODEL_META),
+            (np.zeros((3, 2)), np.zeros(4), MODEL_META),
+            (np.zeros((3, 2)), np.zeros((3, 1)), MODEL_META),
         ],
         ids=[
             "no-feature-config",
@@ -791,10 +814,11 @@ class TestModelPersistence:
         ],
     )
     def test_load_rejects_malformed_models(self, tmp_path, weights, bias, meta):
-        _write_raw_model(tmp_path / "good.npz", np.zeros((3, 2**10)), np.zeros(3), MODEL_META)
+        _write_raw_model(tmp_path / "good.npz", np.zeros((3, 2)), np.zeros(3), MODEL_META,
+                         columns=[1, 2])
         assert load_model(tmp_path / "good.npz").num_patterns == 3
         path = tmp_path / "model.npz"
-        _write_raw_model(path, weights, bias, meta)
+        _write_raw_model(path, weights, bias, meta, columns=np.arange(weights.shape[-1]))
         with pytest.raises(DataError):
             load_model(path)
 
@@ -813,7 +837,7 @@ class TestModelPersistence:
     )
     def test_load_rejects_feature_configs_out_of_range(self, tmp_path, change):
         # No columns, so no other check sees the dimension.
-        meta = {**MODEL_META_V2, "feature_config": {**SMALL.to_dict(), **change}}
+        meta = {**MODEL_META, "feature_config": {**SMALL.to_dict(), **change}}
         path = tmp_path / "model.npz"
         _write_raw_model(path, np.ones((3, 0)), np.zeros(3), meta, columns=np.zeros(0, np.int64))
         with pytest.raises(DataError, match=re.escape(str(path))):
