@@ -5,10 +5,11 @@ that ranks queries, through `pipeline.run_pipeline`, from a corpus or a saved
 index. A flag that sets a config field takes its name, type and default from
 the dataclass field. `run` has one flag per PipelineConfig field, gateway fields
 included, and reads an optional JSON config file that mirrors PipelineConfig.
-Settings overlay defaults < environment < config file < flags; an unknown or
-mistyped config key is a config error. `main` range-checks every subcommand's
-settings before its handler runs. Exit codes: 0 success, 2 config error, 3 data
-error, 4 gateway error.
+Every config a subcommand builds goes through `_config`: defaults < environment
+(gateway settings) < config file < flags, then `pipeline.config_from_dict`, so an
+unknown or mistyped config key is a config error. `main` range-checks every
+subcommand's settings before its handler runs. Exit codes: 0 success, 2 config
+error, 3 data error, 4 gateway error.
 """
 
 from __future__ import annotations
@@ -91,10 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--library", default=None, help="defaults to the packaged seed library")
     _add_field_flags(p, PipelineConfig, "k_context")
-    _add_field_flags(
-        p, selector.TrainConfig, "epochs", "learning_rate", "decay", "l2", "batch_size", "seed"
-    )
-    _add_field_flags(p, selector.FeatureConfig, "dimension")
+    _add_field_flags(p, selector.TrainConfig)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-csv", default=None)
     p.set_defaults(handler=_cmd_train_selector)
@@ -152,14 +150,10 @@ def _overlay(*layers: dict) -> dict:
     return merged
 
 
-def _field_values(args, cls) -> dict:
-    """The subcommand's flag values named after fields of dataclass `cls`."""
-    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
-
-
-def _gateway_config(args) -> GatewayConfig:
-    env = asdict(GatewayConfig.from_env())
-    return GatewayConfig(**_overlay(env, _given_flags(args, GatewayConfig)))
+def _config(cls, args, *layers: dict):
+    """Config dataclass `cls` from its defaults, then `layers` in order, then the flags
+    of `args` that were given."""
+    return pipeline.config_from_dict(_overlay(*layers, _given_flags(args, cls)), cls)
 
 
 def _cmd_index(args) -> None:
@@ -172,7 +166,8 @@ def _cmd_induce(args) -> None:
     pairs = induction.ingest_pairs(args.pairs)
     if args.sample is not None:
         pairs = induction.sample_pairs(pairs, args.sample, seed=args.seed)
-    gateway = _gateway_config(args).build(jitter_seed=args.seed)
+    gateway_config = _config(GatewayConfig, args, asdict(GatewayConfig.from_env()))
+    gateway = gateway_config.build(jitter_seed=args.seed)
     existing = induction.load_library(args.existing) if args.existing else None
     library = induction.induce_patterns(
         pairs,
@@ -185,7 +180,8 @@ def _cmd_induce(args) -> None:
     provenance = replace(
         library.provenance, source_dataset=args.source_dataset or library.provenance.source_dataset
     )
-    library = replace(library, provenance=provenance, config_hash=settings_hash(vars(args)))
+    digest = settings_hash({**vars(args), **asdict(gateway_config)})
+    library = replace(library, provenance=provenance, config_hash=digest)
     induction.save_library(library, args.out)
     print(f"induced {len(library)} patterns -> {args.out}")
 
@@ -193,14 +189,14 @@ def _cmd_induce(args) -> None:
 def _cmd_label(args) -> None:
     pairs = induction.ingest_pairs(args.pairs)
     library = induction.load_library(args.library)
-    gateway = _gateway_config(args).build()
-    labels = induction.label_pairs(pairs, library, gateway)
-    induction.save_labels(labels, args.out, config_hash=settings_hash(vars(args)))
+    gateway_config = _config(GatewayConfig, args, asdict(GatewayConfig.from_env()))
+    labels = induction.label_pairs(pairs, library, gateway_config.build())
+    digest = settings_hash({**vars(args), **asdict(gateway_config)})
+    induction.save_labels(labels, args.out, config_hash=digest)
     print(f"labeled {len(labels)} pairs -> {args.out}")
 
 
 def _cmd_train_selector(args) -> None:
-    index = pipeline.open_index(args.corpus, args.index, args.k1, args.b)
     pairs = induction.ingest_pairs(args.pairs)
     labels = {lb.pair_id: lb.pattern_id for lb in induction.load_labels(args.labels)}
     library = (
@@ -209,14 +205,12 @@ def _cmd_train_selector(args) -> None:
     missing = [p.pair_id for p in pairs if p.pair_id not in labels]
     if missing:
         raise DataError(f"no label for pairs: {missing[:10]}")
+    hyper = _config(selector.TrainConfig, args)
+    index = pipeline.open_index(args.corpus, args.index, args.k1, args.b)
     examples = []
     for pair in pairs:
         context = retrieve_topk(index, pair.query, args.k_context, query_id=pair.pair_id)
         examples.append((pair.query, context, labels[pair.pair_id]))
-    hyper = selector.TrainConfig(
-        **_field_values(args, selector.TrainConfig),
-        feature_config=selector.FeatureConfig(dimension=args.dimension),
-    )
     model, history = selector.train_selector(examples, library, hyper)
     digest = settings_hash(vars(args))
     selector.save_model(model, args.out, config_hash=digest)
@@ -234,8 +228,7 @@ def _cmd_run(args) -> None:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(layers[-1], dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-    layers.append(_given_flags(args, PipelineConfig))
-    result = pipeline.run_pipeline(pipeline.config_from_dict(_overlay(*layers)))
+    result = pipeline.run_pipeline(_config(PipelineConfig, args, *layers))
     print(f"run file: {result.run_path}")
     if result.log_path:
         print(f"reformulation log: {result.log_path}")

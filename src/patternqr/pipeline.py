@@ -15,7 +15,7 @@ import threading
 import typing
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from . import evaluation, feedback
@@ -430,8 +430,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     )
 
 
-def _from_dict(cls, payload, what: str):
-    """Build dataclass `cls` from a JSON object, naming any unknown or mistyped key."""
+def config_from_dict(payload: dict, cls=PipelineConfig):
+    """Build config dataclass `cls` from a JSON-shaped dict (the config-file format):
+    a key not given keeps its default, and a field that holds a dataclass takes its
+    nested object through this function. An unknown or mistyped key is a config error."""
+    what = cls.__name__.removesuffix("Config").lower() + " config"
     if not isinstance(payload, dict):
         raise ConfigError(f"{what} must be a JSON object, got {payload!r}")
     hints = typing.get_type_hints(cls)
@@ -440,6 +443,8 @@ def _from_dict(cls, payload, what: str):
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     values = {}
     for key, value in payload.items():
+        if is_dataclass(hints[key]) and isinstance(value, dict):
+            value = config_from_dict(value, hints[key])
         allowed = typing.get_args(hints[key]) or (hints[key],)
         if float in allowed and isinstance(value, int) and not isinstance(value, bool):
             # `1` and `1.0` (what a float flag gives) must hash alike.
@@ -453,11 +458,3 @@ def _from_dict(cls, payload, what: str):
         return cls(**values)
     except TypeError as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-def config_from_dict(payload: dict) -> PipelineConfig:
-    """Build a PipelineConfig from a JSON-shaped dict (the config-file format)."""
-    if isinstance(payload, dict) and isinstance(payload.get("gateway"), dict):
-        gateway = _from_dict(GatewayConfig, payload["gateway"], "gateway config")
-        payload = {**payload, "gateway": gateway}
-    return _from_dict(PipelineConfig, payload, "pipeline config")

@@ -7,7 +7,7 @@ label under the softmax distribution plus an L2 penalty on the weights, so
 training is convex and gradients are exactly checkable.
 
 A prompt-only selector (LLM picks a name from the pattern menu) sits behind
-the same choose/distribution interface.
+the same choose interface.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import hashlib
 import json
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
 
@@ -28,6 +28,10 @@ from .index import RetrievalContext, _Snippets, atomic_savez, atomic_write, load
 from .induction import PatternLibrary
 
 DEFAULT_DIMENSION = 2**18
+# The same for every model: a model file names them, and `FeatureConfig.from_dict` refuses others.
+NGRAM_ORDERS = (1, 2)
+SNIPPET_TOKEN_CAP = 64
+HASH_SEED = 0
 MODEL_FORMAT = "patternqr-selector-v2"
 # Pairs `_featurize_all` codes and counts at once: its temporaries grow with this.
 _FEATURIZE_CHUNK = 25
@@ -43,28 +47,26 @@ SELECT_SYSTEM = (
 @dataclass(frozen=True)
 class FeatureConfig:
     dimension: int = DEFAULT_DIMENSION
-    ngram_orders: tuple[int, ...] = (1, 2)
-    snippet_token_cap: int = 64
-    hash_seed: int = 0
 
-    def __post_init__(self):  # bucket ids are int64; the salt is 8 bytes
-        if not (1 <= self.dimension <= 2**63 and min(self.ngram_orders, default=1) >= 1
-                and self.snippet_token_cap >= 0 and 0 <= self.hash_seed < 2**64):
-            raise ConfigError("a feature config needs dimension in [1, 2**63], n-gram orders "
-                              ">= 1, snippet_token_cap >= 0 and hash_seed in [0, 2**64), "
-                              f"got {self.to_dict()}")
+    def __post_init__(self):  # bucket ids are int64
+        if not 1 <= self.dimension <= 2**63:
+            raise ConfigError("a feature config needs dimension in [1, 2**63], "
+                              f"got {self.dimension}")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ngram_orders": list(self.ngram_orders)}
+        """The model-file meta: the dimension and the fixed features, which a file names."""
+        return {"dimension": self.dimension, "ngram_orders": list(NGRAM_ORDERS),
+                "snippet_token_cap": SNIPPET_TOKEN_CAP, "hash_seed": HASH_SEED}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
-        return cls(
-            dimension=int(d["dimension"]),
-            ngram_orders=tuple(int(n) for n in d["ngram_orders"]),
-            snippet_token_cap=int(d["snippet_token_cap"]),
-            hash_seed=int(d["hash_seed"]),
-        )
+        config = cls(dimension=int(d["dimension"]))
+        if {**d, "dimension": config.dimension} != config.to_dict():
+            raise ConfigError(
+                f"a feature config must name n-gram orders {list(NGRAM_ORDERS)}, snippet_token_cap "
+                f"{SNIPPET_TOKEN_CAP} and hash_seed {HASH_SEED}, and no other key, got {d}"
+            )
+        return config
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def _featurize_all(
     base len(vocab), the same in every chunk. Only the codes that no earlier chunk
     hashed get their key built and hashed, so each distinct key is hashed once.
     """
-    cap, vocab = config.snippet_token_cap, defaultdict(count().__next__)
+    cap, vocab = SNIPPET_TOKEN_CAP, defaultdict(count().__next__)
     texts, spaces, owners = [], [], []
     for pair, (query, context) in enumerate(pairs):
         snippets = context.snippets
@@ -113,13 +115,12 @@ def _featurize_all(
             texts.append(np.fromiter(map(vocab.__getitem__, text), np.int32, len(text)))
             spaces.append(min(space, 1))  # 0 for "q:", 1 for "d:"
             owners.append(pair)
+    # A code is below 2 * base**2 <= 2**63: the int32 token ids number at most 2**31 tokens.
     base, words = max(len(vocab), 1), np.array(list(vocab), dtype=object)
-    # Python ints once a code could pass int64: exact, and slow.
-    code_type = np.int64 if 2 * base ** max(config.ngram_orders, default=1) < 2**63 else object
-    salted = hashlib.blake2b(digest_size=8, salt=config.hash_seed.to_bytes(8, "little"))
+    salted = hashlib.blake2b(digest_size=8, salt=HASH_SEED.to_bytes(8, "little"))
     # Per order: runs of the codes hashed so far, each ascending, with their buckets. A new
     # run absorbs the last one while that one's size has no more binary digits than its own.
-    runs = {order: [] for order in config.ngram_orders}
+    runs = {order: [] for order in NGRAM_ORDERS}
     vectors = []
     for lo in range(0, len(pairs), _FEATURIZE_CHUNK):
         hi = min(lo + _FEATURIZE_CHUNK, len(pairs))
@@ -130,11 +131,11 @@ def _featurize_all(
         left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tokens.size)
         space, owner = np.repeat(spaces[t0:t1], lengths), np.repeat(owners[t0:t1], lengths) - lo
         buckets, owned = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # per n-gram
-        for order in config.ngram_orders:
+        for order in NGRAM_ORDERS:
             starts = np.flatnonzero(left >= order)
-            codes = space[starts].astype(code_type)
+            codes = space[starts].astype(np.int64)
             for j in range(order):
-                codes = codes * base + tokens[starts + j].astype(code_type, copy=False)
+                codes = codes * base + tokens[starts + j]
             distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
             bucket = np.full(distinct.size, -1)
             for known, known_buckets in runs[order]:
@@ -178,7 +179,8 @@ class SelectorModel:
 
     `weights[:, j]` holds the weights of feature `columns[j]` (ascending ids);
     every feature outside `columns` has +0.0 weights. `train_selector` and
-    `load_model` keep only the columns a model file stores.
+    `load_model` keep only the columns a model file stores. A layout that does
+    not fit together is a DataError.
     """
 
     weights: np.ndarray  # (M, len(columns))
@@ -186,6 +188,19 @@ class SelectorModel:
     feature_config: FeatureConfig
     library_version: str
     columns: np.ndarray  # ascending feature ids
+
+    def __post_init__(self):
+        columns, weights, dimension = self.columns, self.weights, self.feature_config.dimension
+        if columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer):
+            raise DataError(f"columns must be a 1-D integer array, got {columns.dtype}")
+        if columns.size and (
+            columns[0] < 0 or columns[-1] >= dimension or np.any(columns[1:] <= columns[:-1])
+        ):
+            raise DataError(f"columns must ascend strictly within [0, {dimension})")
+        if weights.ndim != 2 or weights.shape[1] != columns.size:
+            raise DataError(f"weights {weights.shape} lack {columns.size} columns")
+        if self.bias.shape != weights.shape[:1]:
+            raise DataError(f"bias {self.bias.shape} does not fit weights {weights.shape}")
 
     @property
     def num_patterns(self) -> int:
@@ -282,6 +297,11 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def train_selector(
@@ -384,25 +404,17 @@ def load_model(path: str | Path) -> SelectorModel:
         raise DataError(f"{path} is not a {MODEL_FORMAT} file: run `patternqr train-selector` "
                         "again")
     arrays = load_npz(path, "selector model", ("columns", "weights", "bias"))
-    columns, stored, bias = arrays["columns"], arrays["weights"], arrays["bias"]
     try:
         feature_config = FeatureConfig.from_dict(meta["feature_config"])
         library_version = meta["library_version"]
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: malformed selector model meta: {exc!r}") from exc
-    dimension = feature_config.dimension
-    if columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer):
-        raise DataError(f"{path}: columns must be a 1-D integer array, got {columns.dtype}")
-    if columns.size and (
-        columns[0] < 0 or columns[-1] >= dimension or np.any(columns[1:] <= columns[:-1])
-    ):
-        raise DataError(f"{path}: columns must ascend strictly within [0, {dimension})")
-    if stored.ndim != 2 or stored.shape[1] != columns.size:
-        raise DataError(f"{path}: weights {stored.shape} lack {columns.size} columns")
-    if bias.shape != stored.shape[:1]:
-        raise DataError(f"{path}: bias {bias.shape} does not fit weights {stored.shape}")
-    weights = np.ascontiguousarray(stored, dtype=np.float64)
-    return SelectorModel(weights, bias, feature_config, library_version, columns=columns)
+    try:
+        weights = np.ascontiguousarray(arrays["weights"], dtype=np.float64)
+        return SelectorModel(weights, arrays["bias"], feature_config, library_version,
+                             columns=arrays["columns"])
+    except (DataError, ValueError) as exc:  # ValueError: weights that are not numbers
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_loss_curve(history: list[float], path: str | Path, config_hash: str = "") -> None:
@@ -413,7 +425,7 @@ def write_loss_curve(history: list[float], path: str | Path, config_hash: str = 
 
 
 class ModelSelector:
-    """Trained-model selection behind the common choose/distribution interface."""
+    """Trained-model selection behind the common choose interface."""
 
     def __init__(self, model: SelectorModel, library: PatternLibrary):
         if model.library_version != library.version:
@@ -429,9 +441,6 @@ class ModelSelector:
         self.model = model
         self.library = library
 
-    def distribution(self, query: str, context: RetrievalContext) -> PatternDistribution:
-        return predict_distribution(self.model, query, context)
-
     def choose(
         self,
         query: str,
@@ -439,7 +448,7 @@ class ModelSelector:
         mode: str = "argmax",
         seed: int | None = None,
     ) -> int:
-        return select_pattern(self.distribution(query, context), mode=mode, seed=seed)
+        return select_pattern(predict_distribution(self.model, query, context), mode, seed)
 
 
 class PromptSelector:

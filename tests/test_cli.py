@@ -10,7 +10,7 @@ from conftest import SEED_PATTERN_NAMES, consolidation_payload
 from patternqr import cli, evaluation, induction, pipeline
 from patternqr.cli import main
 from patternqr.evaluation import parse_run
-from patternqr.gateway import ENV_BASE_URL, ENV_MOCK_SCRIPT, Gateway, MockScript
+from patternqr.gateway import ENV_BASE_URL, ENV_MOCK_SCRIPT, ENV_MODEL, Gateway, MockScript
 from patternqr.generator import read_reformulation_log
 from patternqr.index import load_index
 from patternqr.induction import (
@@ -280,6 +280,34 @@ class TestLlmCommands:
         assert main([*train, "--index", str(index_path), "--out", str(out)]) == 2
         assert "pass --k1 1.5 --b 0.9" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["induce", "label"])
+    def test_gateway_settings_from_the_environment_enter_the_digest(
+        self, files, monkeypatch, command
+    ):
+        library = files["dir"] / "seed.json"
+        save_library(default_library(), library)
+        fallback = consolidation_payload(SEED_PATTERN_NAMES) if command == "induce" else (
+            "Clarify Intent")
+        argv = [command, "--pairs", str(files["pairs"]), "--mock-script",
+                str(_mock(files["dir"], fallback))]
+        if command == "label":
+            argv += ["--library", str(library)]
+
+        def digest(env_model, flags):
+            monkeypatch.delenv(ENV_MODEL, raising=False)
+            if env_model:
+                monkeypatch.setenv(ENV_MODEL, env_model)
+            out = files["dir"] / f"{command}.out"
+            assert main([*argv, *flags, "--out", str(out)]) == 0
+            if command == "induce":
+                return load_library(out).config_hash
+            return out.read_text(encoding="utf-8").splitlines()[0].removeprefix("# config_hash=")
+
+        from_env = digest("model-a", [])
+        assert digest(None, ["--model", "model-a"]) == from_env
+        assert digest("model-b", []) != from_env
+        assert digest("model-b", ["--model", "model-a"]) == from_env
 
 
 class TestRunCommand:
@@ -719,11 +747,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"data error: stage load-reformer: {message.format(path=path)}\n"
 
-    def test_selector_model_with_a_feature_config_out_of_range_is_3(self, files, capsys):
-        # A negative hash seed used to load, then fail the first prediction with
-        # an OverflowError traceback.
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"dimension": 0}, "dimension in [1, 2**63]"),
+         ({"ngram_orders": [1, 3]}, "n-gram orders [1, 2]")],
+        ids=["dimension-0", "orders-1-3"],
+    )
+    def test_selector_model_with_a_feature_config_out_of_range_is_3(
+        self, files, capsys, change, message
+    ):
         path = files["dir"] / "model.npz"
-        config = {**FeatureConfig(dimension=1024).to_dict(), "hash_seed": -1}
+        config = {**FeatureConfig(dimension=1024).to_dict(), **change}
         meta = {"format": "patternqr-selector-v2", "config_hash": "",
                 "feature_config": config, "library_version": "seed-1"}
         with open(path, "wb") as handle:
@@ -735,7 +769,7 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: stage load-reformer: {path}: malformed selector model")
-        assert "hash_seed in [0, 2**64)" in err and err.count("\n") == 1
+        assert message in err and err.count("\n") == 1
 
     def test_v1_selector_model_is_3(self, files, capsys):
         # patternqr-selector-v1 files held the dense (M, F) weights and no columns.
@@ -763,6 +797,20 @@ class TestExitCodes:
                 "--labels", str(labels), "--epochs", "1", "--dimension", "64", "--out", str(model)]
         assert main(argv) == 3
         assert f"{labels}:3: duplicate pair_id 'p1'" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_train_selector_reads_its_inputs_before_the_index(self, files, capsys, monkeypatch):
+        def no_build(documents, **kwargs):
+            raise AssertionError("the index was built")
+
+        monkeypatch.setattr(pipeline, "build_index", no_build)
+        labels = files["dir"] / "labels.tsv"
+        labels.write_text("p1\t0\np1\t4\n", encoding="utf-8")
+        model = files["dir"] / "model.npz"
+        argv = ["train-selector", "--corpus", str(files["corpus"]), "--pairs", str(files["pairs"]),
+                "--labels", str(labels), "--out", str(model)]
+        assert main(argv) == 3
+        assert f"{labels}:2: duplicate pair_id 'p1'" in capsys.readouterr().err
         assert not model.exists()
 
     def test_gateway_error_is_4(self, files, capsys):

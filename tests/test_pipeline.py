@@ -3,7 +3,7 @@ import sys
 import threading
 import time
 import typing
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from patternqr.pipeline import (
     load_hook_passages,
     run_pipeline,
 )
-from patternqr.selector import FeatureConfig, SelectorModel, save_model
+from patternqr.selector import FeatureConfig, SelectorModel, TrainConfig, save_model
 
 CORPUS = """\
 d1\tcat sat
@@ -413,6 +413,24 @@ class TestConfigHandling:
         assert config.mode == "rm3"
         assert config.gateway.model == "m2"
         assert config.k_eval == 5
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PipelineConfig(queries="q", index="i", mode="rm3", k1=1.5,
+                           gateway=GatewayConfig(model="m2", max_retries=5)),
+            TrainConfig(epochs=3, learning_rate=0.5, feature_config=FeatureConfig(dimension=64)),
+        ],
+        ids=["pipeline", "train"],
+    )
+    def test_config_from_dict_builds_any_config_with_its_nested_ones(self, config):
+        assert config_from_dict(asdict(config), type(config)) == config
+
+    def test_config_from_dict_names_a_nested_config_and_its_key(self):
+        with pytest.raises(ConfigError, match="unknown feature config keys: \\['hash_seed'\\]"):
+            config_from_dict({"feature_config": {"hash_seed": 0}}, TrainConfig)
+        with pytest.raises(ConfigError, match="gateway config key 'model' must be str"):
+            config_from_dict({"corpus": "c", "queries": "q", "gateway": {"model": 5}})
 
     @pytest.mark.parametrize(
         "extra, key",

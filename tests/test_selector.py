@@ -55,6 +55,12 @@ EMPTY_CONTEXT = RetrievalContext("q", [], [], 0, ())
 SMALL = FeatureConfig(dimension=2**10)
 
 
+def _oracle_featurize(query, snippets, dimension):
+    """The reference at the selector's fixed features: unigrams and bigrams, each
+    snippet cut at 64 tokens, hash seed 0."""
+    return oracle_featurize(query, snippets, dimension, (1, 2), 64, 0)
+
+
 def _library(m):
     return PatternLibrary(
         patterns=tuple(ReformulationPattern(i, f"Pattern {i}", "d", "r") for i in range(m)),
@@ -118,17 +124,18 @@ class TestFeaturize:
         assert np.all(np.diff(fv.indices) > 0)
         assert fv.indices.min() >= 0 and fv.indices.max() < SMALL.dimension
 
-    def test_hash_seed_changes_layout(self):
-        a = featurize("bank rates", EMPTY_CONTEXT, SMALL)
-        b = featurize("bank rates", EMPTY_CONTEXT, FeatureConfig(dimension=2**10, hash_seed=1))
-        assert not np.array_equal(a.indices, b.indices)
-
-    def test_snippet_cap_applies(self):
-        long_snippet = " ".join(f"w{i}" for i in range(100))
-        capped = FeatureConfig(dimension=2**10, snippet_token_cap=3)
-        fv_capped = featurize("", _context([long_snippet]), capped)
-        fv_full = featurize("", _context([long_snippet]), SMALL)
-        assert fv_capped.indices.size < fv_full.indices.size
+    @pytest.mark.parametrize("length", [63, 64, 65, 100])
+    def test_snippet_cap_applies(self, length):
+        # A snippet is cut at 64 tokens, whether it is a string or an index snippet.
+        text = " ".join(f"w{i}" for i in range(length))
+        index = build_index([Document("d0", text)])
+        for context in (_context([text]), retrieve_topk(index, "w0", 1, snippet_tokens=length)):
+            fv = featurize("", context, SMALL)
+            expected = _oracle_featurize("", [text], SMALL.dimension)
+            assert fv.indices.tolist() == sorted(expected)
+            assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
+        cut = featurize("", _context([" ".join(text.split()[:64])]), SMALL)
+        assert fv.indices.tolist() == cut.indices.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -138,19 +145,11 @@ class TestFeaturize:
             max_size=3,
         ),
         dimension=st.sampled_from([1, 7, 2**10]),
-        ngram_orders=st.sampled_from([(1,), (1, 2), (1, 2, 3), (2,)]),
-        snippet_token_cap=st.integers(0, 6),
-        hash_seed=st.integers(0, 2**63),
     )
-    def test_matches_the_per_occurrence_reference(
-        self, query, snippets, dimension, ngram_orders, snippet_token_cap, hash_seed
-    ):
+    def test_matches_the_per_occurrence_reference(self, query, snippets, dimension):
         # Few distinct words and small dimensions: keys repeat and buckets collide.
-        config = FeatureConfig(dimension, ngram_orders, snippet_token_cap, hash_seed)
-        fv = featurize(query, _context(snippets), config)
-        expected = oracle_featurize(
-            query, snippets, dimension, ngram_orders, snippet_token_cap, hash_seed
-        )
+        fv = featurize(query, _context(snippets), FeatureConfig(dimension))
+        expected = _oracle_featurize(query, snippets, dimension)
         assert fv.indices.tolist() == sorted(expected)
         assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
 
@@ -159,33 +158,25 @@ class TestFeaturize:
         docs=st.lists(_non_ascii_text(12), min_size=1, max_size=6),
         query=_non_ascii_text(4),
         snippet_tokens=st.integers(0, 9),
-        snippet_token_cap=st.integers(0, 9),
-        ngram_orders=st.sampled_from([(1,), (1, 2), (2, 3), (1, 2, 3)]),
         dimension=st.sampled_from([1, 7, 2**10, 2**63]),
-        hash_seed=st.integers(0, 2**64 - 1),
     )
     def test_index_snippets_match_the_per_occurrence_reference(
-        self, docs, query, snippet_tokens, snippet_token_cap, ngram_orders, dimension, hash_seed
+        self, docs, query, snippet_tokens, dimension
     ):
-        # Snippets cut below and above the cap; their terms are read as ids, not
-        # as the joined text the reference tokenizes again.
+        # Index snippets' terms are read as ids, not as the joined text the
+        # reference tokenizes again.
         index = build_index(Document(f"d{i}", text) for i, text in enumerate(docs))
         context = retrieve_topk(index, query, 3, snippet_tokens=snippet_tokens)
-        config = FeatureConfig(dimension, ngram_orders, snippet_token_cap, hash_seed)
-        fv = featurize(query, context, config)
-        expected = oracle_featurize(
-            query, list(context.snippets), dimension, ngram_orders, snippet_token_cap, hash_seed
-        )
+        fv = featurize(query, context, FeatureConfig(dimension))
+        expected = _oracle_featurize(query, list(context.snippets), dimension)
         assert fv.indices.tolist() == sorted(expected)
         assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
 
     @pytest.mark.parametrize("chunk", [1, 2, 100])
-    @pytest.mark.parametrize("ngram_orders", [(1, 2), (2, 1, 2), (1, 19)], ids=str)
-    def test_one_call_over_many_pairs_gives_each_pair_its_vector(self, chunk, ngram_orders):
+    def test_one_call_over_many_pairs_gives_each_pair_its_vector(self, chunk):
         # A code hashed in one chunk is looked up in the runs of later ones;
         # chunks of one and two pairs merge many runs. Each distinct key is
-        # hashed once in the call. Order 19 over this vocabulary needs codes
-        # beyond int64.
+        # hashed once in the call.
         index = build_index(
             Document(f"d{i}", " ".join(f"w{(i * j) % 23} İstanbul" for j in range(15)))
             for i in range(12)
@@ -193,7 +184,7 @@ class TestFeaturize:
         queries = [f"w{i % 5} W{i % 7} İSTANBUL" for i in range(7)]
         pairs = [(q, retrieve_topk(index, q, 3, snippet_tokens=40)) for q in queries]
         pairs += [(q, _context([q.lower() + " ΣΑΣ", "x"])) for q in queries[:3]]
-        config = FeatureConfig(dimension=2**12, ngram_orders=ngram_orders)
+        config = FeatureConfig(dimension=2**12)
         hashed, blake2b = [], hashlib.blake2b
         logged = types.SimpleNamespace(blake2b=lambda **kw: _KeyLog(hashed, blake2b(**kw)))
         with mock.patch.object(selector, "_FEATURIZE_CHUNK", chunk):
@@ -202,12 +193,12 @@ class TestFeaturize:
         assert len(vectors) == len(pairs)
         keys = set()
         for (query, context), fv in zip(pairs, vectors):
-            expected = oracle_featurize(query, list(context.snippets), 2**12, ngram_orders, 64, 0)
+            expected = _oracle_featurize(query, list(context.snippets), 2**12)
             assert fv.indices.tolist() == sorted(expected)
             assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
             texts = [("q", oracle_tokenize(query))]
             texts += [("d", oracle_tokenize(snippet)[:64]) for snippet in context.snippets]
-            for (space, tokens), order in itertools.product(texts, ngram_orders):
+            for (space, tokens), order in itertools.product(texts, selector.NGRAM_ORDERS):
                 keys.update(
                     f"{space}:{' '.join(tokens[i : i + order])}".encode("utf-8")
                     for i in range(len(tokens) - order + 1)
@@ -453,6 +444,14 @@ class TestTraining:
         library = _library(2)
         with pytest.raises(DataError, match="bad query"):
             train_selector([("bad query", EMPTY_CONTEXT, 5)], library, TrainConfig())
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_train_config_out_of_range_is_a_config_error(self, field, value):
+        # batch_size 0 raised a bare ValueError from range(); epochs 0 gave an
+        # all-zero model and an empty loss history.
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be >= 1, got {value}")):
+            TrainConfig(**{field: value})
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(DataError):
@@ -800,6 +799,7 @@ class TestModelPersistence:
             (np.zeros(2), np.zeros(1), MODEL_META),
             (np.zeros((3, 2)), np.zeros(4), MODEL_META),
             (np.zeros((3, 2)), np.zeros((3, 1)), MODEL_META),
+            (np.full((3, 2), "w"), np.zeros(3), MODEL_META),
         ],
         ids=[
             "no-feature-config",
@@ -811,6 +811,7 @@ class TestModelPersistence:
             "weights-not-2d",
             "bias-length",
             "bias-not-1d",
+            "weights-not-numbers",
         ],
     )
     def test_load_rejects_malformed_models(self, tmp_path, weights, bias, meta):
@@ -823,17 +824,47 @@ class TestModelPersistence:
             load_model(path)
 
     @pytest.mark.parametrize(
+        "columns, weights, bias, message",
+        [
+            ([7, 3], [[5, 1], [0, 2]], [0, 0], "columns must ascend strictly within [0, 16)"),
+            ([3, 3], [[5, 1], [0, 2]], [0, 0], "columns must ascend strictly"),
+            ([-1, 3], [[5, 1], [0, 2]], [0, 0], "columns must ascend strictly"),
+            ([3, 16], [[5, 1], [0, 2]], [0, 0], "columns must ascend strictly"),
+            ([3.0, 7.0], [[5, 1], [0, 2]], [0, 0], "columns must be a 1-D integer array"),
+            ([[3, 7]], [[5, 1], [0, 2]], [0, 0], "columns must be a 1-D integer array"),
+            ([3, 7], [5, 1], [0, 0], "lack 2 columns"),
+            ([3, 7], [[5, 1, 0], [0, 2, 0]], [0, 0], "lack 2 columns"),
+            ([3, 7], [[5, 1], [0, 2]], [0], "does not fit weights"),
+        ],
+        ids=["descending", "repeated", "negative", "beyond-dimension", "float", "2-d",
+             "weights-1-d", "weights-wider", "bias-length"],
+    )
+    def test_a_model_checks_its_own_layout(self, columns, weights, bias, message):
+        # Listed as [7, 3], the weights of [3, 7] used to predict [0.5, 0.5] for
+        # feature 7 rather than [0.27, 0.73], and saved to a file that would not load.
+        ascending = SelectorModel(np.array([[5.0, 1.0], [0.0, 2.0]]), np.zeros(2),
+                                  FeatureConfig(16), "v", np.array([3, 7]))
+        fv = FeatureVector(np.array([7]), np.array([1.0]), 16)
+        assert predict_from_vector(ascending, fv).probs.round(2).tolist() == [0.27, 0.73]
+        with pytest.raises(DataError, match=re.escape(message)):
+            SelectorModel(np.array(weights, float), np.array(bias, float), FeatureConfig(16), "v",
+                          np.array(columns))
+
+    @pytest.mark.parametrize(
         "change",
         [
             {"dimension": 0},
             {"dimension": 2**64},
             {"ngram_orders": [1, 0]},
+            {"ngram_orders": [1, 3]},
             {"snippet_token_cap": -1},
+            {"snippet_token_cap": 32},
             {"hash_seed": -1},
+            {"hash_seed": 1},
             {"hash_seed": 2**64},
         ],
-        ids=["dimension-0", "dimension-2**64", "order-0", "cap-negative", "seed-negative",
-             "seed-2**64"],
+        ids=["dimension-0", "dimension-2**64", "order-0", "orders-1-3", "cap-negative", "cap-32",
+             "seed-negative", "seed-1", "seed-2**64"],
     )
     def test_load_rejects_feature_configs_out_of_range(self, tmp_path, change):
         # No columns, so no other check sees the dimension.
@@ -848,13 +879,8 @@ class TestModelPersistence:
         [
             {"dimension": 0},
             {"dimension": 2**63 + 1},
-            {"ngram_orders": (0,)},
-            {"snippet_token_cap": -1},
-            {"hash_seed": -1},
-            {"hash_seed": 2**64},
         ],
-        ids=["dimension-0", "dimension-2**63+1", "order-0", "cap-negative", "seed-negative",
-             "seed-2**64"],
+        ids=["dimension-0", "dimension-2**63+1"],
     )
     def test_feature_config_out_of_range_is_a_config_error(self, kwargs):
         with pytest.raises(ConfigError, match="a feature config needs"):
