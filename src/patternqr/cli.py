@@ -15,13 +15,12 @@ error, 3 data error, 4 gateway error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import typing
 from dataclasses import asdict, fields, is_dataclass, replace
-from pathlib import Path
 
 from . import evaluation, induction, pipeline, selector
+from .artifacts import read_json
 from .errors import ConfigError, DataError, GatewayError
 from .gateway import GatewayConfig
 from .index import retrieve_topk, save_index
@@ -222,12 +221,7 @@ def _cmd_train_selector(args) -> None:
 def _cmd_run(args) -> None:
     layers = [{"gateway": asdict(GatewayConfig.from_env())}]
     if args.config:
-        try:
-            layers.append(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(layers[-1], dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        layers.append(read_json(args.config, "config file", ConfigError))
     result = pipeline.run_pipeline(_config(PipelineConfig, args, *layers))
     print(f"run file: {result.run_path}")
     if result.log_path:

@@ -17,8 +17,8 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
+from .artifacts import atomic_write, read_lines, write_text
 from .errors import DataError
-from .index import _tsv_lines, atomic_write
 
 DEFAULT_NDCG_K = 10
 DEFAULT_MAP_K = 1000
@@ -85,7 +85,7 @@ def parse_run(path: str | Path) -> Run:
 
 def _split_lines(path: str | Path, expected: int):
     """(line number, fields) for each line that is not whitespace only."""
-    for line_no, line in _tsv_lines(path):
+    for line_no, line in read_lines(path):
         fields = line.split()
         if not fields:
             continue
@@ -251,4 +251,4 @@ def write_report_csv(report: MetricsReport, path: str | Path, config_hash: str =
             f"{report.mean_recall1k:.6f}",
         ]
     )
-    atomic_write(Path(path), lambda tmp: tmp.write_text(buf.getvalue(), encoding="utf-8"))
+    write_text(path, buf.getvalue())

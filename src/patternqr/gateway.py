@@ -17,8 +17,8 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .artifacts import read_json, write_text
 from .errors import ConfigError, DataError, MockMissError, ProtocolError, TransportError
-from .index import atomic_write
 
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_TEMPERATURE = 1.0
@@ -124,12 +124,7 @@ class MockScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "MockScript":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load mock script {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"mock script {path} must hold a JSON object, got {payload!r}")
+        payload = read_json(path, "mock script", ConfigError)
         entries, fallback = payload.get("entries", {}), payload.get("fallback")
         if not isinstance(entries, dict) or not all(isinstance(v, str) for v in entries.values()):
             raise ConfigError(f"mock script {path}: entries must map fingerprints to strings")
@@ -138,8 +133,7 @@ class MockScript:
         return cls(entries=dict(entries), fallback=fallback)
 
     def save(self, path: str | Path) -> None:
-        text = json.dumps({"entries": self.entries, "fallback": self.fallback}, indent=2)
-        atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
+        write_text(path, json.dumps({"entries": self.entries, "fallback": self.fallback}, indent=2))
 
 
 class MockBackend:

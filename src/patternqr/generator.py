@@ -14,9 +14,10 @@ import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .artifacts import read_lines, write_text
 from .errors import DataError
 from .gateway import ChatMessage, ChatRequest, Gateway, ask, fingerprint
-from .index import RetrievalContext, _tsv_lines, atomic_write
+from .index import RetrievalContext
 from .induction import ReformulationPattern
 
 GENERATION_SYSTEM = (
@@ -165,17 +166,16 @@ def write_reformulation_log(
     """JSON-lines log; the first line is a header carrying the config hash."""
     lines = [json.dumps({"config_hash": config_hash})]
     lines += [r.to_json() for r in records]
-    text = "\n".join(lines) + "\n"
-    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_reformulation_log(path: str | Path) -> list[ReformulationRecord]:
     records = []
-    for line_no, line in _tsv_lines(path):
+    for line_no, line in read_lines(path):
         try:  # a bad JSON line raises a ValueError too
             payload = json.loads(line)
-            if isinstance(payload, dict) and "query_id" not in payload:
-                continue  # header line
+            if line_no == 1 and isinstance(payload, dict) and "query_id" not in payload:
+                continue  # the header; no other line may lack a query_id
             if type(payload["pattern_id"]) is not int or type(payload["fallback"]) is not bool:
                 raise ValueError("pattern_id must be an integer and fallback a boolean")
             values = {f.name: payload[f.name] for f in fields(ReformulationRecord)}

@@ -8,12 +8,9 @@ internal ordinals).
 
 from __future__ import annotations
 
-import errno
 import json
 import math
-import os
 import re
-import zipfile
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -23,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .artifacts import atomic_savez, read_lines, read_npz
+from .errors import DataError
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
@@ -357,7 +355,7 @@ def iter_corpus_tsv(path: str | Path) -> Iterator[Document]:
     """Corpus ingestion: one `doc_id<TAB>text` document per line, UTF-8, no header.
 
     The file is opened at the first `next` and read one line at a time."""
-    for line_no, line in _tsv_lines(path):
+    for line_no, line in read_lines(path):
         doc_id, sep, text = line.partition("\t")
         if not sep:
             raise DataError(f"{path}:{line_no}: expected doc_id<TAB>text")
@@ -376,7 +374,7 @@ def read_corpus_tsv(path: str | Path) -> list[Document]:
 def read_queries_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Queries: one `query_id<TAB>text` per line, each query id once."""
     queries: dict[str, str] = {}
-    for line_no, line in _tsv_lines(path):
+    for line_no, line in read_lines(path):
         query_id, sep, text = line.partition("\t")
         if not sep or not query_id:
             raise DataError(f"{path}:{line_no}: expected query_id<TAB>text")
@@ -386,24 +384,6 @@ def read_queries_tsv(path: str | Path) -> list[tuple[str, str]]:
             raise DataError(f"{path}:{line_no}: duplicate query_id {query_id!r}")
         queries[query_id] = text
     return list(queries.items())
-
-
-def _tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each non-empty line of a UTF-8 file, read one line
-    at a time. Only "\n" ends a line (U+0085, U+2028 and the like are text); one
-    "\r" at the end of every line, the last included, is dropped, and any other
-    "\r" is text. An unreadable or non-UTF-8 file is a DataError."""
-    try:
-        with open(path, encoding="utf-8", newline="\n") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.removesuffix("\n").removesuffix("\r")
-                if line:
-                    yield line_no, line
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason}, byte {byte:#04x})") from exc
 
 
 def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") -> None:
@@ -426,16 +406,8 @@ def save_index(index: InvertedIndex, path: str | Path, config_hash: str = "") ->
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a `patternqr-index-v2` file, check it, and build the index it holds."""
-    arrays = load_npz(path, "index", ("stream", "doc_lengths", "meta"))
-    meta = None
-    if arrays is not None:
-        try:
-            meta = json.loads(arrays["meta"].tobytes())
-        except ValueError as exc:
-            raise DataError(f"malformed index file {path}: {exc}") from exc
-        stream, doc_lengths = arrays["stream"], arrays["doc_lengths"]
-    if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
-        raise DataError(f"{path} is not a {INDEX_FORMAT} file: run `patternqr index` again")
+    meta, arrays = read_npz(path, "index", INDEX_FORMAT, "index", ("stream", "doc_lengths"))
+    stream, doc_lengths = arrays["stream"], arrays["doc_lengths"]
     problem = _index_problem(meta, stream, doc_lengths)
     if problem:
         raise DataError(f"malformed index file {path}: {problem}")
@@ -477,58 +449,3 @@ def _index_problem(meta: dict, stream: np.ndarray, doc_lengths: np.ndarray) -> s
 def _distinct_strings(values) -> bool:
     strings = isinstance(values, list) and all(isinstance(value, str) for value in values)
     return strings and len(set(values)) == len(values)
-
-
-# The OS errors that say an output path itself cannot be written. Every writer
-# maps these, and only these, to a ConfigError; any other (a full disk) passes.
-UNWRITABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
-
-
-def atomic_write(path: Path, write_fn) -> None:
-    """Write via a temp file and rename, so an aborted write leaves no partial file.
-    A path that cannot be written (its directory is missing, or it is a directory)
-    is a ConfigError naming it; a directory is found before anything is written."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, UNWRITABLE):
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        raise
-
-
-def load_npz(path: str | Path, what: str, members: Sequence[str]) -> dict[str, np.ndarray] | None:
-    """The `members` of the `.npz` file at `path`; None if the file is no zip archive.
-    No other member is read, and nothing is unpickled. A file that cannot be read,
-    is a broken archive or lacks a member is a DataError naming `what` it should hold."""
-    try:
-        with open(path, "rb") as handle:
-            # np.load would try to unpickle a file that is not a zip (.npz) file.
-            if handle.read(4) != b"PK\x03\x04":
-                return None
-            handle.seek(0)
-            with np.load(handle, allow_pickle=False) as bundle:
-                missing = [name for name in members if name not in bundle.files]
-                if missing:
-                    raise DataError(
-                        f"malformed {what} file {path}: {missing[0]} is not a file in the archive"
-                    )
-                return {name: bundle[name] for name in members}
-    except OSError as exc:
-        raise DataError(f"cannot load {what} from {path}: {exc}") from exc
-    except (ValueError, zipfile.BadZipFile) as exc:
-        raise DataError(f"malformed {what} file {path}: {exc}") from exc
-
-
-def atomic_savez(path: Path, **arrays: np.ndarray) -> None:
-    """`np.savez` the arrays to `path` through `atomic_write`."""
-    def write(tmp: Path) -> None:
-        # Through a handle: given a path, numpy appends ".npz" to any other suffix.
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **arrays)
-
-    atomic_write(path, write)

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
+from .artifacts import UNWRITABLE, read_json, read_lines, write_text
 from .errors import ConfigError, DataError, GatewayError
 from .gateway import ChatMessage, ChatRequest, ChatResponse, Gateway, ask, request_to_wire
-from .index import UNWRITABLE, _tsv_lines, atomic_write
 
 DEFAULT_BATCH_SIZE = 50
 DEFAULT_MAX_PATTERNS = 16
@@ -154,7 +154,7 @@ def ingest_pairs(path: str | Path) -> list[TrainingPair]:
     """Read `pair_id<TAB>query<TAB>reformulation` lines; strict per-line validation."""
     pairs: list[TrainingPair] = []
     seen: set[str] = set()
-    for line_no, line in _tsv_lines(path):
+    for line_no, line in read_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
             raise DataError(f"{path}:{line_no}: expected pair_id<TAB>query<TAB>reformulation")
@@ -380,16 +380,12 @@ def save_library(library: PatternLibrary, path: str | Path) -> None:
             {"pattern_id": p.pattern_id, **_pattern_to_payload(p)} for p in library.patterns
         ],
     }
-    text = json.dumps(payload, indent=2)
-    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    write_text(path, json.dumps(payload, indent=2))
 
 
 def load_library(path: str | Path) -> PatternLibrary:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot load pattern library {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != LIBRARY_FORMAT:
+    payload = read_json(path, "pattern library", DataError)
+    if payload.get("format") != LIBRARY_FORMAT:
         raise DataError(f"{path} is not a patternqr pattern library")
     try:
         prov = payload.get("provenance", {})
@@ -419,15 +415,14 @@ def default_library() -> PatternLibrary:
 
 def save_labels(labels: list[PatternLabel], path: str | Path, config_hash: str = "") -> None:
     lines = [f"# config_hash={config_hash}"] + [f"{lb.pair_id}\t{lb.pattern_id}" for lb in labels]
-    text = "\n".join(lines) + "\n"
-    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_labels(path: str | Path) -> list[PatternLabel]:
     """Read `pair_id<TAB>pattern_id` lines, each pair id once, after an optional
     `# config_hash=` first line."""
     labels, seen = [], set()
-    for line_no, line in _tsv_lines(path):
+    for line_no, line in read_lines(path):
         if line_no == 1 and line.startswith("# config_hash=") and "\t" not in line:
             continue
         fields = line.split("\t")

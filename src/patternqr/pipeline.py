@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from . import evaluation, feedback
+from .artifacts import UNWRITABLE
 from .errors import ConfigError, DataError, GatewayError, PatternQRError
 from .evaluation import (
     MetricsReport,
@@ -41,7 +42,6 @@ from .index import (
     DEFAULT_B,
     DEFAULT_K1,
     DEFAULT_SNIPPET_TOKENS,
-    UNWRITABLE,
     InvertedIndex,
     build_index,
     iter_corpus_tsv,

@@ -22,9 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_savez, read_npz, write_text
 from .errors import ConfigError, DataError
 from .gateway import ChatMessage, ChatRequest, Gateway, ask
-from .index import RetrievalContext, _Snippets, atomic_savez, atomic_write, load_npz, tokenize
+from .index import RetrievalContext, _Snippets, tokenize
 from .induction import PatternLibrary
 
 DEFAULT_DIMENSION = 2**18
@@ -48,10 +49,10 @@ SELECT_SYSTEM = (
 class FeatureConfig:
     dimension: int = DEFAULT_DIMENSION
 
-    def __post_init__(self):  # bucket ids are int64
-        if not 1 <= self.dimension <= 2**63:
-            raise ConfigError("a feature config needs dimension in [1, 2**63], "
-                              f"got {self.dimension}")
+    def __post_init__(self):  # bucket ids are int64; `type(...) is` leaves bools out
+        if type(self.dimension) is not int or not 1 <= self.dimension <= 2**63:
+            raise ConfigError("a feature config needs an integer dimension in [1, 2**63], "
+                              f"got {self.dimension!r}")
 
     def to_dict(self) -> dict:
         """The model-file meta: the dimension and the fixed features, which a file names."""
@@ -60,7 +61,7 @@ class FeatureConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
-        config = cls(dimension=int(d["dimension"]))
+        config = cls(dimension=d["dimension"])
         if {**d, "dimension": config.dimension} != config.to_dict():
             raise ConfigError(
                 f"a feature config must name n-gram orders {list(NGRAM_ORDERS)}, snippet_token_cap "
@@ -395,15 +396,8 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
 def load_model(path: str | Path) -> SelectorModel:
     """Read a v2 file as it is stored, its columns and their weights. Its meta is
     read first, so an older file, which holds no columns, is refused by name."""
-    head = load_npz(path, "selector model", ("meta",))
-    try:
-        meta = None if head is None else json.loads(str(head["meta"]))
-    except ValueError as exc:
-        raise DataError(f"cannot load selector model from {path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
-        raise DataError(f"{path} is not a {MODEL_FORMAT} file: run `patternqr train-selector` "
-                        "again")
-    arrays = load_npz(path, "selector model", ("columns", "weights", "bias"))
+    members = ("columns", "weights", "bias")
+    meta, arrays = read_npz(path, "selector model", MODEL_FORMAT, "train-selector", members)
     try:
         feature_config = FeatureConfig.from_dict(meta["feature_config"])
         library_version = meta["library_version"]
@@ -420,8 +414,7 @@ def load_model(path: str | Path) -> SelectorModel:
 def write_loss_curve(history: list[float], path: str | Path, config_hash: str = "") -> None:
     lines = [f"# config_hash={config_hash}", "epoch,loss"]
     lines += [f"{epoch},{loss:.10f}" for epoch, loss in enumerate(history)]
-    text = "\n".join(lines) + "\n"
-    atomic_write(Path(path), lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 class ModelSelector:

@@ -750,8 +750,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "change, message",
         [({"dimension": 0}, "dimension in [1, 2**63]"),
+         ({"dimension": 1024.7}, "dimension in [1, 2**63]"),
+         ({"dimension": "1024"}, "dimension in [1, 2**63]"),
+         ({"dimension": True}, "dimension in [1, 2**63]"),
          ({"ngram_orders": [1, 3]}, "n-gram orders [1, 2]")],
-        ids=["dimension-0", "orders-1-3"],
+        ids=["dimension-0", "dimension-fraction", "dimension-string", "dimension-true",
+             "orders-1-3"],
     )
     def test_selector_model_with_a_feature_config_out_of_range_is_3(
         self, files, capsys, change, message
@@ -1139,6 +1143,65 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+
+# Each input file a reader opens: its command line with the file as {bad}, its exit
+# code on a file it cannot use, and which artifact of another kind stands in for it.
+READER_ARGV = {
+    "run-library": (["run", "--mode", "reformer", "--selector", "prompt", "--library", "{bad}",
+                     "--corpus", "{corpus}", "--queries", "{queries}", "--mock-script", "{mock}",
+                     "--out-dir", "{out}"], 3, "model"),
+    "label-library": (["label", "--pairs", "{pairs}", "--library", "{bad}", "--mock-script",
+                       "{mock}", "--out", "{out}/labels.tsv"], 3, "model"),
+    "mock-script": (["run", "--mode", "reformer", "--selector", "prompt", "--mock-script", "{bad}",
+                     "--corpus", "{corpus}", "--queries", "{queries}", "--out-dir", "{out}"], 2,
+                    "model"),
+    "config": (["run", "--config", "{bad}", "--corpus", "{corpus}", "--queries", "{queries}",
+                "--out-dir", "{out}"], 2, "model"),
+    "selector-model": (["run", "--mode", "reformer", "--selector-model", "{bad}", "--corpus",
+                        "{corpus}", "--queries", "{queries}", "--mock-script", "{mock}",
+                        "--out-dir", "{out}"], 3, "index"),
+    "index": (["run", "--index", "{bad}", "--queries", "{queries}", "--out-dir", "{out}"], 3,
+              "model"),
+}
+
+
+def _write_bad_input(path, fault, other_kind):
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "empty":
+        path.write_bytes(b"")
+    elif fault == "not-utf8":
+        path.write_bytes(b'{"format": "\xff\xfe"}')
+    elif fault == "nested-too-deep":  # deeper than the JSON decoder recurses
+        path.write_text("[" * 100_000, encoding="utf-8")
+    elif other_kind == "index":
+        cli.main(["index", "--corpus", str(path.parent / "corpus.tsv"), "--out", str(path)])
+    else:
+        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=16), "seed-1"), path)
+
+
+class TestReaderFaults:
+    @pytest.mark.parametrize(
+        "fault", ["directory", "empty", "not-utf8", "nested-too-deep", "other-kind"]
+    )
+    @pytest.mark.parametrize("reader", READER_ARGV)
+    def test_an_unusable_input_file_is_one_line_and_writes_nothing(
+        self, files, capsys, monkeypatch, reader, fault
+    ):
+        template, code, other_kind = READER_ARGV[reader]
+        bad = files["dir"] / "input.bin"
+        _write_bad_input(bad, fault, other_kind)
+        paths = {**files, "bad": bad, "out": files["dir"] / "out",
+                 "mock": _mock(files["dir"], "Clarify Intent")}
+        before = sorted(p for p in files["dir"].rglob("*") if p.is_file())
+        capsys.readouterr()
+        monkeypatch.setattr(pipeline, "iter_corpus_tsv", lambda path: pytest.fail("read corpus"))
+        assert main([arg.format(**paths) for arg in template]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: " if code == 2 else "data error: "))
+        assert err.count("\n") == 1 and err.endswith("\n") and str(bad) in err
+        assert sorted(p for p in files["dir"].rglob("*") if p.is_file()) == before
 
 
 # Each artifact-writing subcommand's arguments, its output paths under {out} and named {name}.

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -236,4 +237,14 @@ class TestReformulationLog:
         path = tmp_path / "log.jsonl"
         path.write_text(f'{{"config_hash": "beef99"}}\n{line}\n', encoding="utf-8")
         with pytest.raises(DataError, match=f"{path}:2"):
+            read_reformulation_log(path)
+
+    @pytest.mark.parametrize("line", ['{"config_hash": "y"}', '{"oops": true}', "{}"])
+    def test_only_the_first_line_may_be_the_header(self, tmp_path, line):
+        record = ReformulationRecord("q1", 9, "Temporal Adjustment", "r text", "q r text", False)
+        path = tmp_path / "log.jsonl"
+        write_reformulation_log([record], path, config_hash="beef99")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(f"{line}\n{record.to_json()}\n")
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}:3: malformed reformulation"):
             read_reformulation_log(path)

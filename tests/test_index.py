@@ -653,6 +653,10 @@ MALFORMED_V2 = {
         {"meta": np.frombuffer(b'{"k1": "\xff"}', dtype=np.uint8)},
         "codec can't decode",
     ),
+    "meta-nested-too-deep": (
+        {"meta": np.frombuffer(b"[" * 100_000, dtype=np.uint8)},
+        "maximum recursion depth",
+    ),
     "no-k1": ({"meta": _without("k1")}, "k1 must be"),
     "no-b": ({"meta": _without("b")}, "b must be"),
     "no-doc-ids": ({"meta": _without("doc_ids")}, "doc_ids must be"),
