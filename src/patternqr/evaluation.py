@@ -121,12 +121,18 @@ def write_run(run: Run, path: str | Path) -> None:
     atomic_write(Path(path), stream)
 
 
+def _check_cutoffs(**values: int) -> None:
+    """A metric's cutoff k and relevance grade binarize_at are each at least 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise DataError(f"{name} must be >= 1, got {value}")
+
+
 def ndcg_at_k(
     ranked_doc_ids: Sequence[str], judgments: dict[str, int], k: int = DEFAULT_NDCG_K
 ) -> float:
     """Exponential-gain nDCG over graded judgments; 0 when the query has no relevant docs."""
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
+    _check_cutoffs(k=k)
     dcg = 0.0
     for i, doc_id in enumerate(ranked_doc_ids[:k], start=1):
         grade = judgments.get(doc_id, 0)
@@ -145,8 +151,7 @@ def average_precision_at_k(
     binarize_at: int = DEFAULT_BINARIZE_AT,
 ) -> float:
     """AP over the top k with relevance = grade >= binarize_at; 0 when nothing is relevant."""
-    if binarize_at < 1:
-        raise DataError(f"binarize_at must be >= 1, got {binarize_at}")
+    _check_cutoffs(k=k, binarize_at=binarize_at)
     relevant = {d for d, g in judgments.items() if g >= binarize_at}
     if not relevant:
         return 0.0
@@ -165,6 +170,7 @@ def recall_at_k(
     k: int = DEFAULT_RECALL_K,
     binarize_at: int = DEFAULT_BINARIZE_AT,
 ) -> float:
+    _check_cutoffs(k=k, binarize_at=binarize_at)
     relevant = {d for d, g in judgments.items() if g >= binarize_at}
     if not relevant:
         return 0.0

@@ -172,7 +172,7 @@ def write_reformulation_log(
 def read_reformulation_log(path: str | Path) -> list[ReformulationRecord]:
     records = []
     for line_no, line in read_lines(path):
-        try:  # a bad JSON line raises a ValueError too
+        try:  # a bad JSON line raises a ValueError, one nested too deep a RecursionError
             payload = json.loads(line)
             if line_no == 1 and isinstance(payload, dict) and "query_id" not in payload:
                 continue  # the header; no other line may lack a query_id
@@ -180,6 +180,6 @@ def read_reformulation_log(path: str | Path) -> list[ReformulationRecord]:
                 raise ValueError("pattern_id must be an integer and fallback a boolean")
             values = {f.name: payload[f.name] for f in fields(ReformulationRecord)}
             records.append(ReformulationRecord(**values))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"{path}:{line_no}: malformed reformulation record: {exc!r}") from exc
     return records

@@ -2,8 +2,8 @@
 the rewrite, compose the hybrid query, retrieve again, evaluate.
 
 Every artifact a run produces (run file, reformulation log, metrics CSV)
-embeds the digest of the settings that decide it, and a fixed seed makes the
-whole run bit-reproducible against a mock gateway.
+embeds the digest of the settings that decide it, and the same settings give
+the same artifacts, byte for byte, against a mock gateway.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .generator import (
 from .index import (
     DEFAULT_B,
     DEFAULT_K1,
-    DEFAULT_SNIPPET_TOKENS,
     InvertedIndex,
     build_index,
     iter_corpus_tsv,
@@ -55,7 +54,6 @@ from .selector import ModelSelector, PromptSelector, load_model
 MODES = ("bm25", "rm3", "rocchio", "reformer", "reformer+hook")
 REFORMER_MODES = ("reformer", "reformer+hook")
 SELECTORS = ("model", "prompt")
-SELECT_MODES = ("argmax", "sample")
 
 
 @dataclass(frozen=True)
@@ -68,16 +66,13 @@ class PipelineConfig:
     library: str | None = None
     selector_model: str | None = None
     selector: str = "model"  # one of SELECTORS
-    select_mode: str = "argmax"  # one of SELECT_MODES
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     k_context: int = 3
     k_eval: int = 1000
     repetition: int = 1
-    seed: int = 0
     hook_file: str | None = None
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    snippet_tokens: int = DEFAULT_SNIPPET_TOKENS
     fb_docs: int = feedback.DEFAULT_FB_DOCS
     fb_terms: int = feedback.DEFAULT_FB_TERMS
     orig_weight: float = feedback.DEFAULT_ORIG_WEIGHT
@@ -111,17 +106,13 @@ class PipelineConfig:
         if self.mode in REFORMER_MODES:
             if self.selector not in SELECTORS:
                 raise ConfigError(f"selector must be one of {SELECTORS}, got {self.selector!r}")
-            if self.select_mode not in SELECT_MODES:
-                raise ConfigError(
-                    f"select_mode must be one of {SELECT_MODES}, got {self.select_mode!r}"
-                )
             if self.selector == "model" and not self.selector_model:
                 raise ConfigError("selector='model' requires a selector model file")
             self.gateway.check_backend()
 
 
 _COUNTS = (
-    "repetition", "k_context", "k_eval", "fb_docs", "fb_terms", "snippet_tokens", "binarize_at",
+    "repetition", "k_context", "k_eval", "fb_docs", "fb_terms", "binarize_at",
     "epochs", "batch_size", "dimension", "max_patterns", "sample", "max_retries", "max_in_flight",
 )
 _UNHASHED = {"out", "out_dir", "csv", "loss_csv", "transcript", "api_key",
@@ -130,10 +121,8 @@ _UNHASHED = {"out", "out_dir", "csv", "loss_csv", "transcript", "api_key",
 
 def check_ranges(settings: Mapping[str, object]) -> None:
     """Raise a ConfigError for the first numeric setting in `settings` that is out
-    of range, for PipelineConfig and every subcommand, or for the prompt selector
-    asked to sample; other keys and None values (a `run` flag not given) are skipped."""
-    if settings.get("selector") == "prompt" and settings.get("select_mode") == "sample":
-        raise ConfigError("select_mode 'sample' needs selector 'model': a prompt cannot sample")
+    of range, for PipelineConfig and every subcommand; other keys and None values
+    (a `run` flag not given) are skipped."""
     for name, value in settings.items():
         if value is None:
             continue
@@ -185,11 +174,6 @@ def _stage(name: str, fn, *args, **kwargs):
         _rewrap(f"stage {name}", exc)
 
 
-def _query_seed(run_seed: int, query_id: str) -> int:
-    digest = hashlib.sha256(f"{run_seed}:{query_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little")
-
-
 def open_index(corpus: str | None, index: str | None, k1: float, b: float) -> InvertedIndex:
     """Load the index file `index`, or build an index from `corpus`. A loaded index
     must have the `k1` and `b` given, as they name the ranking in its digest."""
@@ -230,7 +214,7 @@ def load_reformer(config: PipelineConfig) -> Reformer:
     """Read the pattern library, the mock script, the selector model and the hook
     passages that `config` names, and build the gateway and selector on them."""
     library = load_library(config.library) if config.library else default_library()
-    gateway = config.gateway.build(jitter_seed=config.seed)
+    gateway = config.gateway.build()
     selector = _build_selector(config, library, gateway)
     hook = load_hook_passages(config.hook_file) if config.mode == "reformer+hook" else {}
     return Reformer(library, gateway, selector, hook)
@@ -309,8 +293,8 @@ def rank_queries(
     (`_Turns`), so while some wait on the LLM the others retrieve, select or rank.
     The other modes have no LLM wait to overlap, and run on the calling thread.
     The first failing query's error, in input order, is raised."""
-    # Queries are independent and their seeds come from their ids, so running
-    # them concurrently and storing each result at its index gives the serial ones.
+    # Queries are independent, so running them concurrently and storing each
+    # result at its index gives the serial ones.
     results: list = [None] * len(queries)  # (record or None, ranking or None) per query
     turns = _Turns(len(queries), config.gateway.max_in_flight)
 
@@ -318,11 +302,8 @@ def rank_queries(
         library, gateway, selector, hook = reformer
         llm = _QueryLLM(gateway, turns, i)
         chooser = PromptSelector(llm, library) if isinstance(selector, PromptSelector) else selector
-        context = retrieve_topk(
-            index, text, config.k_context, query_id=query_id, snippet_tokens=config.snippet_tokens
-        )
-        seed = _query_seed(config.seed, query_id) if config.select_mode == "sample" else None
-        pattern = library.patterns[chooser.choose(text, context, config.select_mode, seed)]
+        context = retrieve_topk(index, text, config.k_context, query_id=query_id)
+        pattern = library.patterns[chooser.choose(text, context)]
         extra = [hook[query_id]] if query_id in hook else None
         reformulation = generate_reformulation(
             llm, text, context, pattern, query_id=query_id, extra_context=extra

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -84,8 +85,8 @@ class PatternDistribution:
     def __post_init__(self):
         if self.probs.ndim != 1:
             raise DataError("distribution must be one-dimensional")
-        if np.any(self.probs < 0.0) or np.any(self.probs > 1.0):
-            raise DataError("probabilities must lie in [0, 1]")
+        if not np.all((self.probs >= 0.0) & (self.probs <= 1.0)):  # False for NaN
+            raise DataError("probabilities must be finite and lie in [0, 1]")
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise DataError(f"probabilities sum to {self.probs.sum()}, not 1")
 
@@ -274,19 +275,9 @@ def predict_distribution(
     return predict_from_vector(model, featurize(query, context, model.feature_config))
 
 
-def select_pattern(
-    distribution: PatternDistribution, mode: str = "argmax", seed: int | None = None
-) -> int:
-    """Argmax (lowest-id tie-break) or a seeded categorical sample."""
-    probs = distribution.probs
-    if mode == "argmax":
-        return int(np.argmax(probs))
-    if mode == "sample":
-        if seed is None:
-            raise ConfigError("sample mode requires a seed")
-        rng = np.random.default_rng(seed)
-        return int(rng.choice(len(probs), p=probs / probs.sum()))
-    raise ConfigError(f"unknown selection mode {mode!r}")
+def select_pattern(distribution: PatternDistribution) -> int:
+    """The most probable pattern; the lowest id wins a tie."""
+    return int(np.argmax(distribution.probs))
 
 
 @dataclass(frozen=True)
@@ -305,6 +296,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as a diverged loss
 def train_selector(
     examples: list[tuple[str, RetrievalContext, int]],
     library: PatternLibrary,
@@ -366,6 +358,9 @@ def train_selector(
             step += 1
         total, _ = _cross_entropy(weights_t, bias, compact, labels)
         history.append(total / len(vectors) + hyper.l2 * float(np.dot(flat, flat)))
+        if not math.isfinite(history[-1]):
+            raise DataError(f"training diverged: the loss of epoch {len(history) - 1} is "
+                            f"{history[-1]}; lower the learning rate")
     # Keep the columns `save_model` keeps: those with any nonzero bit. One copy,
     # already in the (M, kept) C order the model holds.
     kept = weights_t.view(np.int64).any(axis=1)
@@ -434,14 +429,8 @@ class ModelSelector:
         self.model = model
         self.library = library
 
-    def choose(
-        self,
-        query: str,
-        context: RetrievalContext,
-        mode: str = "argmax",
-        seed: int | None = None,
-    ) -> int:
-        return select_pattern(predict_distribution(self.model, query, context), mode, seed)
+    def choose(self, query: str, context: RetrievalContext) -> int:
+        return select_pattern(predict_distribution(self.model, query, context))
 
 
 class PromptSelector:
@@ -468,13 +457,7 @@ class PromptSelector:
             ),
         )
 
-    def choose(
-        self,
-        query: str,
-        context: RetrievalContext,
-        mode: str = "argmax",
-        seed: int | None = None,
-    ) -> int:
+    def choose(self, query: str, context: RetrievalContext) -> int:
         if len(self.library) == 1:
             return 0
         suffix = f" Answer with exactly one of: {', '.join(self.library.names)}."

@@ -291,7 +291,6 @@ def _e2e_workspace(tmp_path, reformulation_of):
             selector_model=str(tmp_path / "selector.npz"),
             gateway=GatewayConfig(mock_script=str(tmp_path / "mock.json"), model="mock-model"),
             k_eval=10,
-            seed=42,
             out_dir=str(tmp_path / out_dir),
         )
 

@@ -625,52 +625,32 @@ class TestExitCodes:
         assert "pass --k1 1.5 --b 0.9" in capsys.readouterr().err
         assert not list(out.iterdir())
 
-    def test_prompt_selector_cannot_sample_is_2(self, files, capsys, monkeypatch):
-        def no_call(self, request):
-            raise AssertionError("a gateway call was made")
+    @pytest.mark.parametrize("name, value", [("select_mode", "argmax"), ("seed", 3),
+                                             ("snippet_tokens", 64)])
+    def test_a_removed_run_setting_is_2_before_any_input_is_read(
+        self, files, capsys, monkeypatch, name, value
+    ):
+        # The selector is always the argmax or the LLM's pick, and snippets are
+        # always cut at the 64 tokens the selector is trained on.
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input file was read")
 
-        monkeypatch.setattr(Gateway, "complete", no_call)
-        mock = _mock(files["dir"], "Clarify Intent")
+        for reader in ("iter_corpus_tsv", "load_index", "read_queries_tsv", "parse_qrels"):
+            monkeypatch.setattr(pipeline, reader, no_read)
         out = files["dir"] / "out"
-        argv = [
-            "run",
-            "--mode",
-            "reformer",
-            "--corpus",
-            str(files["corpus"]),
-            "--queries",
-            str(files["queries"]),
-            "--selector",
-            "prompt",
-            "--select-mode",
-            "sample",
-            "--mock-script",
-            str(mock),
-            "--out-dir",
-            str(out),
-        ]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "select_mode 'sample' needs selector 'model'" in err
-        assert not out.exists()
-
-    def test_prompt_selector_cannot_sample_before_any_input_is_read(self, files, capsys):
-        # From a config file, as the flags in the test above.
-        out = files["dir"] / "out"
-        config = files["dir"] / "config.json"
-        pair = {"selector": "prompt", "select_mode": "sample"}
-        config.write_text(json.dumps(pair), encoding="utf-8")
-        argv = ["run", "--config", str(config), "--mode", "reformer", "--corpus"]
+        argv = ["run", "--mode", "reformer", "--selector", "prompt", "--corpus"]
         argv += [str(files["corpus"]), "--queries", str(files["queries"]), "--out-dir", str(out)]
-        assert main(argv) == 2
-        assert "select_mode 'sample'" in capsys.readouterr().err
-        # The output directory is made before the corpus is read.
+        flag = f"--{name.replace('_', '-')}"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, str(value)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        config = files["dir"] / "config.json"
+        config.write_text(json.dumps({name: value}), encoding="utf-8")
+        assert main([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown pipeline config keys: ['{name}']\n"
         assert not out.exists()
-        # An index file that does not exist is never opened.
-        argv = ["run", "--mode", "reformer", "--index", str(files["dir"] / "missing.npz")]
-        argv += ["--queries", str(files["queries"]), "--selector", "prompt", "--select-mode"]
-        assert main([*argv, "sample", "--out-dir", str(out)]) == 2
-        assert "select_mode 'sample'" in capsys.readouterr().err
 
     def test_bad_qrels_fail_before_the_index_or_any_gateway_call(
         self, files, capsys, monkeypatch
@@ -803,6 +783,19 @@ class TestExitCodes:
         assert f"{labels}:3: duplicate pair_id 'p1'" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_diverged_training_is_3_and_writes_no_model(self, files, capsys):
+        labels = files["dir"] / "labels.tsv"
+        labels.write_text("p1\t0\np2\t4\n", encoding="utf-8")
+        model, loss = files["dir"] / "model.npz", files["dir"] / "loss.csv"
+        argv = ["train-selector", "--corpus", str(files["corpus"]), "--pairs", str(files["pairs"]),
+                "--labels", str(labels), "--learning-rate", "1e300", "--dimension", "64",
+                "--out", str(model), "--loss-csv", str(loss)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: training diverged: the loss of epoch 0 is ")
+        assert err.count("\n") == 1
+        assert not model.exists() and not loss.exists()
+
     def test_train_selector_reads_its_inputs_before_the_index(self, files, capsys, monkeypatch):
         def no_build(documents, **kwargs):
             raise AssertionError("the index was built")
@@ -900,7 +893,6 @@ class TestExitCodes:
             ("bm25", "--k1", "nan"),
             ("bm25", "--b", "-0.1"),
             ("bm25", "--b", "2"),
-            ("bm25", "--snippet-tokens", "-1"),
             ("bm25", "--binarize-at", "0"),
             ("rm3", "--fb-docs", "0"),
             ("rm3", "--fb-terms", "0"),
@@ -1062,9 +1054,8 @@ class TestExitCodes:
             ({"mystery": 1}, "mystery"),
             ({"gateway": {"mystery": 1}}, "mystery"),
             ({"k_eval": "5"}, "k_eval"),
-            ({"mode": "reformer", "selector": "prompt", "select_mode": "bogus"}, "bogus"),
         ],
-        ids=["unknown", "unknown-gateway", "mistyped", "bad-select-mode"],
+        ids=["unknown", "unknown-gateway", "mistyped"],
     )
     def test_bad_config_file_is_2(self, files, capsys, payload, key):
         config_path = files["dir"] / "config.json"
@@ -1282,7 +1273,7 @@ class TestIndexSource:
         mock = _mock(files["dir"], "a rewritten query {fingerprint}")
         argv = ["run", "--mode", mode, "--queries", str(files["queries"]), "--qrels",
                 str(files["qrels"]), "--selector-model", str(model_path), "--hook-file", str(hook),
-                "--mock-script", str(mock), "--select-mode", "sample", "--seed", "3"]
+                "--mock-script", str(mock)]
         written = {}
         for source, path in (("corpus", files["corpus"]), ("index", index_path)):
             out = files["dir"] / source
@@ -1423,15 +1414,14 @@ PARSED_SETTINGS = [
             "index": None,
             **dict.fromkeys(
                 [
-                    "mode", "qrels", "library", "selector_model", "selector", "select_mode",
-                    "k_context", "k_eval", "repetition", "seed", "hook_file", "k1", "b",
-                    "snippet_tokens", "fb_docs", "fb_terms", "orig_weight", "alpha", "beta",
-                    "binarize_at", "out_dir",
+                    "mode", "qrels", "library", "selector_model", "selector", "k_context",
+                    "k_eval", "repetition", "hook_file", "k1", "b", "fb_docs", "fb_terms",
+                    "orig_weight", "alpha", "beta", "binarize_at", "out_dir",
                 ]
             ),
             **_GATEWAY_UNSET,
         },
-        "9130e5da416a",
+        "66ae31a17dae",
     ),
     (
         ["evaluate", "--run", "r.run", "--qrels", "q.txt"],
@@ -1459,7 +1449,7 @@ class TestParsedSettings:
         assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in settings.items()}
         assert pipeline.settings_hash(vars(args)) == digest
 
-    @pytest.mark.parametrize("flag", ["--selector", "--select-mode"])
+    @pytest.mark.parametrize("flag", ["--selector"])
     def test_unknown_selector_choice_is_2(self, files, capsys, monkeypatch, flag):
         def no_read(path):
             raise AssertionError("the corpus was read")

@@ -270,6 +270,23 @@ class TestRecall:
         assert r1 >= r2 >= r3
 
 
+@pytest.mark.parametrize(
+    "metric, arguments",
+    [
+        (average_precision_at_k, {"k": 0}),
+        (recall_at_k, {"k": 0}),
+        (recall_at_k, {"k": -1}),
+        (recall_at_k, {"binarize_at": 0}),
+    ],
+    ids=["map-k", "recall-k", "recall-negative-k", "recall-binarize-at"],
+)
+def test_a_cutoff_or_threshold_below_one_is_refused(metric, arguments):
+    # A grade-0 judgment would count as relevant, and a cutoff of 0 would score 0.
+    name, value = next(iter(arguments.items()))
+    with pytest.raises(DataError, match=f"^{name} must be >= 1, got {value}$"):
+        metric(["d1"], {"d1": 0, "d2": 2}, **arguments)
+
+
 def _random_instance(rng: random.Random):
     doc_pool = [f"d{i}" for i in range(rng.randint(5, 40))]
     queries = [f"q{i}" for i in range(rng.randint(1, 6))]

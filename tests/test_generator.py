@@ -221,6 +221,7 @@ class TestReformulationLog:
             ' "hybrid_query": "q r", "fallback": 0}',
             "3",
             "[1]",
+            "[" * 100_000,
         ],
         ids=[
             "missing-fields",
@@ -231,6 +232,7 @@ class TestReformulationLog:
             "integer-fallback",
             "number",
             "list",
+            "nested-too-deep",
         ],
     )
     def test_malformed_record_is_a_data_error(self, tmp_path, line):

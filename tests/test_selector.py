@@ -457,6 +457,14 @@ class TestTraining:
         with pytest.raises(DataError):
             train_selector([], _library(2), TrainConfig())
 
+    def test_a_loss_that_is_not_finite_is_a_data_error(self):
+        # Such a model predicts NaN for every pattern, and so chose pattern 0 for every query.
+        library = _library(3)
+        examples = separable_examples(library, per_class=3, seed=1)
+        hyper = TrainConfig(epochs=2, learning_rate=1e300, feature_config=SMALL)
+        with pytest.raises(DataError, match="loss of epoch 0 is inf"):
+            train_selector(examples, library, hyper)
+
     def test_loss_history_one_entry_per_epoch(self):
         library = _library(2)
         examples = separable_examples(library, per_class=5, seed=3)
@@ -580,15 +588,10 @@ class TestSelectPattern:
         dist = PatternDistribution(np.full(10, 0.1))
         assert select_pattern(dist) == 0
 
-    def test_seeded_sampling_is_deterministic(self):
-        dist = PatternDistribution(np.array([0.2, 0.3, 0.5]))
-        a = select_pattern(dist, mode="sample", seed=123)
-        b = select_pattern(dist, mode="sample", seed=123)
-        assert a == b
-
-    def test_sample_without_seed_rejected(self):
-        with pytest.raises(ConfigError):
-            select_pattern(PatternDistribution(np.array([1.0])), mode="sample")
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_probabilities_that_are_not_finite_are_refused(self, probs):
+        with pytest.raises(DataError, match="must be finite"):
+            PatternDistribution(np.array(probs))
 
 
 MODEL_META = {
@@ -915,6 +918,12 @@ class TestSelectorInterfaces:
         with pytest.raises(ConfigError):
             ModelSelector(model, _library(3))
 
+    def test_model_selector_refuses_a_model_that_predicts_nan(self):
+        model = SelectorModel.zeros(3, SMALL, "test-3")
+        model.bias[:] = np.nan
+        with pytest.raises(DataError, match="must be finite"):
+            ModelSelector(model, _library(3)).choose("minimum wage", EMPTY_CONTEXT)
+
     def test_model_selector_checks_class_count(self):
         model = SelectorModel.zeros(4, SMALL, "test-3")
         with pytest.raises(ConfigError):
@@ -951,7 +960,7 @@ class TestSelectorInterfaces:
         gateway = Gateway(Backend(MockScript(fallback="Nonsense")), model="m")
         chooser = PromptSelector(gateway, _library(1))
         assert chooser.choose("minimum wage", _context(["wage info passage"])) == 0
-        assert chooser.choose("minimum wage", EMPTY_CONTEXT, mode="sample", seed=3) == 0
+        assert chooser.choose("minimum wage", EMPTY_CONTEXT) == 0
         assert sent == []
 
     def test_prompt_selector_bad_name_twice_errors(self, seed_library, mock_gateway_factory):
