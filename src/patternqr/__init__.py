@@ -67,7 +67,6 @@ from .induction import (
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .selector import (
-    FeatureConfig,
     ModelSelector,
     PatternDistribution,
     PromptSelector,
@@ -87,7 +86,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Document",
-    "FeatureConfig",
     "Gateway",
     "GatewayConfig",
     "GatewayError",

@@ -204,6 +204,10 @@ def _cmd_train_selector(args) -> None:
     missing = [p.pair_id for p in pairs if p.pair_id not in labels]
     if missing:
         raise DataError(f"no label for pairs: {missing[:10]}")
+    for pair in pairs:
+        if not 0 <= labels[pair.pair_id] < len(library):
+            raise DataError(f"{args.labels}: pair {pair.pair_id!r} has label "
+                            f"{labels[pair.pair_id]}, not a pattern id in [0, {len(library)})")
     hyper = _config(selector.TrainConfig, args)
     index = pipeline.open_index(args.corpus, args.index, args.k1, args.b)
     examples = []

@@ -230,9 +230,11 @@ class HttpBackend:
         try:
             payload = json.loads(body)
             choice = payload["choices"][0]
-            usage = payload.get("usage", {})
+            content, usage = choice["message"]["content"], payload.get("usage", {})
+            if not isinstance(content, str):
+                raise TypeError(f"message content is {type(content).__name__}, not a string")
             return ChatResponse(
-                content=choice["message"]["content"],
+                content=content,
                 finish_reason=choice.get("finish_reason", "stop"),
                 usage=Usage(
                     prompt_tokens=int(usage.get("prompt_tokens", 0)),

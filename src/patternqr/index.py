@@ -25,7 +25,8 @@ from .errors import DataError
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
-DEFAULT_SNIPPET_TOKENS = 64
+# The tokens of a document a snippet holds: the selector is trained on snippets of this length.
+SNIPPET_TOKENS = 64
 INDEX_FORMAT = "patternqr-index-v2"
 
 # Maximal runs of Unicode alphanumerics; underscore is punctuation here.
@@ -105,19 +106,18 @@ class RetrievalContext:
 class _Snippets(Sequence):
     """The snippets of ranked documents, each cut from the index when read."""
 
-    def __init__(self, index: InvertedIndex, ordinals: list[int], max_tokens: int):
-        self._index, self._ordinals, self._max_tokens = index, ordinals, max_tokens
+    def __init__(self, index: InvertedIndex, ordinals: list[int]):
+        self._index, self._ordinals = index, ordinals
 
     def __len__(self) -> int:
         return len(self._ordinals)
 
     def __getitem__(self, i: int) -> str:
-        return self._index.snippet(self._ordinals[i], self._max_tokens)
+        return self._index.snippet(self._ordinals[i])
 
-    def terms(self, cap: int) -> list[list[str]]:
-        """`tokenize(self[i])[:cap]` of each snippet, read from its term ids."""
-        ids = (self._index._token_ids(o)[: self._max_tokens][:cap].tolist() for o in self._ordinals)
-        return [list(map(self._index.terms.__getitem__, i)) for i in ids]
+    def terms(self) -> list[list[str]]:
+        """`tokenize(self[i])` of each snippet: its terms, none of which holds a space."""
+        return [snippet.split() for snippet in self]
 
 
 class InvertedIndex:
@@ -224,8 +224,9 @@ class InvertedIndex:
         """The document's term counts, terms in order of first occurrence in it."""
         return Counter(map(self.terms.__getitem__, self._token_ids(ordinal).tolist()))
 
-    def snippet(self, ordinal: int, max_tokens: int = DEFAULT_SNIPPET_TOKENS) -> str:
-        tokens = self._token_ids(ordinal)[:max_tokens].tolist()
+    def snippet(self, ordinal: int) -> str:
+        """The document's first `SNIPPET_TOKENS` terms, joined by spaces."""
+        tokens = self._token_ids(ordinal)[:SNIPPET_TOKENS].tolist()
         return " ".join(map(self.terms.__getitem__, tokens))
 
     def _token_ids(self, ordinal: int) -> np.ndarray:
@@ -315,7 +316,6 @@ def retrieve_topk(
     query: str | Mapping[str, float],
     k: int,
     query_id: str = "",
-    snippet_tokens: int = DEFAULT_SNIPPET_TOKENS,
 ) -> RetrievalContext:
     """Top-k retrieval: exactly min(k, #docs with positive score) ranked documents.
 
@@ -323,7 +323,7 @@ def retrieve_topk(
     walks query terms in sorted order, and every document receives the same
     floating-point operations in the same order as bm25_score performs, so
     scores are bit-identical to it and across document insertion orders.
-    Each snippet is cut when it is read.
+    Each snippet, the document's first `SNIPPET_TOKENS` terms, is cut when it is read.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
@@ -347,7 +347,7 @@ def retrieve_topk(
     order = np.lexsort((index._doc_id_rank[hits], -hit_scores))[:k]
     ordinals = hits[order].tolist()
     doc_ids = list(map(index.doc_ids.__getitem__, ordinals))
-    snippets = _Snippets(index, ordinals, snippet_tokens)
+    snippets = _Snippets(index, ordinals)
     return RetrievalContext(query_id, doc_ids, hit_scores[order].tolist(), k, snippets)
 
 

@@ -113,7 +113,7 @@ class PipelineConfig:
 
 _COUNTS = (
     "repetition", "k_context", "k_eval", "fb_docs", "fb_terms", "binarize_at",
-    "epochs", "batch_size", "dimension", "max_patterns", "sample", "max_retries", "max_in_flight",
+    "epochs", "batch_size", "max_patterns", "sample", "max_retries", "max_in_flight",
 )
 _UNHASHED = {"out", "out_dir", "csv", "loss_csv", "transcript", "api_key",
              "max_in_flight", "max_retries", "handler", "command"}
@@ -198,7 +198,11 @@ def _build_selector(config: PipelineConfig, library: PatternLibrary, gateway: Ga
         return PromptSelector(gateway, library)
     if not config.selector_model:
         raise ConfigError("selector='model' requires a selector model file")
-    return ModelSelector(load_model(config.selector_model), library)
+    model = load_model(config.selector_model)
+    try:
+        return ModelSelector(model, library)
+    except PatternQRError as exc:
+        _rewrap(f"selector model {config.selector_model}", exc)
 
 
 class Reformer(typing.NamedTuple):

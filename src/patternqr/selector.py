@@ -17,7 +17,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
 
@@ -26,13 +26,12 @@ import numpy as np
 from .artifacts import atomic_savez, read_npz, write_text
 from .errors import ConfigError, DataError
 from .gateway import ChatMessage, ChatRequest, Gateway, ask
-from .index import RetrievalContext, _Snippets, tokenize
+from .index import SNIPPET_TOKENS, RetrievalContext, _Snippets, tokenize
 from .induction import PatternLibrary
 
-DEFAULT_DIMENSION = 2**18
-# The same for every model: a model file names them, and `FeatureConfig.from_dict` refuses others.
+# The features of every model: a model file names them, and `load_model` refuses others.
+DIMENSION = 2**18
 NGRAM_ORDERS = (1, 2)
-SNIPPET_TOKEN_CAP = 64
 HASH_SEED = 0
 MODEL_FORMAT = "patternqr-selector-v2"
 # Pairs `_featurize_all` codes and counts at once: its temporaries grow with this.
@@ -46,36 +45,16 @@ SELECT_SYSTEM = (
 )
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    dimension: int = DEFAULT_DIMENSION
-
-    def __post_init__(self):  # bucket ids are int64; `type(...) is` leaves bools out
-        if type(self.dimension) is not int or not 1 <= self.dimension <= 2**63:
-            raise ConfigError("a feature config needs an integer dimension in [1, 2**63], "
-                              f"got {self.dimension!r}")
-
-    def to_dict(self) -> dict:
-        """The model-file meta: the dimension and the fixed features, which a file names."""
-        return {"dimension": self.dimension, "ngram_orders": list(NGRAM_ORDERS),
-                "snippet_token_cap": SNIPPET_TOKEN_CAP, "hash_seed": HASH_SEED}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureConfig":
-        config = cls(dimension=d["dimension"])
-        if {**d, "dimension": config.dimension} != config.to_dict():
-            raise ConfigError(
-                f"a feature config must name n-gram orders {list(NGRAM_ORDERS)}, snippet_token_cap "
-                f"{SNIPPET_TOKEN_CAP} and hash_seed {HASH_SEED}, and no other key, got {d}"
-            )
-        return config
+def _layout() -> dict:
+    """The features as a model file's meta names them."""
+    return {"dimension": DIMENSION, "ngram_orders": list(NGRAM_ORDERS),
+            "snippet_token_cap": SNIPPET_TOKENS, "hash_seed": HASH_SEED}
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    indices: np.ndarray  # sorted unique ints in [0, dimension)
+    indices: np.ndarray  # sorted unique ints in [0, DIMENSION)
     values: np.ndarray  # positive floats, aligned with indices
-    dimension: int
 
 
 @dataclass(frozen=True)
@@ -91,14 +70,13 @@ class PatternDistribution:
             raise DataError(f"probabilities sum to {self.probs.sum()}, not 1")
 
 
-def featurize(query: str, context: RetrievalContext, config: FeatureConfig) -> FeatureVector:
-    """Hashed word n-grams: query terms under "q:", snippet terms under "d:"."""
-    return _featurize_all([(query, context)], config)[0]
+def featurize(query: str, context: RetrievalContext) -> FeatureVector:
+    """Hashed word n-grams: query terms under "q:", snippet terms under "d:", each
+    snippet cut at `SNIPPET_TOKENS` tokens."""
+    return _featurize_all([(query, context)])[0]
 
 
-def _featurize_all(
-    pairs: list[tuple[str, RetrievalContext]], config: FeatureConfig
-) -> list[FeatureVector]:
+def _featurize_all(pairs: list[tuple[str, RetrievalContext]]) -> list[FeatureVector]:
     """`featurize` of each (query, context) pair, `_FEATURIZE_CHUNK` pairs at a time.
 
     Every token is numbered in one vocabulary of the call: a string's from
@@ -107,12 +85,12 @@ def _featurize_all(
     base len(vocab), the same in every chunk. Only the codes that no earlier chunk
     hashed get their key built and hashed, so each distinct key is hashed once.
     """
-    cap, vocab = SNIPPET_TOKEN_CAP, defaultdict(count().__next__)
+    vocab = defaultdict(count().__next__)
     texts, spaces, owners = [], [], []
     for pair, (query, context) in enumerate(pairs):
         snippets = context.snippets
-        cut = snippets.terms(cap) if isinstance(snippets, _Snippets) else [
-            tokenize(snippet)[:cap] for snippet in snippets]
+        cut = snippets.terms() if isinstance(snippets, _Snippets) else [
+            tokenize(snippet)[:SNIPPET_TOKENS] for snippet in snippets]
         for space, text in enumerate([tokenize(query), *cut]):
             texts.append(np.fromiter(map(vocab.__getitem__, text), np.int32, len(text)))
             spaces.append(min(space, 1))  # 0 for "q:", 1 for "d:"
@@ -154,7 +132,7 @@ def _featurize_all(
                 h = salted.copy()
                 h.update(gram.encode("utf-8"))
                 digests += h.digest()
-            bucket[fresh] = np.frombuffer(digests, "<u8") % np.uint64(config.dimension)
+            bucket[fresh] = np.frombuffer(digests, "<u8") % np.uint64(DIMENSION)
             run = (distinct[fresh], bucket[fresh])
             while runs[order] and runs[order][-1][0].size.bit_length() <= run[0].size.bit_length():
                 known, known_buckets = runs[order].pop()
@@ -170,8 +148,7 @@ def _featurize_all(
         # The chunk's vectors are views of one array of indices and one of values.
         indices, values = found[keys % found.size], counts.astype(np.float64)
         ends = np.searchsorted(keys, np.arange(hi - lo + 1) * found.size)
-        vectors += [FeatureVector(indices[a:b], values[a:b], config.dimension)
-                    for a, b in zip(ends[:-1], ends[1:])]
+        vectors += [FeatureVector(indices[a:b], values[a:b]) for a, b in zip(ends[:-1], ends[1:])]
     return vectors
 
 
@@ -187,18 +164,17 @@ class SelectorModel:
 
     weights: np.ndarray  # (M, len(columns))
     bias: np.ndarray  # (M,)
-    feature_config: FeatureConfig
     library_version: str
     columns: np.ndarray  # ascending feature ids
 
     def __post_init__(self):
-        columns, weights, dimension = self.columns, self.weights, self.feature_config.dimension
+        columns, weights = self.columns, self.weights
         if columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer):
             raise DataError(f"columns must be a 1-D integer array, got {columns.dtype}")
         if columns.size and (
-            columns[0] < 0 or columns[-1] >= dimension or np.any(columns[1:] <= columns[:-1])
+            columns[0] < 0 or columns[-1] >= DIMENSION or np.any(columns[1:] <= columns[:-1])
         ):
-            raise DataError(f"columns must ascend strictly within [0, {dimension})")
+            raise DataError(f"columns must ascend strictly within [0, {DIMENSION})")
         if weights.ndim != 2 or weights.shape[1] != columns.size:
             raise DataError(f"weights {weights.shape} lack {columns.size} columns")
         if self.bias.shape != weights.shape[:1]:
@@ -209,10 +185,10 @@ class SelectorModel:
         return self.weights.shape[0]
 
     @classmethod
-    def zeros(cls, num_patterns: int, feature_config: FeatureConfig, library_version: str):
+    def zeros(cls, num_patterns: int, library_version: str):
         """The all-zero model: no columns, so every feature's weights are +0.0."""
         weights, bias = np.zeros((num_patterns, 0)), np.zeros(num_patterns)
-        return cls(weights, bias, feature_config, library_version, np.zeros(0, np.int64))
+        return cls(weights, bias, library_version, np.zeros(0, np.int64))
 
 
 def _feature_rows(model: SelectorModel, indices: np.ndarray) -> np.ndarray:
@@ -256,23 +232,15 @@ def _cross_entropy(
     return total, deltas
 
 
-def predict_from_vector(model: SelectorModel, fv: FeatureVector) -> PatternDistribution:
-    if fv.dimension != model.feature_config.dimension:
-        raise ConfigError(
-            f"feature vector dimension {fv.dimension} does not match model "
-            f"dimension {model.feature_config.dimension}"
-        )
-    # Gather the vector's own rows, and renumber its features to match.
-    local = FeatureVector(np.arange(fv.indices.size), fv.values, fv.indices.size)
-    _, probs, _ = _softmax_rows(_feature_rows(model, fv.indices), model.bias, [local])
-    return PatternDistribution(probs=probs[0])
-
-
 def predict_distribution(
     model: SelectorModel, query: str, context: RetrievalContext
 ) -> PatternDistribution:
-    """Softmax over pattern logits for (query, context) under the model's features."""
-    return predict_from_vector(model, featurize(query, context, model.feature_config))
+    """Softmax over pattern logits for (query, context)."""
+    fv = featurize(query, context)
+    # Gather the vector's own rows, and renumber its features to match.
+    local = FeatureVector(np.arange(fv.indices.size), fv.values)
+    _, probs, _ = _softmax_rows(_feature_rows(model, fv.indices), model.bias, [local])
+    return PatternDistribution(probs=probs[0])
 
 
 def select_pattern(distribution: PatternDistribution) -> int:
@@ -288,7 +256,6 @@ class TrainConfig:
     l2: float = 1e-5
     batch_size: int = 32
     seed: int = 0
-    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
@@ -314,8 +281,7 @@ def train_selector(
         if not 0 <= label < m:
             raise DataError(f"label {label} out of range [0, {m}) for query {query!r}")
 
-    config = hyper.feature_config
-    vectors = _featurize_all([(query, context) for query, context, _ in examples], config)
+    vectors = _featurize_all([(query, context) for query, context, _ in examples])
     labels = np.array([lbl for _, _, lbl in examples], dtype=np.int64)
 
     # A column no example activates starts at +0.0 and stays exactly +0.0 under
@@ -324,10 +290,7 @@ def train_selector(
     # transposed, one contiguous row of M weights per active feature, so a
     # vector's gather and scatter move whole rows.
     active = np.unique(np.concatenate([fv.indices for fv in vectors]))
-    compact = [
-        FeatureVector(np.searchsorted(active, fv.indices), fv.values, active.size)
-        for fv in vectors
-    ]
+    compact = [FeatureVector(np.searchsorted(active, fv.indices), fv.values) for fv in vectors]
     weights_t = np.zeros((active.size, m), dtype=np.float64)
     bias = np.zeros(m, dtype=np.float64)
     # The loss history's L2 term is one dot product over the active block, in
@@ -365,7 +328,7 @@ def train_selector(
     # already in the (M, kept) C order the model holds.
     kept = weights_t.view(np.int64).any(axis=1)
     weights = weights_t.T.compress(kept, axis=1)
-    return SelectorModel(weights, bias, config, library.version, columns=active[kept]), history
+    return SelectorModel(weights, bias, library.version, columns=active[kept]), history
 
 
 def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") -> None:
@@ -374,7 +337,7 @@ def save_model(model: SelectorModel, path: str | Path, config_hash: str = "") ->
     meta = {
         "format": MODEL_FORMAT,
         "config_hash": config_hash,
-        "feature_config": model.feature_config.to_dict(),
+        "feature_config": _layout(),
         "library_version": model.library_version,
     }
     weights = np.asarray(model.weights, dtype=np.float64)
@@ -394,14 +357,17 @@ def load_model(path: str | Path) -> SelectorModel:
     members = ("columns", "weights", "bias")
     meta, arrays = read_npz(path, "selector model", MODEL_FORMAT, "train-selector", members)
     try:
-        feature_config = FeatureConfig.from_dict(meta["feature_config"])
-        library_version = meta["library_version"]
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        features, library_version = meta["feature_config"], meta["library_version"]
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed selector model meta: {exc!r}") from exc
+    layout = _layout()
+    # `repr` tells 1 from 1.0 and True, which `==` takes for it.
+    if features != layout or repr(sorted(features.items())) != repr(sorted(layout.items())):
+        raise DataError(f"{path}: malformed selector model meta: the features must be {layout}, "
+                        f"got {features!r}")
     try:
         weights = np.ascontiguousarray(arrays["weights"], dtype=np.float64)
-        return SelectorModel(weights, arrays["bias"], feature_config, library_version,
-                             columns=arrays["columns"])
+        return SelectorModel(weights, arrays["bias"], library_version, columns=arrays["columns"])
     except (DataError, ValueError) as exc:  # ValueError: weights that are not numbers
         raise DataError(f"{path}: {exc}") from exc
 
@@ -426,6 +392,9 @@ class ModelSelector:
                 f"model has {model.num_patterns} classes but the library holds "
                 f"{len(library)} patterns"
             )
+        # Such a model would predict NaN for every pattern.
+        if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+            raise DataError("the model's weights and bias must be finite")
         self.model = model
         self.library = library
 

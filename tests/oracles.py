@@ -221,10 +221,10 @@ def loss_and_gradient(
     return loss, grad_w, grad_b
 
 
-def dense_weights(model) -> np.ndarray:
-    """A selector model's full (M, F) weight matrix: its `weights` scattered into
-    zeros at its `columns`."""
-    dense = np.zeros((model.weights.shape[0], model.feature_config.dimension))
+def dense_weights(model, dimension: int) -> np.ndarray:
+    """A selector model's full (M, F) weight matrix, F = `dimension`: its `weights`
+    scattered into zeros at its `columns`."""
+    dense = np.zeros((model.weights.shape[0], dimension))
     dense[:, model.columns] = model.weights
     return dense
 

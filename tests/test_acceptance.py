@@ -49,7 +49,6 @@ from patternqr.induction import (
 )
 from patternqr.pipeline import PipelineConfig, run_pipeline
 from patternqr.selector import (
-    FeatureConfig,
     FeatureVector,
     SelectorModel,
     TrainConfig,
@@ -171,10 +170,9 @@ def test_selector_correctness():
     assert m == 10
 
     # zero-weight loss is ln M
-    config = FeatureConfig(dimension=2**10)
     vectors = [
-        FeatureVector(np.array([1, 5], dtype=np.int64), np.array([1.0, 2.0]), 2**10),
-        FeatureVector(np.empty(0, dtype=np.int64), np.empty(0), 2**10),
+        FeatureVector(np.array([1, 5], dtype=np.int64), np.array([1.0, 2.0])),
+        FeatureVector(np.empty(0, dtype=np.int64), np.empty(0)),
     ]
     loss, _, _ = loss_and_gradient(
         np.zeros((m, 2**10)), np.zeros(m), vectors, np.array([0, 9]), 1e-5
@@ -192,7 +190,7 @@ def test_selector_correctness():
         for _ in range(nn):
             size = int(rng.integers(0, 5))
             idx = np.sort(rng.choice(ff, size=size, replace=False)).astype(np.int64)
-            vecs.append(FeatureVector(idx, rng.uniform(0.5, 3.0, size=size), ff))
+            vecs.append(FeatureVector(idx, rng.uniform(0.5, 3.0, size=size)))
         labels = rng.integers(0, mm, size=nn)
         weights = rng.normal(scale=0.5, size=(mm, ff))
         bias = rng.normal(scale=0.5, size=mm)
@@ -270,7 +268,7 @@ def _e2e_workspace(tmp_path, reformulation_of):
     (tmp_path / "corpus.tsv").write_text(E2E_CORPUS, encoding="utf-8")
     (tmp_path / "queries.tsv").write_text(E2E_QUERIES, encoding="utf-8")
     (tmp_path / "qrels.txt").write_text(E2E_QRELS, encoding="utf-8")
-    model = SelectorModel.zeros(10, FeatureConfig(dimension=2**12), "seed-1")
+    model = SelectorModel.zeros(10, "seed-1")
     save_model(model, tmp_path / "selector.npz")
 
     index = build_index(read_corpus_tsv(tmp_path / "corpus.tsv"))

@@ -20,12 +20,14 @@ from patternqr.induction import (
     load_library,
     save_library,
 )
-from patternqr.selector import FeatureConfig, SelectorModel, load_model, save_model
+from patternqr.selector import SelectorModel, load_model, save_model
 
 CORPUS = "d1\tcat sat\nd2\tdog sat sat\nd3\tjaguar cat feline\n"
 QUERIES = "q1\tsat\nq2\tjaguar\n"
 QRELS = "q1 0 d2 3\nq2 0 d3 2\n"
 PAIRS = "p1\tcheap flights\tlow cost airline tickets\np2\tjaguar speed\tjaguar animal speed\n"
+# The features that every selector model file names.
+FEATURES = {"dimension": 262144, "ngram_orders": [1, 2], "snippet_token_cap": 64, "hash_seed": 0}
 
 
 @pytest.fixture
@@ -222,8 +224,6 @@ class TestLlmCommands:
                 str(labels_path),
                 "--epochs",
                 "3",
-                "--dimension",
-                "1024",
                 "--out",
                 str(model_path),
                 "--loss-csv",
@@ -265,7 +265,7 @@ class TestLlmCommands:
         argv = ["index", "--corpus", str(files["corpus"]), *flags, "--out", str(index_path)]
         assert main(argv) == 0
         train = ["train-selector", "--pairs", str(files["pairs"]), "--labels", str(labels),
-                 "--epochs", "2", "--dimension", "1024"]
+                 "--epochs", "2"]
         models = {}
         for source, path in (("corpus", files["corpus"]), ("index", index_path)):
             models[source] = files["dir"] / f"model-{source}.npz"
@@ -367,7 +367,7 @@ class TestRunCommand:
 
     def test_run_reformer_with_mock(self, files):
         model_path = files["dir"] / "model.npz"
-        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
+        save_model(SelectorModel.zeros(10, "seed-1"), model_path)
         mock = _mock(files["dir"], "rewritten")
         code = main(
             [
@@ -728,20 +728,17 @@ class TestExitCodes:
         assert err == f"data error: stage load-reformer: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize(
-        "change, message",
-        [({"dimension": 0}, "dimension in [1, 2**63]"),
-         ({"dimension": 1024.7}, "dimension in [1, 2**63]"),
-         ({"dimension": "1024"}, "dimension in [1, 2**63]"),
-         ({"dimension": True}, "dimension in [1, 2**63]"),
-         ({"ngram_orders": [1, 3]}, "n-gram orders [1, 2]")],
+        "change",
+        [{"dimension": 0}, {"dimension": 1024.7}, {"dimension": "1024"}, {"dimension": True},
+         {"ngram_orders": [1, 3]}, {"dimension": 1024}, {"dimension": 262144.0}],
         ids=["dimension-0", "dimension-fraction", "dimension-string", "dimension-true",
-             "orders-1-3"],
+             "orders-1-3", "dimension-other", "dimension-float"],
     )
-    def test_selector_model_with_a_feature_config_out_of_range_is_3(
-        self, files, capsys, change, message
-    ):
+    def test_selector_model_with_a_feature_config_out_of_range_is_3(self, files, capsys, change):
+        # The only features are the fixed ones: the dimension can no more be set than the orders.
+        message = f"the features must be {FEATURES}, got {({**FEATURES, **change})!r}"
         path = files["dir"] / "model.npz"
-        config = {**FeatureConfig(dimension=1024).to_dict(), **change}
+        config = {**FEATURES, **change}
         meta = {"format": "patternqr-selector-v2", "config_hash": "",
                 "feature_config": config, "library_version": "seed-1"}
         with open(path, "wb") as handle:
@@ -759,7 +756,7 @@ class TestExitCodes:
         # patternqr-selector-v1 files held the dense (M, F) weights and no columns.
         path = files["dir"] / "model.npz"
         meta = {"format": "patternqr-selector-v1", "config_hash": "",
-                "feature_config": FeatureConfig(dimension=16).to_dict(), "library_version": "seed-1"}
+                "feature_config": FEATURES, "library_version": "seed-1"}
         with open(path, "wb") as handle:
             np.savez(handle, weights=np.ones((10, 16)), bias=np.zeros(10),
                      meta=np.array(json.dumps(meta)))
@@ -778,7 +775,7 @@ class TestExitCodes:
         labels.write_text("p1\t0\np2\t4\np1\t3\n", encoding="utf-8")
         model = files["dir"] / "model.npz"
         argv = ["train-selector", "--corpus", str(files["corpus"]), "--pairs", str(files["pairs"]),
-                "--labels", str(labels), "--epochs", "1", "--dimension", "64", "--out", str(model)]
+                "--labels", str(labels), "--epochs", "1", "--out", str(model)]
         assert main(argv) == 3
         assert f"{labels}:3: duplicate pair_id 'p1'" in capsys.readouterr().err
         assert not model.exists()
@@ -788,8 +785,8 @@ class TestExitCodes:
         labels.write_text("p1\t0\np2\t4\n", encoding="utf-8")
         model, loss = files["dir"] / "model.npz", files["dir"] / "loss.csv"
         argv = ["train-selector", "--corpus", str(files["corpus"]), "--pairs", str(files["pairs"]),
-                "--labels", str(labels), "--learning-rate", "1e300", "--dimension", "64",
-                "--out", str(model), "--loss-csv", str(loss)]
+                "--labels", str(labels), "--learning-rate", "1e300", "--out", str(model),
+                "--loss-csv", str(loss)]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: training diverged: the loss of epoch 0 is ")
@@ -810,9 +807,67 @@ class TestExitCodes:
         assert f"{labels}:2: duplicate pair_id 'p1'" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("label", ["99", "10", "-1"])
+    def test_a_label_outside_the_library_is_3_before_the_index_is_opened(
+        self, files, capsys, monkeypatch, label
+    ):
+        # It used to fail in training, after the index, naming neither the file nor the pair.
+        def no_open(*args, **kwargs):
+            raise AssertionError("the index was opened")
+
+        monkeypatch.setattr(pipeline, "open_index", no_open)
+        labels = files["dir"] / "labels.tsv"
+        labels.write_text(f"p1\t0\np2\t{label}\n", encoding="utf-8")
+        model = files["dir"] / "model.npz"
+        argv = ["train-selector", "--corpus", str(files["corpus"]), "--pairs", str(files["pairs"]),
+                "--labels", str(labels), "--out", str(model)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {labels}: pair 'p2' has label {label}, not a pattern id in [0, 10)\n")
+        assert not model.exists()
+
+    def test_train_selector_has_no_dimension_flag(self, files, capsys):
+        # Every model has the same 2**18 features, which the model file names.
+        labels = files["dir"] / "labels.tsv"
+        labels.write_text("p1\t0\np2\t4\n", encoding="utf-8")
+        model = files["dir"] / "model.npz"
+        argv = ["train-selector", "--corpus", str(files["corpus"]), "--pairs", str(files["pairs"]),
+                "--labels", str(labels), "--dimension", "1024", "--out", str(model)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dimension 1024" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "part, value", [("bias", np.nan), ("weights", np.inf), ("weights", -np.inf)],
+        ids=["bias-nan", "weights-inf", "weights-minus-inf"],
+    )
+    def test_a_selector_model_that_is_not_finite_is_3_before_the_index_is_built(
+        self, files, capsys, monkeypatch, part, value
+    ):
+        # It used to fail at the first query, after the index, without naming the file.
+        def no_read(path):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(pipeline, "iter_corpus_tsv", no_read)
+        model = SelectorModel(np.zeros((10, 1)), np.zeros(10), "seed-1", np.array([5]))
+        getattr(model, part)[3] = value
+        path = files["dir"] / "model.npz"
+        save_model(model, path)
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", "reformer", "--selector-model", str(path), "--corpus",
+                str(files["corpus"]), "--queries", str(files["queries"]), "--mock-script",
+                str(_mock(files["dir"], "a rewritten query")), "--out-dir", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"data error: stage load-reformer: selector model {path}: the model's weights and "
+            "bias must be finite\n")
+        assert not list(out.iterdir())
+
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"
-        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
+        save_model(SelectorModel.zeros(10, "seed-1"), model_path)
         empty_mock = files["dir"] / "empty.json"
         MockScript().save(empty_mock)
         code = main(
@@ -843,7 +898,7 @@ class TestExitCodes:
         # A cap of 0 in-flight calls would block the first call forever.
         monkeypatch.setattr(Gateway, "complete", no_call)
         model_path = files["dir"] / "model.npz"
-        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
+        save_model(SelectorModel.zeros(10, "seed-1"), model_path)
         code = main(
             [
                 "run",
@@ -975,7 +1030,7 @@ class TestExitCodes:
             (["train-selector", "--epochs", "0"], "epochs"),
             (["train-selector", "--epochs", "-1"], "epochs"),
             (["train-selector", "--batch-size", "0"], "batch_size"),
-            (["train-selector", "--dimension", "0"], "dimension"),
+            (["train-selector", "--k-context", "0"], "k_context"),
             (["train-selector", "--decay", "-1"], "decay"),
             (["train-selector", "--l2", "nan"], "l2"),
             (["train-selector", "--learning-rate", "nan"], "learning_rate"),
@@ -1023,7 +1078,7 @@ class TestExitCodes:
 
     def test_malformed_model_is_3(self, files, capsys):
         model_path = files["dir"] / "model.npz"
-        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=16), "seed-1"), model_path)
+        save_model(SelectorModel.zeros(10, "seed-1"), model_path)
         with np.load(model_path) as bundle:
             arrays = {**bundle, "weights": np.zeros((10, 8))}
         with model_path.open("wb") as handle:
@@ -1169,7 +1224,7 @@ def _write_bad_input(path, fault, other_kind):
     elif other_kind == "index":
         cli.main(["index", "--corpus", str(path.parent / "corpus.tsv"), "--out", str(path)])
     else:
-        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=16), "seed-1"), path)
+        save_model(SelectorModel.zeros(10, "seed-1"), path)
 
 
 class TestReaderFaults:
@@ -1203,8 +1258,8 @@ OUTPUT_PATH_ARGV = {
     "label": ["label", "--pairs", "{pairs}", "--library", "{library}", "--mock-script", "{pick}",
               "--out", "{out}/{name}.tsv"],
     "train-selector": ["train-selector", "--corpus", "{corpus}", "--pairs", "{pairs}", "--labels",
-                       "{labels}", "--epochs", "2", "--dimension", "1024", "--out",
-                       "{out}/{name}.npz", "--loss-csv", "{out}/{name}.csv"],
+                       "{labels}", "--epochs", "2", "--out", "{out}/{name}.npz",
+                       "--loss-csv", "{out}/{name}.csv"],
     "run-bm25": ["run", "--corpus", "{corpus}", "--queries", "{queries}", "--qrels", "{qrels}",
                  "--out-dir", "{out}"],
     "run-rm3-index": ["run", "--mode", "rm3", "--index", "{index}", "--queries", "{queries}",
@@ -1265,7 +1320,7 @@ class TestIndexSource:
         index_path = files["dir"] / "index.npz"
         assert main(["index", "--corpus", str(files["corpus"]), "--out", str(index_path)]) == 0
         model_path = files["dir"] / "model.npz"
-        save_model(SelectorModel.zeros(10, FeatureConfig(dimension=1024), "seed-1"), model_path)
+        save_model(SelectorModel.zeros(10, "seed-1"), model_path)
         hook = files["dir"] / "hook.tsv"
         hook.write_text("q1\ta passage about sitting\n", encoding="utf-8")
         # Each rewrite carries its generation prompt's hash, so the logs match
@@ -1397,12 +1452,11 @@ PARSED_SETTINGS = [
             "decay": 0.001,
             "l2": 1e-05,
             "batch_size": 32,
-            "dimension": 262144,
             "seed": 0,
             "out": "m.npz",
             "loss_csv": None,
         },
-        "58415759e526",
+        "570853517371",
     ),
     (
         ["run", "--corpus", "c.tsv", "--queries", "q.tsv"],

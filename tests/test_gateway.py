@@ -431,6 +431,8 @@ class TestHttpBackend:
             b'{"choices": [{}]}',
             b"[1]",
             b'{"choices": [{"message": {"content": "x"}}], "usage": 5}',
+            b'{"choices": [{"message": {"content": null}}]}',
+            b'{"choices": [{"message": {"content": ["x"]}}]}',
         ],
         ids=[
             "not-json",
@@ -439,6 +441,8 @@ class TestHttpBackend:
             "choice-without-message",
             "not-an-object",
             "usage-not-an-object",
+            "content-null",
+            "content-a-list",
         ],
     )
     def test_malformed_body_is_protocol_error(self, endpoint, body):

@@ -8,6 +8,7 @@ from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,10 +181,13 @@ class TestRetrieveTopk:
         with pytest.raises(DataError):
             retrieve_topk(tiny_index, "sat", 0)
 
-    def test_snippet_truncation(self):
+    def test_snippet_truncation(self, monkeypatch):
         index = build_index([Document("d1", "w " * 100)])
-        ctx = retrieve_topk(index, "w", 1, snippet_tokens=5)
+        assert retrieve_topk(index, "w", 1).snippets[0] == " ".join(["w"] * 64)
+        monkeypatch.setattr(index_module, "SNIPPET_TOKENS", 5)
+        ctx = retrieve_topk(index, "w", 1)
         assert ctx.snippets[0] == "w w w w w"
+        assert ctx.snippets.terms() == [["w"] * 5]
 
     def test_snippet_rejoins_with_single_spaces(self):
         index = build_index([Document("d1", "The  cat--sat!")])
@@ -237,7 +241,8 @@ class TestRetrieveTopk:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(index, "snippet", snippet)
-        ctx = retrieve_topk(index, "common", 1000, snippet_tokens=1)
+        monkeypatch.setattr(index_module, "SNIPPET_TOKENS", 1)
+        ctx = retrieve_topk(index, "common", 1000)
         assert built == []
         assert len(ctx.snippets) == 20
         assert built == []
@@ -371,7 +376,8 @@ class TestTermIdStream:
             tokens = tokenize(text)
             assert list(index.term_frequencies(i).items()) == list(Counter(tokens).items())
             for k in (0, 1, 64):
-                assert index.snippet(i, k) == " ".join(tokens[:k])
+                with mock.patch.object(index_module, "SNIPPET_TOKENS", k):
+                    assert index.snippet(i) == " ".join(tokens[:k])
 
     @given(_CORPORA, st.floats(0.0, 3.0), st.floats(0.0, 1.0))
     def test_save_and_load_keep_postings_and_documents(self, texts, k1, b):

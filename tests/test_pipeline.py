@@ -31,7 +31,7 @@ from patternqr.pipeline import (
     load_hook_passages,
     run_pipeline,
 )
-from patternqr.selector import FeatureConfig, SelectorModel, TrainConfig, save_model
+from patternqr.selector import SelectorModel, TrainConfig, save_model
 
 CORPUS = """\
 d1\tcat sat
@@ -57,7 +57,7 @@ def workspace(tmp_path):
     (tmp_path / "corpus.tsv").write_text(CORPUS, encoding="utf-8")
     (tmp_path / "queries.tsv").write_text(QUERIES, encoding="utf-8")
     (tmp_path / "qrels.txt").write_text(QRELS, encoding="utf-8")
-    model = SelectorModel.zeros(10, FeatureConfig(dimension=2**12), "seed-1")
+    model = SelectorModel.zeros(10, "seed-1")
     save_model(model, tmp_path / "selector.npz")
     return tmp_path
 
@@ -418,7 +418,7 @@ class TestConfigHandling:
         [
             PipelineConfig(queries="q", index="i", mode="rm3", k1=1.5,
                            gateway=GatewayConfig(model="m2", max_retries=5)),
-            TrainConfig(epochs=3, learning_rate=0.5, feature_config=FeatureConfig(dimension=64)),
+            TrainConfig(epochs=3, learning_rate=0.5, seed=4),
         ],
         ids=["pipeline", "train"],
     )
@@ -426,8 +426,10 @@ class TestConfigHandling:
         assert config_from_dict(asdict(config), type(config)) == config
 
     def test_config_from_dict_names_a_nested_config_and_its_key(self):
-        with pytest.raises(ConfigError, match="unknown feature config keys: \\['hash_seed'\\]"):
-            config_from_dict({"feature_config": {"hash_seed": 0}}, TrainConfig)
+        with pytest.raises(ConfigError, match="unknown gateway config keys: \\['hash_seed'\\]"):
+            config_from_dict({"corpus": "c", "queries": "q", "gateway": {"hash_seed": 0}})
+        with pytest.raises(ConfigError, match="unknown train config keys: \\['feature_config'\\]"):
+            config_from_dict({"feature_config": {"dimension": 64}}, TrainConfig)
         with pytest.raises(ConfigError, match="gateway config key 'model' must be str"):
             config_from_dict({"corpus": "c", "queries": "q", "gateway": {"model": 5}})
 
@@ -591,10 +593,13 @@ class TestConcurrentReformulation:
     def test_artifacts_do_not_depend_on_max_in_flight(
         self, workspace, mode, overrides, fallback
     ):
+        # Random weights on every feature that the queries' own contexts give.
+        index = build_index(read_corpus_tsv(workspace / "corpus.tsv"))
+        contexts = [(text, retrieve_topk(index, text, 3)) for _, text in MANY_QUERIES]
+        columns = np.unique(np.concatenate([selector.featurize(*c).indices for c in contexts]))
         rng = np.random.default_rng(4)
         model = SelectorModel(
-            rng.normal(size=(10, 2**12)), rng.normal(size=10), FeatureConfig(2**12), "seed-1",
-            np.arange(2**12),
+            rng.normal(size=(10, columns.size)), rng.normal(size=10), "seed-1", columns
         )
         save_model(model, workspace / "random.npz")
         hook_path = workspace / "hook.tsv"

@@ -21,7 +21,6 @@ from patternqr.gateway import Gateway, MockBackend, MockScript
 from patternqr.index import Document, RetrievalContext, build_index, retrieve_topk
 from patternqr.induction import PatternLibrary, ReformulationPattern, default_library
 from patternqr.selector import (
-    FeatureConfig,
     FeatureVector,
     ModelSelector,
     PatternDistribution,
@@ -34,7 +33,6 @@ from patternqr.selector import (
     featurize,
     load_model,
     predict_distribution,
-    predict_from_vector,
     select_pattern,
     save_model,
     train_selector,
@@ -52,13 +50,25 @@ def _context(snippets, query_id="q"):
 
 
 EMPTY_CONTEXT = RetrievalContext("q", [], [], 0, ())
-SMALL = FeatureConfig(dimension=2**10)
+# A dimension whose full (M, F) matrix is small, and whose buckets collide.
+SMALL = 2**10
+
+
+@pytest.fixture
+def small(monkeypatch):
+    monkeypatch.setattr(selector, "DIMENSION", SMALL)
 
 
 def _oracle_featurize(query, snippets, dimension):
     """The reference at the selector's fixed features: unigrams and bigrams, each
     snippet cut at 64 tokens, hash seed 0."""
     return oracle_featurize(query, snippets, dimension, (1, 2), 64, 0)
+
+
+def _predict(model, fv):
+    """`predict_distribution` of a query and context whose features are `fv`."""
+    with mock.patch.object(selector, "featurize", lambda query, context: fv):
+        return predict_distribution(model, "", EMPTY_CONTEXT)
 
 
 def _library(m):
@@ -97,44 +107,44 @@ def _non_ascii_text(max_words):
 
 class TestFeaturize:
     def test_empty_inputs_give_empty_vector(self):
-        fv = featurize("", EMPTY_CONTEXT, SMALL)
+        fv = featurize("", EMPTY_CONTEXT)
         assert fv.indices.size == 0 and fv.values.size == 0
 
     def test_deterministic(self):
         ctx = _context(["alpha beta gamma"])
-        a = featurize("bank rates", ctx, SMALL)
-        b = featurize("bank rates", ctx, SMALL)
+        a = featurize("bank rates", ctx)
+        b = featurize("bank rates", ctx)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.values, b.values)
 
     def test_query_only_without_context(self):
-        with_ctx = featurize("bank rates", _context(["x y z"]), SMALL)
-        without = featurize("bank rates", EMPTY_CONTEXT, SMALL)
+        with_ctx = featurize("bank rates", _context(["x y z"]))
+        without = featurize("bank rates", EMPTY_CONTEXT)
         assert without.indices.size > 0
         assert set(without.indices) <= set(with_ctx.indices)
         assert with_ctx.indices.size > without.indices.size
 
     def test_counts_accumulate(self):
-        fv = featurize("cat cat", EMPTY_CONTEXT, SMALL)
+        fv = featurize("cat cat", EMPTY_CONTEXT)
         # unigram "cat" occurs twice, bigram "cat cat" once
         assert sorted(fv.values.tolist()) == [1.0, 2.0]
 
-    def test_indices_sorted_unique_in_range(self):
-        fv = featurize("a b c d e f g", _context(["h i j k"]), SMALL)
+    def test_indices_sorted_unique_in_range(self, small):
+        fv = featurize("a b c d e f g", _context(["h i j k"]))
         assert np.all(np.diff(fv.indices) > 0)
-        assert fv.indices.min() >= 0 and fv.indices.max() < SMALL.dimension
+        assert fv.indices.min() >= 0 and fv.indices.max() < SMALL
 
     @pytest.mark.parametrize("length", [63, 64, 65, 100])
     def test_snippet_cap_applies(self, length):
         # A snippet is cut at 64 tokens, whether it is a string or an index snippet.
         text = " ".join(f"w{i}" for i in range(length))
         index = build_index([Document("d0", text)])
-        for context in (_context([text]), retrieve_topk(index, "w0", 1, snippet_tokens=length)):
-            fv = featurize("", context, SMALL)
-            expected = _oracle_featurize("", [text], SMALL.dimension)
+        for context in (_context([text]), retrieve_topk(index, "w0", 1)):
+            fv = featurize("", context)
+            expected = _oracle_featurize("", [text], selector.DIMENSION)
             assert fv.indices.tolist() == sorted(expected)
             assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
-        cut = featurize("", _context([" ".join(text.split()[:64])]), SMALL)
+        cut = featurize("", _context([" ".join(text.split()[:64])]))
         assert fv.indices.tolist() == cut.indices.tolist()
 
     @settings(max_examples=60, deadline=None)
@@ -148,7 +158,8 @@ class TestFeaturize:
     )
     def test_matches_the_per_occurrence_reference(self, query, snippets, dimension):
         # Few distinct words and small dimensions: keys repeat and buckets collide.
-        fv = featurize(query, _context(snippets), FeatureConfig(dimension))
+        with mock.patch.object(selector, "DIMENSION", dimension):
+            fv = featurize(query, _context(snippets))
         expected = _oracle_featurize(query, snippets, dimension)
         assert fv.indices.tolist() == sorted(expected)
         assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
@@ -166,9 +177,12 @@ class TestFeaturize:
         # Index snippets' terms are read as ids, not as the joined text the
         # reference tokenizes again.
         index = build_index(Document(f"d{i}", text) for i, text in enumerate(docs))
-        context = retrieve_topk(index, query, 3, snippet_tokens=snippet_tokens)
-        fv = featurize(query, context, FeatureConfig(dimension))
-        expected = _oracle_featurize(query, list(context.snippets), dimension)
+        with mock.patch("patternqr.index.SNIPPET_TOKENS", snippet_tokens):
+            context = retrieve_topk(index, query, 3)
+            snippets = list(context.snippets)  # each is cut when it is read
+            with mock.patch.object(selector, "DIMENSION", dimension):
+                fv = featurize(query, context)
+        expected = _oracle_featurize(query, snippets, dimension)
         assert fv.indices.tolist() == sorted(expected)
         assert fv.values.tolist() == [expected[i] for i in sorted(expected)]
 
@@ -182,14 +196,14 @@ class TestFeaturize:
             for i in range(12)
         )
         queries = [f"w{i % 5} W{i % 7} İSTANBUL" for i in range(7)]
-        pairs = [(q, retrieve_topk(index, q, 3, snippet_tokens=40)) for q in queries]
+        pairs = [(q, retrieve_topk(index, q, 3)) for q in queries]
         pairs += [(q, _context([q.lower() + " ΣΑΣ", "x"])) for q in queries[:3]]
-        config = FeatureConfig(dimension=2**12)
         hashed, blake2b = [], hashlib.blake2b
         logged = types.SimpleNamespace(blake2b=lambda **kw: _KeyLog(hashed, blake2b(**kw)))
         with mock.patch.object(selector, "_FEATURIZE_CHUNK", chunk):
             with mock.patch.object(selector, "hashlib", logged):
-                vectors = _featurize_all(pairs, config)
+                with mock.patch.object(selector, "DIMENSION", 2**12):
+                    vectors = _featurize_all(pairs)
         assert len(vectors) == len(pairs)
         keys = set()
         for (query, context), fv in zip(pairs, vectors):
@@ -229,7 +243,7 @@ def _random_vectors(rng, n, dimension):
         size = rng.integers(0, 6)
         indices = np.sort(rng.choice(dimension, size=size, replace=False)).astype(np.int64)
         values = rng.uniform(0.5, 3.0, size=size)
-        vectors.append(FeatureVector(indices=indices, values=values, dimension=dimension))
+        vectors.append(FeatureVector(indices=indices, values=values))
     return vectors
 
 
@@ -283,7 +297,7 @@ class TestTraining:
         library = _library(4)
         train = separable_examples(library, per_class=60, seed=1)
         held_out = separable_examples(library, per_class=20, seed=2)
-        hyper = TrainConfig(feature_config=FeatureConfig(dimension=2**14), seed=0)
+        hyper = TrainConfig(seed=0)
         model, history = train_selector(train, library, hyper)
         assert history[-1] < 0.1 * math.log(len(library))
         hits = sum(
@@ -293,26 +307,24 @@ class TestTraining:
         )
         assert hits / len(held_out) >= 0.95
 
-    def test_same_seed_identical_weights(self):
+    def test_same_seed_identical_weights(self, small):
         library = _library(3)
         examples = separable_examples(library, per_class=10, seed=5)
-        hyper = TrainConfig(epochs=3, feature_config=SMALL, seed=11)
+        hyper = TrainConfig(epochs=3, seed=11)
         model_a, hist_a = train_selector(examples, library, hyper)
         model_b, hist_b = train_selector(examples, library, hyper)
         assert np.array_equal(model_a.weights, model_b.weights)
         assert np.array_equal(model_a.bias, model_b.bias)
         assert hist_a == hist_b
 
-    def test_one_step_on_single_example_decreases_its_loss(self):
+    def test_one_step_on_single_example_decreases_its_loss(self, small):
         library = _library(3)
         example = [("key1 some words", _context(["ctx words"]), 1)]
-        hyper = TrainConfig(
-            epochs=1, learning_rate=0.01, decay=0.0, l2=0.0, feature_config=SMALL
-        )
+        hyper = TrainConfig(epochs=1, learning_rate=0.01, decay=0.0, l2=0.0)
         model, history = train_selector(example, library, hyper)
         assert history[0] < math.log(3)
 
-    def test_one_full_batch_step_applies_the_checked_gradient(self):
+    def test_one_full_batch_step_applies_the_checked_gradient(self, small):
         library = _library(4)
         examples = separable_examples(library, per_class=6, seed=6)[:21]  # unbalanced labels
         hyper = TrainConfig(
@@ -321,60 +333,52 @@ class TestTraining:
             decay=0.0,
             l2=1e-3,
             batch_size=len(examples),
-            feature_config=SMALL,
         )
         model, _ = train_selector(examples, library, hyper)
-        vectors = [featurize(q, ctx, SMALL) for q, ctx, _ in examples]
+        vectors = [featurize(q, ctx) for q, ctx, _ in examples]
         labels = np.array([lbl for _, _, lbl in examples])
         m = len(library)
         _, grad_w, grad_b = loss_and_gradient(
-            np.zeros((m, SMALL.dimension)), np.zeros(m), vectors, labels, hyper.l2
+            np.zeros((m, SMALL)), np.zeros(m), vectors, labels, hyper.l2
         )
         assert np.any(grad_w != 0.0) and np.all(grad_b != 0.0)
         # Relative to the largest entry: the batch sums in shuffled order, so
         # entries that cancel to zero in one order may leave ~1e-18 in the other.
-        for trained, grad in ((dense_weights(model), grad_w), (model.bias, grad_b)):
+        for trained, grad in ((dense_weights(model, SMALL), grad_w), (model.bias, grad_b)):
             expected = -hyper.learning_rate * grad
             assert np.abs(trained - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize(
-        "library, per_class, empty, hyper",
+        "library, per_class, empty, hyper, dimension",
         [
             # the acceptance-3 fixture: 1000 examples, 20 epochs, 2^18 columns
-            (default_library(), 100, 0, TrainConfig(epochs=20, seed=0)),
+            (default_library(), 100, 0, TrainConfig(epochs=20, seed=0), 2**18),
             # batches of 7, some holding empty feature vectors
-            (
-                _library(3),
-                5,
-                3,
-                TrainConfig(epochs=5, batch_size=7, l2=1e-3, feature_config=SMALL),
-            ),
+            (_library(3), 5, 3, TrainConfig(epochs=5, batch_size=7, l2=1e-3), SMALL),
             # one-row batches
-            (_library(3), 4, 2, TrainConfig(epochs=3, batch_size=1, feature_config=SMALL)),
+            (_library(3), 4, 2, TrainConfig(epochs=3, batch_size=1), SMALL),
             # one batch holding the whole set
-            (_library(4), 6, 2, TrainConfig(epochs=4, batch_size=64, feature_config=SMALL)),
+            (_library(4), 6, 2, TrainConfig(epochs=4, batch_size=64), SMALL),
             # epoch 1's L2 term differs in its last bit when summed over the
             # full (M, F) matrix in its C order, not over the active block
-            (
-                _library(4),
-                5,
-                0,
-                TrainConfig(epochs=3, batch_size=1, l2=1e-2, feature_config=SMALL),
-            ),
+            (_library(4), 5, 0, TrainConfig(epochs=3, batch_size=1, l2=1e-2), SMALL),
         ],
         ids=["acceptance-3", "empty-vectors", "batch-of-one", "batch-of-all", "l2-sum-order"],
     )
-    def test_matches_the_dense_reference(self, library, per_class, empty, hyper):
+    def test_matches_the_dense_reference(
+        self, monkeypatch, library, per_class, empty, hyper, dimension
+    ):
+        monkeypatch.setattr(selector, "DIMENSION", dimension)
         data = separable_examples(library, per_class=per_class, seed=1)
         data[3:3] = [("", EMPTY_CONTEXT, label % len(library)) for label in range(empty)]
         model, history = train_selector(data, library, hyper)
-        vectors = [featurize(q, ctx, hyper.feature_config) for q, ctx, _ in data]
+        vectors = [featurize(q, ctx) for q, ctx, _ in data]
         assert sum(fv.indices.size == 0 for fv in vectors) == empty
         weights, bias, expected = oracle_train_dense(
             [(fv.indices, fv.values) for fv in vectors],
             np.array([lbl for _, _, lbl in data]),
             len(library),
-            hyper.feature_config.dimension,
+            dimension,
             hyper.epochs,
             hyper.learning_rate,
             hyper.decay,
@@ -382,7 +386,7 @@ class TestTraining:
             hyper.batch_size,
             hyper.seed,
         )
-        trained = dense_weights(model)
+        trained = dense_weights(model, dimension)
         assert np.array_equal(trained, weights)
         assert np.array_equal(model.bias, bias)
         # Bytes as well: array_equal cannot see the sign of a zero.
@@ -408,15 +412,16 @@ class TestTraining:
             (q, retrieve_topk(index, q, 3) if i % 2 else _context([q, "ΟΔΟΣ cat"]), i % 3)
             for i, q in enumerate(queries)
         ]
-        hyper = TrainConfig(epochs=2, batch_size=2, seed=seed, feature_config=SMALL)
-        with mock.patch.object(selector, "_FEATURIZE_CHUNK", chunk):
-            model, history = train_selector(data, library, hyper)
-        vectors = [featurize(q, ctx, SMALL) for q, ctx, _ in data]
+        hyper = TrainConfig(epochs=2, batch_size=2, seed=seed)
+        with mock.patch.object(selector, "DIMENSION", SMALL):
+            with mock.patch.object(selector, "_FEATURIZE_CHUNK", chunk):
+                model, history = train_selector(data, library, hyper)
+            vectors = [featurize(q, ctx) for q, ctx, _ in data]
         weights, bias, expected = oracle_train_dense(
             [(fv.indices, fv.values) for fv in vectors],
             np.array([lbl for _, _, lbl in data]),
             len(library),
-            SMALL.dimension,
+            SMALL,
             hyper.epochs,
             hyper.learning_rate,
             hyper.decay,
@@ -424,21 +429,21 @@ class TestTraining:
             hyper.batch_size,
             hyper.seed,
         )
-        assert dense_weights(model).tobytes() == weights.tobytes()
+        assert dense_weights(model, SMALL).tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
         assert history == expected
 
     def test_allocates_no_full_size_matrix(self):
         library = _library(10)
         examples = separable_examples(library, per_class=2, seed=4)
-        hyper = TrainConfig(epochs=2, feature_config=FeatureConfig(dimension=2**18))
+        hyper = TrainConfig(epochs=2)
         tracemalloc.start()
         try:
             train_selector(examples, library, hyper)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < len(library) * hyper.feature_config.dimension * 8 / 4
+        assert peak < len(library) * selector.DIMENSION * 8 / 4
 
     def test_label_out_of_range_names_example(self):
         library = _library(2)
@@ -461,122 +466,109 @@ class TestTraining:
         # Such a model predicts NaN for every pattern, and so chose pattern 0 for every query.
         library = _library(3)
         examples = separable_examples(library, per_class=3, seed=1)
-        hyper = TrainConfig(epochs=2, learning_rate=1e300, feature_config=SMALL)
+        hyper = TrainConfig(epochs=2, learning_rate=1e300)
         with pytest.raises(DataError, match="loss of epoch 0 is inf"):
             train_selector(examples, library, hyper)
 
     def test_loss_history_one_entry_per_epoch(self):
         library = _library(2)
         examples = separable_examples(library, per_class=5, seed=3)
-        hyper = TrainConfig(epochs=7, feature_config=SMALL)
+        hyper = TrainConfig(epochs=7)
         _, history = train_selector(examples, library, hyper)
         assert len(history) == 7
 
 
-def _dense_model(num_patterns, config=SMALL, version="v"):
+def _dense_model(num_patterns, version="v"):
     """An all-zero model that lists every column, so its weights are the full (M, F) matrix."""
-    weights = np.zeros((num_patterns, config.dimension))
-    return SelectorModel(weights, np.zeros(num_patterns), config, version, np.arange(config.dimension))
+    weights = np.zeros((num_patterns, selector.DIMENSION))
+    return SelectorModel(weights, np.zeros(num_patterns), version, np.arange(selector.DIMENSION))
 
 
 class TestPrediction:
     def test_zero_model_is_uniform(self):
-        model = SelectorModel.zeros(10, SMALL, "v")
+        model = SelectorModel.zeros(10, "v")
         dist = predict_distribution(model, "anything", EMPTY_CONTEXT)
         assert np.allclose(dist.probs, 0.1, atol=1e-12)
 
     def test_zero_model_holds_no_columns(self):
-        config = FeatureConfig()  # 2^18 features
+        dimension = selector.DIMENSION  # 2^18 features
         tracemalloc.start()
         try:
-            model = SelectorModel.zeros(10, config, "v")
+            model = SelectorModel.zeros(10, "v")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * config.dimension * 8 / 20
+        assert peak < 10 * dimension * 8 / 20
         assert model.columns.size == 0 and model.weights.shape == (10, 0)
-        assert dense_weights(model).tobytes() == np.zeros((10, config.dimension)).tobytes()
+        assert dense_weights(model, dimension).tobytes() == np.zeros((10, dimension)).tobytes()
 
-    def test_logit_shift_invariance(self):
+    def test_logit_shift_invariance(self, small):
         rng = np.random.default_rng(3)
         model = _dense_model(4)
         model.weights[:, :] = rng.normal(size=model.weights.shape)
-        fv = featurize("bank rates today", EMPTY_CONTEXT, SMALL)
-        base = predict_from_vector(model, fv)
+        fv = featurize("bank rates today", EMPTY_CONTEXT)
+        base = _predict(model, fv)
         model.bias += 5.0  # constant on every logit
-        shifted = predict_from_vector(model, fv)
+        shifted = _predict(model, fv)
         assert np.allclose(base.probs, shifted.probs, atol=1e-12)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_probabilities_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        model = _dense_model(5)
+        with mock.patch.object(selector, "DIMENSION", SMALL):
+            model = _dense_model(5)
         model.weights[:, :] = rng.normal(scale=2.0, size=model.weights.shape)
         model.bias[:] = rng.normal(scale=2.0, size=5)
-        fv = _random_vectors(rng, 1, SMALL.dimension)[0]
-        dist = predict_from_vector(model, fv)
+        fv = _random_vectors(rng, 1, SMALL)[0]
+        dist = _predict(model, fv)
         assert abs(dist.probs.sum() - 1.0) <= 1e-9
         assert np.all(dist.probs >= 0.0)
 
-    def test_scaling_features_with_inverse_weights_keeps_ordering(self):
+    def test_scaling_features_with_inverse_weights_keeps_ordering(self, small):
         rng = np.random.default_rng(8)
         model = _dense_model(4)
         model.weights[:, :] = rng.normal(size=model.weights.shape)
-        fv = _random_vectors(rng, 1, SMALL.dimension)[0]
+        fv = _random_vectors(rng, 1, SMALL)[0]
         c = 3.7
-        scaled_fv = FeatureVector(fv.indices, fv.values * c, fv.dimension)
-        scaled_model = SelectorModel(model.weights / c, model.bias, SMALL, "v", model.columns)
-        a = predict_from_vector(model, fv).probs
-        b = predict_from_vector(scaled_model, scaled_fv).probs
+        scaled_fv = FeatureVector(fv.indices, fv.values * c)
+        scaled_model = SelectorModel(model.weights / c, model.bias, "v", model.columns)
+        a = _predict(model, fv).probs
+        b = _predict(scaled_model, scaled_fv).probs
         assert np.array_equal(np.argsort(a), np.argsort(b))
 
-    def test_matches_the_training_kernel_bit_for_bit(self):
+    def test_matches_the_training_kernel_bit_for_bit(self, small):
         rng = np.random.default_rng(12)
         model = _dense_model(5)
         model.weights[:, :] = rng.normal(scale=2.0, size=model.weights.shape)
         model.bias[:] = rng.normal(scale=2.0, size=5)
-        vectors = _random_vectors(rng, 9, SMALL.dimension)
+        vectors = _random_vectors(rng, 9, SMALL)
         assert any(fv.indices.size == 0 for fv in vectors)
         # The trainer's layout: active feature rows, features renumbered to match.
         active = np.unique(np.concatenate([fv.indices for fv in vectors]))
         weights_t = np.ascontiguousarray(model.weights[:, active].T)
-        compact = [
-            FeatureVector(np.searchsorted(active, fv.indices), fv.values, active.size)
-            for fv in vectors
-        ]
+        compact = [FeatureVector(np.searchsorted(active, fv.indices), fv.values) for fv in vectors]
         _, rows, _ = _softmax_rows(weights_t, model.bias, compact)
         for fv, row in zip(vectors, rows):
-            assert predict_from_vector(model, fv).probs.tobytes() == row.tobytes()
+            assert _predict(model, fv).probs.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("size", [0, 1, 40], ids=["no-columns", "one-column", "40-columns"])
-    def test_compact_model_predicts_as_its_dense_copy(self, size):
+    def test_compact_model_predicts_as_its_dense_copy(self, small, size):
         rng = np.random.default_rng(size)
-        columns = np.sort(rng.choice(np.arange(1, SMALL.dimension - 1), size, replace=False))
-        compact = SelectorModel(
-            rng.normal(size=(4, size)), rng.normal(size=4), SMALL, "v", columns=columns
-        )
-        dense = SelectorModel(
-            dense_weights(compact), compact.bias, SMALL, "v", np.arange(SMALL.dimension)
-        )
-        outside = np.setdiff1d(np.arange(SMALL.dimension), columns)
+        columns = np.sort(rng.choice(np.arange(1, SMALL - 1), size, replace=False))
+        compact = SelectorModel(rng.normal(size=(4, size)), rng.normal(size=4), "v", columns)
+        dense = SelectorModel(dense_weights(compact, SMALL), compact.bias, "v", np.arange(SMALL))
+        outside = np.setdiff1d(np.arange(SMALL), columns)
         vectors = [
             columns[::2],  # inside only
             np.union1d(columns[1::3], outside[::97]),  # partly outside
             outside[[0, 5, -1]],  # outside only, at both ends of the range
-            np.array([0, SMALL.dimension - 1]),  # below and above every column
+            np.array([0, SMALL - 1]),  # below and above every column
             np.array([], dtype=np.int64),
         ]
         for indices in vectors:
-            fv = FeatureVector(indices, rng.uniform(0.5, 3.0, size=indices.size), SMALL.dimension)
-            a = predict_from_vector(compact, fv).probs
-            assert a.tobytes() == predict_from_vector(dense, fv).probs.tobytes()
-
-    def test_dimension_mismatch_rejected(self):
-        model = SelectorModel.zeros(3, SMALL, "v")
-        fv = FeatureVector(np.array([0]), np.array([1.0]), dimension=2**12)
-        with pytest.raises(ConfigError):
-            predict_from_vector(model, fv)
+            fv = FeatureVector(indices, rng.uniform(0.5, 3.0, size=indices.size))
+            assert _predict(compact, fv).probs.tobytes() == _predict(dense, fv).probs.tobytes()
 
 
 class TestSelectPattern:
@@ -594,10 +586,12 @@ class TestSelectPattern:
             PatternDistribution(np.array(probs))
 
 
+# The meta of a model file at the `small` dimension.
 MODEL_META = {
     "format": "patternqr-selector-v2",
     "config_hash": "",
-    "feature_config": SMALL.to_dict(),
+    "feature_config": {"dimension": SMALL, "ngram_orders": [1, 2], "snippet_token_cap": 64,
+                       "hash_seed": 0},
     "library_version": "v1",
 }
 
@@ -623,9 +617,9 @@ def _model(kind):
     if kind == "trained":
         library = _library(3)
         examples = separable_examples(library, per_class=10, seed=4)
-        return train_selector(examples, library, TrainConfig(epochs=2, feature_config=SMALL))[0]
+        return train_selector(examples, library, TrainConfig(epochs=2))[0]
     if kind == "zeros":
-        return SelectorModel.zeros(3, SMALL, "v1")
+        return SelectorModel.zeros(3, "v1")
     model = _dense_model(3, version="v1")
     if kind == "dense":
         rng = np.random.default_rng(5)
@@ -643,7 +637,7 @@ class TestModelPersistence:
     def test_round_trip_predictions_bit_exact(self, tmp_path):
         library = _library(3)
         examples = separable_examples(library, per_class=10, seed=4)
-        hyper = TrainConfig(epochs=2, feature_config=SMALL)
+        hyper = TrainConfig(epochs=2)
         model, _ = train_selector(examples, library, hyper)
         path = tmp_path / "model.npz"
         save_model(model, path, config_hash="cafe01")
@@ -655,18 +649,27 @@ class TestModelPersistence:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["trained", "zeros", "dense", "signed-zero-and-nan"])
-    def test_round_trip_is_bit_exact(self, tmp_path, kind):
+    def test_round_trip_is_bit_exact(self, tmp_path, small, kind):
         model = _model(kind)
         save_model(model, tmp_path / "model.npz")
         loaded = load_model(tmp_path / "model.npz")
-        assert dense_weights(loaded).tobytes() == dense_weights(model).tobytes()
+        assert dense_weights(loaded, SMALL).tobytes() == dense_weights(model, SMALL).tobytes()
         assert loaded.bias.tobytes() == model.bias.tobytes()
-        assert loaded.feature_config == model.feature_config
         assert loaded.library_version == model.library_version
 
-    def test_trained_model_reloads_as_it_was_trained(self, tmp_path):
+    def test_file_names_the_fixed_features(self, tmp_path):
+        # The meta of every model file before the dimension was fixed, at its default.
+        save_model(SelectorModel.zeros(3, "v1"), tmp_path / "model.npz", config_hash="cafe01")
+        with np.load(tmp_path / "model.npz") as bundle:
+            assert str(bundle["meta"]) == (
+                '{"format": "patternqr-selector-v2", "config_hash": "cafe01", "feature_config": '
+                '{"dimension": 262144, "ngram_orders": [1, 2], "snippet_token_cap": 64, '
+                '"hash_seed": 0}, "library_version": "v1"}'
+            )
+
+    def test_trained_model_reloads_as_it_was_trained(self, tmp_path, small):
         model = _model("trained")
-        assert model.columns.size < SMALL.dimension
+        assert model.columns.size < SMALL
         assert model.weights.shape == (3, model.columns.size)
         save_model(model, tmp_path / "model.npz")
         loaded = load_model(tmp_path / "model.npz")
@@ -676,10 +679,11 @@ class TestModelPersistence:
             assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
 
     def test_load_and_predict_allocate_no_full_matrix(self, tmp_path):
-        config = FeatureConfig()  # 2^18 features
+        dimension = selector.DIMENSION  # 2^18 features
         rng = np.random.default_rng(9)
-        columns = np.sort(rng.choice(config.dimension, 50, replace=False))
-        meta = {**MODEL_META, "feature_config": config.to_dict()}
+        columns = np.sort(rng.choice(dimension, 50, replace=False))
+        features = {**MODEL_META["feature_config"], "dimension": dimension}
+        meta = {**MODEL_META, "feature_config": features}
         path = tmp_path / "model.npz"
         _write_raw_model(path, rng.normal(size=(10, 50)), np.zeros(10), meta, columns=columns)
         context = _context(["a passage about wages and the law", "another passage"])
@@ -690,9 +694,9 @@ class TestModelPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * config.dimension * 8 / 20
+        assert peak < 10 * dimension * 8 / 20
 
-    def test_file_holds_only_columns_with_a_nonzero_bit(self, tmp_path):
+    def test_file_holds_only_columns_with_a_nonzero_bit(self, tmp_path, small):
         model = _model("signed-zero-and-nan")
         save_model(model, tmp_path / "model.npz")
         with np.load(tmp_path / "model.npz") as bundle:
@@ -732,10 +736,10 @@ class TestModelPersistence:
             "missing",
         ],
     )
-    def test_load_rejects_malformed_columns(self, tmp_path, columns, width):
+    def test_load_rejects_malformed_columns(self, tmp_path, small, columns, width):
         good = tmp_path / "good.npz"
         _write_raw_model(good, np.ones((3, 2)), np.zeros(3), MODEL_META, columns=[1, 2])
-        assert dense_weights(load_model(good))[:, 1:3].tolist() == [[1.0, 1.0]] * 3
+        assert dense_weights(load_model(good), SMALL)[:, 1:3].tolist() == [[1.0, 1.0]] * 3
         extra = {} if columns is None else {"columns": columns}
         path = tmp_path / "model.npz"
         _write_raw_model(path, np.ones((3, width)), np.zeros(3), MODEL_META, **extra)
@@ -743,7 +747,7 @@ class TestModelPersistence:
             load_model(path)
 
     @pytest.mark.parametrize("meta", [MODEL_META_V1, MODEL_META], ids=["v1", "v2"])
-    def test_load_reads_no_member_beyond_the_model(self, tmp_path, monkeypatch, meta):
+    def test_load_reads_no_member_beyond_the_model(self, tmp_path, monkeypatch, small, meta):
         path = tmp_path / "model.npz"
         columns = {"columns": [1, 2]} if meta is MODEL_META else {}
         width = 2 if columns else 2**10
@@ -761,12 +765,12 @@ class TestModelPersistence:
                 load_model(path)
             assert read == ["meta"]
 
-    def test_save_writes_exactly_the_given_path(self, tmp_path):
-        model = SelectorModel.zeros(3, SMALL, "v1")
+    def test_save_writes_exactly_the_given_path(self, tmp_path, small):
+        model = SelectorModel.zeros(3, "v1")
         path = tmp_path / "model.bin"
         save_model(model, path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-        assert np.array_equal(dense_weights(load_model(path)), dense_weights(model))
+        assert np.array_equal(dense_weights(load_model(path), SMALL), dense_weights(model, SMALL))
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "model.npz"
@@ -785,7 +789,7 @@ class TestModelPersistence:
     )
     def test_load_rejects_files_that_are_not_npz_archives(self, tmp_path, write):
         path = tmp_path / "model.npz"
-        save_model(SelectorModel.zeros(3, SMALL, "v1"), path)
+        save_model(SelectorModel.zeros(3, "v1"), path)
         write(path)
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_model(path)
@@ -817,7 +821,7 @@ class TestModelPersistence:
             "weights-not-numbers",
         ],
     )
-    def test_load_rejects_malformed_models(self, tmp_path, weights, bias, meta):
+    def test_load_rejects_malformed_models(self, tmp_path, small, weights, bias, meta):
         _write_raw_model(tmp_path / "good.npz", np.zeros((3, 2)), np.zeros(3), MODEL_META,
                          columns=[1, 2])
         assert load_model(tmp_path / "good.npz").num_patterns == 3
@@ -842,16 +846,16 @@ class TestModelPersistence:
         ids=["descending", "repeated", "negative", "beyond-dimension", "float", "2-d",
              "weights-1-d", "weights-wider", "bias-length"],
     )
-    def test_a_model_checks_its_own_layout(self, columns, weights, bias, message):
+    def test_a_model_checks_its_own_layout(self, monkeypatch, columns, weights, bias, message):
         # Listed as [7, 3], the weights of [3, 7] used to predict [0.5, 0.5] for
         # feature 7 rather than [0.27, 0.73], and saved to a file that would not load.
-        ascending = SelectorModel(np.array([[5.0, 1.0], [0.0, 2.0]]), np.zeros(2),
-                                  FeatureConfig(16), "v", np.array([3, 7]))
-        fv = FeatureVector(np.array([7]), np.array([1.0]), 16)
-        assert predict_from_vector(ascending, fv).probs.round(2).tolist() == [0.27, 0.73]
+        monkeypatch.setattr(selector, "DIMENSION", 16)
+        ascending = SelectorModel(np.array([[5.0, 1.0], [0.0, 2.0]]), np.zeros(2), "v",
+                                  np.array([3, 7]))
+        fv = FeatureVector(np.array([7]), np.array([1.0]))
+        assert _predict(ascending, fv).probs.round(2).tolist() == [0.27, 0.73]
         with pytest.raises(DataError, match=re.escape(message)):
-            SelectorModel(np.array(weights, float), np.array(bias, float), FeatureConfig(16), "v",
-                          np.array(columns))
+            SelectorModel(np.array(weights, float), np.array(bias, float), "v", np.array(columns))
 
     @pytest.mark.parametrize(
         "change",
@@ -865,29 +869,40 @@ class TestModelPersistence:
             {"hash_seed": -1},
             {"hash_seed": 1},
             {"hash_seed": 2**64},
+            {"dimension": 2**18},
+            {"dimension": float(SMALL)},
+            {"dimension": str(SMALL)},
+            {"ngram_orders": [1.0, 2]},
+            {"ngram_orders": [True, 2]},
+            {"snippet_token_cap": 64.0},
+            {"hash_seed": False},
+            {"bias": 0},
         ],
         ids=["dimension-0", "dimension-2**64", "order-0", "orders-1-3", "cap-negative", "cap-32",
-             "seed-negative", "seed-1", "seed-2**64"],
+             "seed-negative", "seed-1", "seed-2**64", "dimension-other", "dimension-float",
+             "dimension-string", "order-float", "order-true", "cap-float", "seed-false",
+             "extra-key"],
     )
-    def test_load_rejects_feature_configs_out_of_range(self, tmp_path, change):
+    def test_load_rejects_feature_configs_out_of_range(self, tmp_path, small, change):
         # No columns, so no other check sees the dimension.
-        meta = {**MODEL_META, "feature_config": {**SMALL.to_dict(), **change}}
-        path = tmp_path / "model.npz"
-        _write_raw_model(path, np.ones((3, 0)), np.zeros(3), meta, columns=np.zeros(0, np.int64))
-        with pytest.raises(DataError, match=re.escape(str(path))):
+        meta = {**MODEL_META, "feature_config": {**MODEL_META["feature_config"], **change}}
+        path, no_columns = tmp_path / "model.npz", np.zeros(0, np.int64)
+        _write_raw_model(path, np.ones((3, 0)), np.zeros(3), MODEL_META, columns=no_columns)
+        assert load_model(path).num_patterns == 3
+        _write_raw_model(path, np.ones((3, 0)), np.zeros(3), meta, columns=no_columns)
+        message = f"{path}: malformed selector model meta: the features must be "
+        with pytest.raises(DataError, match=re.escape(message)):
             load_model(path)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"dimension": 0},
-            {"dimension": 2**63 + 1},
-        ],
-        ids=["dimension-0", "dimension-2**63+1"],
-    )
-    def test_feature_config_out_of_range_is_a_config_error(self, kwargs):
-        with pytest.raises(ConfigError, match="a feature config needs"):
-            FeatureConfig(**kwargs)
+    def test_a_model_of_another_dimension_is_refused(self, tmp_path):
+        # Trained with `train-selector --dimension 1024`, which is gone.
+        path = tmp_path / "model.npz"
+        _write_raw_model(path, np.ones((3, 2)), np.zeros(3), MODEL_META, columns=[1, 2])
+        message = (f"{path}: malformed selector model meta: the features must be "
+                   "{'dimension': 262144, 'ngram_orders': [1, 2], 'snippet_token_cap': 64, "
+                   "'hash_seed': 0}, got {'dimension': 1024, ")
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_model(path)
 
     def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.npz"
@@ -899,7 +914,7 @@ class TestModelPersistence:
 
         monkeypatch.setattr(np, "savez", write_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            save_model(SelectorModel.zeros(3, SMALL, "v1"), path)
+            save_model(SelectorModel.zeros(3, "v1"), path)
         assert path.read_bytes() == b"previous model"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
 
@@ -914,18 +929,18 @@ class TestModelPersistence:
 
 class TestSelectorInterfaces:
     def test_model_selector_checks_library_version(self):
-        model = SelectorModel.zeros(3, SMALL, "other-version")
+        model = SelectorModel.zeros(3, "other-version")
         with pytest.raises(ConfigError):
             ModelSelector(model, _library(3))
 
     def test_model_selector_refuses_a_model_that_predicts_nan(self):
-        model = SelectorModel.zeros(3, SMALL, "test-3")
+        model = SelectorModel.zeros(3, "test-3")
         model.bias[:] = np.nan
         with pytest.raises(DataError, match="must be finite"):
             ModelSelector(model, _library(3)).choose("minimum wage", EMPTY_CONTEXT)
 
     def test_model_selector_checks_class_count(self):
-        model = SelectorModel.zeros(4, SMALL, "test-3")
+        model = SelectorModel.zeros(4, "test-3")
         with pytest.raises(ConfigError):
             ModelSelector(model, _library(3))
 
