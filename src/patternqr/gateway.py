@@ -2,7 +2,9 @@
 
 The wire protocol is OpenAI-compatible JSON over POST /v1/chat/completions.
 A request's fingerprint hashes only the role:content message pairs, never
-the sampling parameters, so one mock script can serve parameter sweeps.
+the model, so one mock script serves any model name. Every request is sent
+with the same sampling parameters, `DEFAULT_MAX_TOKENS` and
+`DEFAULT_TEMPERATURE`.
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ class ChatMessage:
 class ChatRequest:
     model: str
     messages: tuple[ChatMessage, ...]
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    temperature: float = DEFAULT_TEMPERATURE
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.messages:
@@ -57,8 +56,8 @@ class ChatRequest:
 
 
 def reask(request: ChatRequest, suffix: str) -> ChatRequest:
-    """The request asked again with `suffix` appended to its last message; model and
-    sampling parameters carry over."""
+    """The request asked again with `suffix` appended to its last message, to the same
+    model."""
     last = request.messages[-1]
     return replace(
         request, messages=request.messages[:-1] + (ChatMessage(last.role, last.content + suffix),)
@@ -89,26 +88,22 @@ class Usage:
 @dataclass(frozen=True)
 class ChatResponse:
     content: str
-    finish_reason: str
     usage: Usage
 
 
 def fingerprint(request: ChatRequest) -> str:
-    """Stable hash of the message sequence; sampling parameters are excluded."""
+    """Stable hash of the message sequence; the model is excluded."""
     joined = "\n".join(f"{m.role}:{m.content}" for m in request.messages)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 def request_to_wire(request: ChatRequest) -> dict:
-    body = {
+    return {
         "model": request.model,
         "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-        "max_tokens": request.max_tokens,
-        "temperature": request.temperature,
+        "max_tokens": DEFAULT_MAX_TOKENS,
+        "temperature": DEFAULT_TEMPERATURE,
     }
-    if request.seed is not None:
-        body["seed"] = request.seed
-    return body
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,6 @@ class MockBackend:
         prompt_tokens = sum(len(m.content.split()) for m in request.messages)
         return ChatResponse(
             content=content,
-            finish_reason="stop",
             usage=Usage(prompt_tokens=prompt_tokens, completion_tokens=len(content.split())),
         )
 
@@ -229,13 +223,12 @@ class HttpBackend:
             raise ProtocolError(f"{url} returned {status}: {text}")
         try:
             payload = json.loads(body)
-            choice = payload["choices"][0]
-            content, usage = choice["message"]["content"], payload.get("usage", {})
+            content = payload["choices"][0]["message"]["content"]
+            usage = payload.get("usage", {})
             if not isinstance(content, str):
                 raise TypeError(f"message content is {type(content).__name__}, not a string")
             return ChatResponse(
                 content=content,
-                finish_reason=choice.get("finish_reason", "stop"),
                 usage=Usage(
                     prompt_tokens=int(usage.get("prompt_tokens", 0)),
                     completion_tokens=int(usage.get("completion_tokens", 0)),

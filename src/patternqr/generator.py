@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .artifacts import read_lines, write_text
 from .errors import DataError
-from .gateway import ChatMessage, ChatRequest, Gateway, ask, fingerprint
+from .gateway import ChatMessage, ChatRequest, Gateway, ask
 from .index import RetrievalContext
 from .induction import ReformulationPattern
 
@@ -32,17 +32,24 @@ _QUOTE_PAIRS = [('"', '"'), ("'", "'"), ("“", "”"), ("`", "`")]
 
 @dataclass(frozen=True)
 class Reformulation:
-    text: str
-    pattern_id: int
+    """One query's pattern-guided rewrite and the hybrid query composed from it; as
+    `to_json` writes it, one reformulation-log line, its fields in this order."""
+
     query_id: str
-    prompt_fingerprint: str
-    fallback: bool = False
+    pattern_id: int
+    pattern_name: str
+    reformulation: str
+    hybrid_query: str
+    fallback: bool
 
     def __post_init__(self):
-        if not self.text.strip() and not self.fallback:
+        if not self.reformulation.strip() and not self.fallback:
             raise DataError(f"empty reformulation for query {self.query_id!r}")
-        if "\n" in self.text:
+        if "\n" in self.reformulation:
             raise DataError(f"reformulation for query {self.query_id!r} spans lines")
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
 
 
 def build_generation_prompt(
@@ -109,26 +116,21 @@ def generate_reformulation(
     pattern: ReformulationPattern,
     query_id: str = "",
     extra_context: list[str] | None = None,
+    repetition: int = 1,
 ) -> Reformulation:
-    """Generate the pattern-guided rewrite; empty output re-asks once then
-    falls back to the identity reformulation (flagged)."""
+    """Generate the pattern-guided rewrite and compose the hybrid query with
+    `repetition` copies of `query`; empty output re-asks once then falls back to
+    the identity reformulation (flagged)."""
     request = build_generation_prompt(
         query, context, pattern, model=gateway.model, extra_context=extra_context
     )
-    fp = fingerprint(request)
+    fallback = False
     try:
         text = ask(gateway, request, _nonempty_generation, "")  # "": the identical request
     except DataError:
-        return Reformulation(
-            text=query,
-            pattern_id=pattern.pattern_id,
-            query_id=query_id,
-            prompt_fingerprint=fp,
-            fallback=True,
-        )
-    return Reformulation(
-        text=text, pattern_id=pattern.pattern_id, query_id=query_id, prompt_fingerprint=fp
-    )
+        text, fallback = query, True
+    hybrid = compose_hybrid(query, text, repetition)
+    return Reformulation(query_id, pattern.pattern_id, pattern.name, text, hybrid, fallback)
 
 
 def _nonempty_generation(content: str) -> str:
@@ -145,23 +147,8 @@ def compose_hybrid(query: str, reformulation: str, repetition: int = 1) -> str:
     return " ".join([query] * repetition + [reformulation])
 
 
-@dataclass(frozen=True)
-class ReformulationRecord:
-    """One reformulation-log line."""
-
-    query_id: str
-    pattern_id: int
-    pattern_name: str
-    reformulation: str
-    hybrid_query: str
-    fallback: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-
 def write_reformulation_log(
-    records: list[ReformulationRecord], path: str | Path, config_hash: str = ""
+    records: list[Reformulation], path: str | Path, config_hash: str = ""
 ) -> None:
     """JSON-lines log; the first line is a header carrying the config hash."""
     lines = [json.dumps({"config_hash": config_hash})]
@@ -169,17 +156,21 @@ def write_reformulation_log(
     write_text(path, "\n".join(lines) + "\n")
 
 
-def read_reformulation_log(path: str | Path) -> list[ReformulationRecord]:
+def read_reformulation_log(path: str | Path) -> list[Reformulation]:
+    """The records of a log, each checked as `Reformulation` checks it; a line that
+    holds no such record is a DataError naming `path:line`."""
     records = []
     for line_no, line in read_lines(path):
         try:  # a bad JSON line raises a ValueError, one nested too deep a RecursionError
             payload = json.loads(line)
             if line_no == 1 and isinstance(payload, dict) and "query_id" not in payload:
                 continue  # the header; no other line may lack a query_id
-            if type(payload["pattern_id"]) is not int or type(payload["fallback"]) is not bool:
-                raise ValueError("pattern_id must be an integer and fallback a boolean")
-            values = {f.name: payload[f.name] for f in fields(ReformulationRecord)}
-            records.append(ReformulationRecord(**values))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            values = {}
+            for f in fields(Reformulation):  # `f.type` is the annotation's text: str, int or bool
+                values[f.name] = payload[f.name]
+                if type(values[f.name]).__name__ != f.type:
+                    raise ValueError(f"{f.name} must be {f.type}, got {values[f.name]!r}")
+            records.append(Reformulation(**values))
+        except (KeyError, TypeError, ValueError, RecursionError, DataError) as exc:
             raise DataError(f"{path}:{line_no}: malformed reformulation record: {exc!r}") from exc
     return records

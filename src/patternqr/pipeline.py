@@ -32,12 +32,7 @@ from .evaluation import (
 )
 from .feedback import rm3_expand, rocchio_expand
 from .gateway import ChatRequest, ChatResponse, Gateway, GatewayConfig
-from .generator import (
-    ReformulationRecord,
-    compose_hybrid,
-    generate_reformulation,
-    write_reformulation_log,
-)
+from .generator import Reformulation, generate_reformulation, write_reformulation_log
 from .index import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -193,9 +188,11 @@ def load_hook_passages(path: str | Path) -> dict[str, str]:
     return dict(read_queries_tsv(path))
 
 
-def _build_selector(config: PipelineConfig, library: PatternLibrary, gateway: Gateway):
+def _build_selector(config: PipelineConfig, library: PatternLibrary) -> ModelSelector | None:
+    """The model selector `config` names; None for the prompt selector, which each
+    query of `rank_queries` builds on its own turn-taking gateway."""
     if config.selector == "prompt":
-        return PromptSelector(gateway, library)
+        return None
     if not config.selector_model:
         raise ConfigError("selector='model' requires a selector model file")
     model = load_model(config.selector_model)
@@ -210,16 +207,16 @@ class Reformer(typing.NamedTuple):
 
     library: PatternLibrary
     gateway: Gateway
-    selector: ModelSelector | PromptSelector
+    selector: ModelSelector | None  # None: a PromptSelector per query
     hook: dict[str, str]
 
 
 def load_reformer(config: PipelineConfig) -> Reformer:
     """Read the pattern library, the mock script, the selector model and the hook
-    passages that `config` names, and build the gateway and selector on them."""
+    passages that `config` names, and build the gateway and the model selector."""
     library = load_library(config.library) if config.library else default_library()
     gateway = config.gateway.build()
-    selector = _build_selector(config, library, gateway)
+    selector = _build_selector(config, library)
     hook = load_hook_passages(config.hook_file) if config.mode == "reformer+hook" else {}
     return Reformer(library, gateway, selector, hook)
 
@@ -287,11 +284,11 @@ def rank_queries(
     queries: list[tuple[str, str]],
     tag: str,
     reformer: Reformer | None,
-) -> tuple[Run, list[ReformulationRecord]]:
+) -> tuple[Run, list[Reformulation]]:
     """Rank every query at k_eval the way `config.mode` prescribes, into a run tagged
     `tag`, and return the reformer modes' records in input order. A query ranks its
     text (bm25), its feedback expansion (rm3, rocchio) or its hybrid: retrieve
-    context, select a pattern, generate the rewrite, give the LLM turn back, compose.
+    context, select a pattern, generate the rewrite and its hybrid, give the LLM turn back.
     Queries that retrieve nothing are left out of the run. Reformer queries run on
     `2 * max_in_flight` threads in input order; only their LLM calls wait for a turn
     (`_Turns`), so while some wait on the LLM the others retrieve, select or rank.
@@ -302,22 +299,19 @@ def rank_queries(
     results: list = [None] * len(queries)  # (record or None, ranking or None) per query
     turns = _Turns(len(queries), config.gateway.max_in_flight)
 
-    def reformulate(i: int, query_id: str, text: str) -> ReformulationRecord:
+    def reformulate(i: int, query_id: str, text: str) -> Reformulation:
         library, gateway, selector, hook = reformer
         llm = _QueryLLM(gateway, turns, i)
-        chooser = PromptSelector(llm, library) if isinstance(selector, PromptSelector) else selector
+        chooser = selector or PromptSelector(llm, library)
         context = retrieve_topk(index, text, config.k_context, query_id=query_id)
         pattern = library.patterns[chooser.choose(text, context)]
         extra = [hook[query_id]] if query_id in hook else None
         reformulation = generate_reformulation(
-            llm, text, context, pattern, query_id=query_id, extra_context=extra
+            llm, text, context, pattern, query_id=query_id, extra_context=extra,
+            repetition=config.repetition,
         )
         turns.end(i)
-        hybrid = compose_hybrid(text, reformulation.text, repetition=config.repetition)
-        return ReformulationRecord(
-            query_id, pattern.pattern_id, pattern.name, reformulation.text, hybrid,
-            reformulation.fallback,
-        )
+        return reformulation
 
     def rank(i: int) -> None:
         query_id, text = queries[i]

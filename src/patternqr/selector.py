@@ -365,6 +365,9 @@ def load_model(path: str | Path) -> SelectorModel:
     if features != layout or repr(sorted(features.items())) != repr(sorted(layout.items())):
         raise DataError(f"{path}: malformed selector model meta: the features must be {layout}, "
                         f"got {features!r}")
+    if not isinstance(library_version, str):
+        raise DataError(f"{path}: malformed selector model meta: the library version must be "
+                        f"a string, got {library_version!r}")
     try:
         weights = np.ascontiguousarray(arrays["weights"], dtype=np.float64)
         return SelectorModel(weights, arrays["bias"], library_version, columns=arrays["columns"])

@@ -865,6 +865,23 @@ class TestExitCodes:
             "bias must be finite\n")
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("version", [5, None, ["seed-1"]], ids=["number", "null", "list"])
+    def test_a_selector_model_whose_library_version_is_no_string_is_3(
+        self, files, capsys, version
+    ):
+        # It used to load, and `run` exited 2 with a library-mismatch config error.
+        path = files["dir"] / "model.npz"
+        save_model(SelectorModel.zeros(10, version), path)
+        out = files["dir"] / "out"
+        argv = ["run", "--mode", "reformer", "--selector-model", str(path), "--corpus",
+                str(files["corpus"]), "--queries", str(files["queries"]), "--mock-script",
+                str(_mock(files["dir"], "a rewritten query")), "--out-dir", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"data error: stage load-reformer: {path}: malformed selector model meta: the "
+            f"library version must be a string, got {version!r}\n")
+        assert not list(out.iterdir())
+
     def test_gateway_error_is_4(self, files, capsys):
         model_path = files["dir"] / "model.npz"
         save_model(SelectorModel.zeros(10, "seed-1"), model_path)

@@ -54,19 +54,13 @@ class TestChatRequest:
 
     def test_wire_body_carries_every_field(self):
         request = ChatRequest(
-            model="m",
-            messages=(ChatMessage("system", "s"), ChatMessage("user", "u")),
-            max_tokens=64,
-            temperature=0.2,
-            seed=7,
+            model="m", messages=(ChatMessage("system", "s"), ChatMessage("user", "u"))
         )
-        assert request_to_wire(request) == {
-            "model": "m",
-            "messages": [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}],
-            "max_tokens": 64,
-            "temperature": 0.2,
-            "seed": 7,
-        }
+        # The body `HttpBackend.send` posts, key order included, as first written.
+        assert json.dumps(request_to_wire(request)) == (
+            '{"model": "m", "messages": [{"role": "system", "content": "s"}, '
+            '{"role": "user", "content": "u"}], "max_tokens": 512, "temperature": 1.0}'
+        )
 
     def test_wire_body_without_seed(self):
         assert "seed" not in request_to_wire(_request())
@@ -80,7 +74,7 @@ class RecordingBackend:
 
     def send(self, request):
         self.requests.append(request)
-        return ChatResponse("not a pattern name", "stop", Usage(0, 0))
+        return ChatResponse("not a pattern name", Usage(0, 0))
 
 
 # Fingerprints of the three re-asks below, as first computed; mock scripts key on them.
@@ -94,11 +88,7 @@ REASK_FINGERPRINTS = {
 class TestReask:
     def test_appends_to_last_message_and_keeps_parameters(self):
         request = ChatRequest(
-            model="m",
-            messages=(ChatMessage("system", "sys"), ChatMessage("user", "question")),
-            max_tokens=7,
-            temperature=0.2,
-            seed=5,
+            model="m2", messages=(ChatMessage("system", "sys"), ChatMessage("user", "question"))
         )
         retry = reask(request, " Be brief.")
         assert retry.messages == (
@@ -138,7 +128,7 @@ class ScriptedBackend:
         reply = self.replies.pop(0)
         if isinstance(reply, Exception):
             raise reply
-        return ChatResponse(reply, "stop", Usage(0, 0))
+        return ChatResponse(reply, Usage(0, 0))
 
 
 def _number(content):
@@ -176,9 +166,9 @@ class TestAsk:
 
 
 class TestFingerprint:
-    def test_ignores_sampling_parameters(self):
-        a = ChatRequest(model="m", messages=(ChatMessage("user", "x"),), temperature=0.1)
-        b = ChatRequest(model="m", messages=(ChatMessage("user", "x"),), temperature=0.9)
+    def test_ignores_the_model(self):
+        a = ChatRequest(model="m", messages=(ChatMessage("user", "x"),))
+        b = ChatRequest(model="other-model", messages=(ChatMessage("user", "x"),))
         assert fingerprint(a) == fingerprint(b)
 
     def test_sensitive_to_content_and_role(self):
@@ -302,7 +292,7 @@ class CountingBackend:
         time.sleep(0.01)
         with self.lock:
             self.active -= 1
-        return ChatResponse("ok", "stop", Usage(0, 0))
+        return ChatResponse("ok", Usage(0, 0))
 
 
 class TestInFlightCap:
@@ -375,7 +365,7 @@ class TestHttpBackend:
         endpoint.replies.append((200, {"Content-Type": "application/json"}, _completion()))
         request = _request("rewrite me")
         response = HttpBackend(endpoint.url + "/", api_key="key").send(request)
-        assert response == ChatResponse("rewritten", "stop", Usage(5, 2))
+        assert response == ChatResponse("rewritten", Usage(5, 2))
         [(method, path, headers, body)] = endpoint.seen
         assert (method, path) == ("POST", "/v1/chat/completions")
         assert headers["Content-Type"] == "application/json"

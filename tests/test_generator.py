@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternqr.errors import DataError
-from patternqr.gateway import ChatResponse, Gateway, Usage, fingerprint
+from patternqr.gateway import ChatResponse, Gateway, Usage, fingerprint, request_to_wire
 from patternqr.generator import (
     _QUOTE_PAIRS,
-    ReformulationRecord,
+    Reformulation,
     build_generation_prompt,
     clean_generation,
     compose_hybrid,
@@ -48,9 +48,9 @@ class TestBuildGenerationPrompt:
         assert fingerprint(a) == fingerprint(b)
 
     def test_carries_default_generation_parameters(self):
-        request = build_generation_prompt("q", CONTEXT, PATTERN, model="m")
-        assert request.max_tokens == 512
-        assert request.temperature == 1.0
+        wire = request_to_wire(build_generation_prompt("q", CONTEXT, PATTERN, model="m"))
+        assert wire["max_tokens"] == 512
+        assert wire["temperature"] == 1.0
 
     def test_empty_context_omits_snippet_block(self):
         request = build_generation_prompt("q text", EMPTY_CONTEXT, PATTERN, model="m")
@@ -131,26 +131,32 @@ class TestGenerateReformulation:
         request = build_generation_prompt(
             "average nurse salary", CONTEXT, PATTERN, model="mock-model"
         )
+        # The script has no fallback: any other request than `request` is a mock miss.
         entries = {fingerprint(request): "average salary of a nurse in california 2020"}
         gateway = mock_gateway_factory(entries=entries)
         result = generate_reformulation(
             gateway, "average nurse salary", CONTEXT, PATTERN, query_id="q1"
         )
-        assert result.text == "average salary of a nurse in california 2020"
-        assert result.pattern_id == 9
-        assert result.query_id == "q1"
-        assert result.prompt_fingerprint == fingerprint(request)
+        assert result == Reformulation(
+            query_id="q1",
+            pattern_id=9,
+            pattern_name="Temporal Adjustment",
+            reformulation="average salary of a nurse in california 2020",
+            hybrid_query="average nurse salary average salary of a nurse in california 2020",
+            fallback=False,
+        )
         assert result.fallback is False
 
     def test_cleanup_applied(self, mock_gateway_factory):
         gateway = mock_gateway_factory(fallback='  "rewritten query"\n')
         result = generate_reformulation(gateway, "orig", CONTEXT, PATTERN)
-        assert result.text == "rewritten query"
+        assert result.reformulation == "rewritten query"
 
     def test_empty_twice_falls_back_to_identity(self, mock_gateway_factory):
         gateway = mock_gateway_factory(fallback="")
         result = generate_reformulation(gateway, "the original", CONTEXT, PATTERN, query_id="q")
-        assert result.text == "the original"
+        assert result.reformulation == "the original"
+        assert result.hybrid_query == "the original the original"
         assert result.fallback is True
 
     def test_an_empty_answer_asks_the_identical_request_again(self):
@@ -160,10 +166,10 @@ class TestGenerateReformulation:
             def send(self, request):
                 sent.append(request)
                 content = "  ``  " if len(sent) == 1 else "rewritten"
-                return ChatResponse(content, "stop", Usage(0, 0))
+                return ChatResponse(content, Usage(0, 0))
 
         result = generate_reformulation(Gateway(Backend(), model="m"), "orig", CONTEXT, PATTERN)
-        assert (result.text, result.fallback) == ("rewritten", False)
+        assert (result.reformulation, result.fallback) == ("rewritten", False)
         assert sent == [build_generation_prompt("orig", CONTEXT, PATTERN, model="m")] * 2
 
 
@@ -195,8 +201,9 @@ class TestComposeHybrid:
 class TestReformulationLog:
     def test_round_trip_with_config_header(self, tmp_path):
         records = [
-            ReformulationRecord("q1", 9, "Temporal Adjustment", "r text", "q r text", False),
-            ReformulationRecord("q2", 0, "Clarify Intent", "other", "q2 other", True),
+            Reformulation("q1", 9, "Temporal Adjustment", "r text", "q r text", False),
+            Reformulation("q2", 0, "Clarify Intent", "other", "q2 other", True),
+            Reformulation("q3", 1, "Clarify Subject", "", "q3 ", True),
         ]
         path = tmp_path / "log.jsonl"
         write_reformulation_log(records, path, config_hash="beef99")
@@ -219,6 +226,14 @@ class TestReformulationLog:
             ' "hybrid_query": "q r", "fallback": "false"}',
             '{"query_id": "q1", "pattern_id": 9, "pattern_name": "T", "reformulation": "r",'
             ' "hybrid_query": "q r", "fallback": 0}',
+            '{"query_id": "q1", "pattern_id": 9, "pattern_name": "T", "reformulation": 5,'
+            ' "hybrid_query": "q r", "fallback": false}',
+            '{"query_id": null, "pattern_id": 9, "pattern_name": "T", "reformulation": "r",'
+            ' "hybrid_query": "q r", "fallback": false}',
+            '{"query_id": "q1", "pattern_id": 9, "pattern_name": "T", "reformulation": "",'
+            ' "hybrid_query": "q ", "fallback": false}',
+            '{"query_id": "q1", "pattern_id": 9, "pattern_name": "T", "reformulation": "r\\ns",'
+            ' "hybrid_query": "q r", "fallback": false}',
             "3",
             "[1]",
             "[" * 100_000,
@@ -230,6 +245,10 @@ class TestReformulationLog:
             "fractional-pattern-id",
             "string-fallback",
             "integer-fallback",
+            "integer-reformulation",
+            "null-query-id",
+            "empty-reformulation",
+            "multiline-reformulation",
             "number",
             "list",
             "nested-too-deep",
@@ -243,7 +262,7 @@ class TestReformulationLog:
 
     @pytest.mark.parametrize("line", ['{"config_hash": "y"}', '{"oops": true}', "{}"])
     def test_only_the_first_line_may_be_the_header(self, tmp_path, line):
-        record = ReformulationRecord("q1", 9, "Temporal Adjustment", "r text", "q r text", False)
+        record = Reformulation("q1", 9, "Temporal Adjustment", "r text", "q r text", False)
         path = tmp_path / "log.jsonl"
         write_reformulation_log([record], path, config_hash="beef99")
         with open(path, "a", encoding="utf-8") as handle:
